@@ -19,8 +19,7 @@ from .decode import BeamConfig, beam_search, greedy
 from .errors import ConfigurationError, InvalidInputError
 from .model import ModelConfig, N_RESERVED
 from .scores import ScoreRule, SmoothingConfig
-from .train import TrainConfig, evaluate_scores, finetune, train
-from .train import _heldout_positions, _split_data
+from .train import TrainConfig, evaluate_scores, finetune, heldout_positions, train
 
 
 def _jsonable(obj):
@@ -162,8 +161,7 @@ def _cmd_eval(args) -> int:
         raise ConfigurationError(
             f"data vocabulary size {vocab.size} != checkpoint vocab_size {ckpt.model.vocab_size}"
         )
-    mode, _, held = _split_data(data)
-    contexts, targets = _heldout_positions(mode, held, ckpt.model.context)
+    contexts, targets = heldout_positions(data, ckpt.model.context)
     scores = evaluate_scores(ckpt.params, contexts, targets)
     out = {
         "positions": int(targets.size),

@@ -5,6 +5,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError
 from .model import EOS_ID, N_RESERVED, PAD_ID, TokenSeq
@@ -86,20 +87,20 @@ def load_pairs(path):
 def make_batches(tokens, context: int, batch_size: int, seed: int):
     """One epoch of sliding-window next-token examples, shuffled by seed.
 
-    Yields lists of TokenSeq windows (context tokens masked, target unmasked);
-    every target position K..L-1 appears exactly once.
+    Yields (contexts, targets) index arrays of shapes (B, K) and (B,): row j
+    holds the K tokens before a target position t and the token at t.  Every
+    target position K..L-1 appears exactly once.  Token ids are not checked
+    here; training checks the whole corpus once, at ingest.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     L = tokens.size
     if L <= context:
         raise InvalidInputError(f"corpus length {L} must exceed the context window {context}")
-    positions = np.arange(context, L)
-    order = np.random.default_rng(seed).permutation(positions)
-    window_mask = np.zeros(context + 1, dtype=bool)
-    window_mask[-1] = True
+    order = np.random.default_rng(seed).permutation(np.arange(context, L))
+    windows = sliding_window_view(tokens, context + 1)  # row t - K ends at position t
     for start in range(0, order.size, batch_size):
-        chunk = order[start : start + batch_size]
-        yield [TokenSeq(tokens[t - context : t + 1], window_mask.copy()) for t in chunk]
+        rows = windows[order[start : start + batch_size] - context]
+        yield rows[:, :-1], rows[:, -1]
 
 
 def make_seq_batches(seqs, batch_size: int, seed: int):
@@ -140,18 +141,36 @@ class MarkovSpec:
         return np.arange(N_RESERVED, N_RESERVED + self.states)
 
 
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The table Generator.choice(k, p=p) searches: normalized cumulative sums."""
+    cdf = p.cumsum()
+    return cdf / cdf[-1]
+
+
+_SYNTH_BLOCK = 1 << 16  # draws per block of successor tables: memory stays O(k * block)
+
+
 def synth_markov(spec: MarkovSpec, length: int):
     """Seed-deterministic sample path plus the exact conditional table.
 
     States are mapped to token ids N_RESERVED..N_RESERVED+k-1, so the
     resulting TokenSeq trains a model with vocab_size k + 2.
+
+    The path is the one a gen.choice(k, p=row) call per step would draw: all
+    uniforms are drawn at once, and each state's successor for every draw is
+    looked up with choice's own arithmetic (a right-sided search of the
+    normalized cumulative row), so only the walk itself is sequential.
     """
     if length < 1:
         raise InvalidInputError(f"length must be >= 1, got {length}")
-    gen = np.random.default_rng(spec.seed)
-    k = spec.states
-    states = np.empty(length, dtype=np.int64)
-    states[0] = gen.choice(k, p=spec.initial)
-    for t in range(1, length):
-        states[t] = gen.choice(k, p=spec.transition[states[t - 1]])
-    return TokenSeq(states + N_RESERVED), spec.transition.copy()
+    u = np.random.default_rng(spec.seed).random(length)
+    cdfs = [_choice_cdf(row) for row in spec.transition]
+    state = int(_choice_cdf(spec.initial).searchsorted(u[0], side="right"))
+    path = [state]
+    for lo in range(1, length, _SYNTH_BLOCK):
+        block = u[lo : lo + _SYNTH_BLOCK]
+        successor = [cdf.searchsorted(block, side="right").tolist() for cdf in cdfs]
+        for t in range(block.size):
+            state = successor[state][t]
+            path.append(state)
+    return TokenSeq(np.asarray(path, dtype=np.int64) + N_RESERVED), spec.transition.copy()

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
 from .errors import InvalidInputError
@@ -151,15 +152,19 @@ def context_window(tokens: np.ndarray, t: int, K: int) -> np.ndarray:
 
 
 def _gather_positions(seqs, K: int):
-    """Stack every unmasked position of every sequence into (contexts, targets)."""
-    ctx_rows, targets = [], []
-    for seq in seqs:
-        for t in np.flatnonzero(seq.loss_mask):
-            ctx_rows.append(context_window(seq.tokens, int(t), K))
-            targets.append(seq.tokens[t])
-    if not ctx_rows:
+    """Stack every unmasked position of every sequence into (contexts, targets).
+
+    Each sequence is laid behind K PAD_IDs, so the K tokens before position t
+    are always the row of a sliding window view ending just before t,
+    left-padded exactly as context_window pads them.
+    """
+    if not seqs:
         return np.zeros((0, K), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.stack(ctx_rows), np.asarray(targets, dtype=np.int64)
+    pad, no_loss = np.full(K, PAD_ID, dtype=np.int64), np.zeros(K, dtype=bool)
+    tokens = np.concatenate([part for seq in seqs for part in (pad, seq.tokens)])
+    mask = np.concatenate([part for seq in seqs for part in (no_loss, seq.loss_mask)])
+    rows = sliding_window_view(tokens, K + 1)[np.flatnonzero(mask) - K]
+    return rows[:, :-1], rows[:, -1]
 
 
 def sequence_loss(params: Parameters, seq: TokenSeq, rule: ScoreRule, cfg: SmoothingConfig) -> float:
@@ -178,24 +183,22 @@ def sequence_loss(params: Parameters, seq: TokenSeq, rule: ScoreRule, cfg: Smoot
     return float(losses.sum())
 
 
-def backward(params: Parameters, batch, rule: ScoreRule, cfg: SmoothingConfig):
-    """Batch loss (per-token mean over all unmasked positions) and its exact
-    analytic gradient.
+def loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray,
+                   rule: ScoreRule, cfg: SmoothingConfig):
+    """Mean loss over N positions and its exact analytic gradient.
 
-    Positions are reduced in batch order, so results are bitwise reproducible.
-    Returns (loss, grads) with grads shaped like params.
+    contexts (N, K) and targets (N,) are index arrays whose ids the caller
+    has already checked against the vocabulary: training checks its data
+    once at ingest, backward checks each batch.  Positions are reduced in
+    row order, so results are bitwise reproducible.  Returns (loss, grads)
+    with grads shaped like params.
     """
-    if not batch:
-        raise InvalidInputError("batch is empty")
-    V, d = params.embed.shape
-    K = params.w_hidden.shape[0] // d
-    for seq in batch:
-        _check_ids(seq.tokens, V)
-    contexts, targets = _gather_positions(batch, K)
     N = targets.size
     if N == 0:
-        warnings.warn("backward over an all-masked batch is 0", stacklevel=2)
+        warnings.warn("loss over an all-masked batch is 0", stacklevel=2)
         return 0.0, zero_grads(params)
+    K = contexts.shape[1]
+    d = params.embed.shape[1]
 
     X, H, Z = _forward_batch(params, contexts)
     losses, dZ = token_losses_and_grads(rule, cfg, Z, targets)
@@ -212,3 +215,20 @@ def backward(params: Parameters, batch, rule: ScoreRule, cfg: SmoothingConfig):
     dX = (dA @ params.w_hidden.T).reshape(N, K, d)
     np.add.at(grads.embed, contexts, dX)
     return loss, grads
+
+
+def backward(params: Parameters, batch, rule: ScoreRule, cfg: SmoothingConfig):
+    """Batch loss (per-token mean over all unmasked positions) and its exact
+    analytic gradient, for a list of TokenSeq.
+
+    Checks every id of the batch, gathers its unmasked positions into index
+    arrays and hands them to loss_and_grads.  Returns (loss, grads) with
+    grads shaped like params.
+    """
+    if not batch:
+        raise InvalidInputError("batch is empty")
+    V, d = params.embed.shape
+    for seq in batch:
+        _check_ids(seq.tokens, V)
+    contexts, targets = _gather_positions(batch, params.w_hidden.shape[0] // d)
+    return loss_and_grads(params, contexts, targets, rule, cfg)

@@ -5,6 +5,7 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .checkpoint import Checkpoint
 from .data import make_batches, make_seq_batches
@@ -13,10 +14,11 @@ from .model import (
     ModelConfig,
     Parameters,
     TokenSeq,
+    _check_ids,
     _forward_batch,
     _gather_positions,
-    backward,
     init_params,
+    loss_and_grads,
     zero_grads,
 )
 from .scores import NO_SMOOTHING, ScoreRule, SmoothingConfig, token_losses_and_grads
@@ -133,15 +135,31 @@ def _split_data(data):
     return "corpus", tokens[:split], tokens[split:]
 
 
-def _heldout_positions(mode, held, K: int):
+def _check_data_ids(mode, train_part, held, V: int):
+    """The one id check of a training run, over both splits."""
     if mode == "corpus":
-        if held.size <= K:
-            raise InvalidInputError("held-out split shorter than the context window")
-        seqs = [TokenSeq(held)]
-        # only positions with a full in-split history
-        seqs[0].loss_mask[:K] = False
-        return _gather_positions(seqs, K)
-    return _gather_positions(held, K)
+        parts = (train_part, held)
+    else:
+        parts = (np.concatenate([seq.tokens for seq in train_part + held]),)
+    for ids in parts:
+        _check_ids(ids, V)
+
+
+def heldout_positions(data, K: int):
+    """(contexts, targets) index arrays for every held-out position of data.
+
+    The held-out part is the split training never sees: the final 10% of a
+    corpus, scored only at positions with a full in-split history, or the
+    final 10% of a sequence list, scored at its unmasked positions.  Ids are
+    not checked here.
+    """
+    mode, _, held = _split_data(data)
+    if mode == "seqs":
+        return _gather_positions(held, K)
+    if held.size <= K:
+        raise InvalidInputError("held-out split shorter than the context window")
+    rows = sliding_window_view(held, K + 1)
+    return rows[:, :-1], rows[:, -1]
 
 
 def evaluate_scores(params: Parameters, contexts: np.ndarray, targets: np.ndarray):
@@ -173,18 +191,22 @@ def _make_record(step, loss, scores, ref):
 
 
 def _batch_stream(mode, train_part, model_cfg: ModelConfig, cfg: TrainConfig):
+    """Endless (contexts, targets) training batches, one epoch per seed."""
+    K = model_cfg.context
     epoch = 0
     while True:
         if mode == "corpus":
-            yield from make_batches(train_part, model_cfg.context, cfg.batch_size, cfg.seed + epoch)
+            yield from make_batches(train_part, K, cfg.batch_size, cfg.seed + epoch)
         else:
-            yield from make_seq_batches(train_part, cfg.batch_size, cfg.seed + epoch)
+            for batch in make_seq_batches(train_part, cfg.batch_size, cfg.seed + epoch):
+                yield _gather_positions(batch, K)
         epoch += 1
 
 
 def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint_path):
     mode, train_part, held = _split_data(data)
-    eval_ctx, eval_tgt = _heldout_positions(mode, held, model_cfg.context)
+    _check_data_ids(mode, train_part, held, model_cfg.vocab_size)
+    eval_ctx, eval_tgt = heldout_positions(data, model_cfg.context)
     # relative-change reference: the model as it stands at loop entry
     ref_scores = evaluate_scores(params, eval_ctx, eval_tgt)
 
@@ -192,7 +214,8 @@ def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint
     stream = _batch_stream(mode, train_part, model_cfg, cfg)
     records = []
     for step in range(1, cfg.steps + 1):
-        loss, grads = backward(params, next(stream), cfg.rule, cfg.smoothing)
+        contexts, targets = next(stream)
+        loss, grads = loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing)
         params, state = adam_step(params, grads, state, step, cfg)
         if step % cfg.eval_every == 0 or step == cfg.steps:
             scores = evaluate_scores(params, eval_ctx, eval_tgt)

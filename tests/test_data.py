@@ -84,32 +84,36 @@ class TestMakeBatches:
     def test_window_count_per_epoch(self):
         tokens = np.arange(2, 2 + 30) % 4 + 2
         batches = list(make_batches(tokens, context=3, batch_size=8, seed=0))
-        assert sum(len(b) for b in batches) == 30 - 3
+        assert sum(targets.size for _, targets in batches) == 30 - 3
+        for contexts, targets in batches:
+            assert contexts.shape == (targets.size, 3)
 
     def test_seed_determinism(self):
         tokens = np.arange(20) % 3 + 2
-        a = [[s.tokens.tolist() for s in b] for b in make_batches(tokens, 2, 4, seed=5)]
-        b = [[s.tokens.tolist() for s in b] for b in make_batches(tokens, 2, 4, seed=5)]
-        c = [[s.tokens.tolist() for s in b] for b in make_batches(tokens, 2, 4, seed=6)]
+
+        def epoch(seed):
+            return [(c.tolist(), t.tolist()) for c, t in make_batches(tokens, 2, 4, seed=seed)]
+
+        a, b, c = epoch(5), epoch(5), epoch(6)
         assert a == b
         assert a != c
 
     def test_oversized_batch(self):
         tokens = np.arange(8) % 3 + 2
         batches = list(make_batches(tokens, 2, batch_size=100, seed=0))
-        assert len(batches) == 1 and len(batches[0]) == 6
+        assert len(batches) == 1
+        contexts, targets = batches[0]
+        assert contexts.shape == (6, 2) and targets.shape == (6,)
 
     def test_epoch_coverage(self):
-        # every target position exactly once
+        # every target position exactly once, with the K tokens before it
         tokens = np.arange(40) % 5 + 2
-        targets = []
-        for batch in make_batches(tokens, 4, 7, seed=1):
-            for seq in batch:
-                assert seq.loss_mask.tolist() == [False] * 4 + [True]
-                targets.append(seq.tokens.tolist())
+        windows = []
+        for contexts, targets in make_batches(tokens, 4, 7, seed=1):
+            windows += [ctx.tolist() + [tgt] for ctx, tgt in zip(contexts, targets.tolist())]
         # multiset equality: every position exactly once, none duplicated
         expected = [tokens[t - 4 : t + 1].tolist() for t in range(4, 40)]
-        assert sorted(targets) == sorted(expected)
+        assert sorted(windows) == sorted(expected)
 
     def test_too_short_corpus(self):
         with pytest.raises(InvalidInputError):
@@ -154,3 +158,32 @@ class TestSynthMarkov:
 
         for row in truth:
             check_prob_vector(row)
+
+    @staticmethod
+    def _choice_walk(spec, length):
+        """Reference sampler: one gen.choice call per step."""
+        gen = np.random.default_rng(spec.seed)
+        states = [gen.choice(spec.states, p=spec.initial)]
+        for _ in range(1, length):
+            states.append(gen.choice(spec.states, p=spec.transition[states[-1]]))
+        return np.asarray(states, dtype=np.int64) + 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_matches_choice_loop(self, seed):
+        gen = np.random.default_rng(100 + seed)
+        T = gen.dirichlet(np.ones(5), size=5)
+        T[1] = [0.0, 0.5, 0.0, 0.5, 0.0]  # zero-probability successors
+        T[3] = [0.0, 0.0, 0.0, 0.0, 1.0]
+        spec = MarkovSpec(states=5, transition=T, initial=[0.0, 0.3, 0.0, 0.3, 0.4], seed=seed)
+        seq, _ = synth_markov(spec, 3000)
+        assert np.array_equal(seq.tokens, self._choice_walk(spec, 3000))
+
+    def test_matches_choice_loop_across_blocks(self, monkeypatch):
+        import scorelm.data as data_mod
+
+        monkeypatch.setattr(data_mod, "_SYNTH_BLOCK", 7)
+        spec = MarkovSpec(states=3, transition=[[0.2, 0.3, 0.5], [0.0, 0.8, 0.2], [0.4, 0.6, 0.0]],
+                          initial=[1 / 3, 1 / 3, 1 / 3], seed=11)
+        for length in (1, 2, 7, 8, 50):
+            seq, _ = synth_markov(spec, length)
+            assert np.array_equal(seq.tokens, self._choice_walk(spec, length))

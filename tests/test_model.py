@@ -5,9 +5,12 @@ from scorelm.errors import InvalidInputError
 from scorelm.model import (
     ModelConfig,
     TokenSeq,
+    _gather_positions,
     backward,
+    context_window,
     forward,
     init_params,
+    loss_and_grads,
     sequence_loss,
 )
 from scorelm.scores import NO_SMOOTHING, ScoreRule, SmoothingConfig
@@ -94,6 +97,34 @@ class TestForward:
             forward(params, [2, 9])
         with pytest.raises(InvalidInputError):
             forward(params, [2])
+
+
+def gather_reference(seqs, K):
+    """Per-position loop over context_window: the reference for _gather_positions."""
+    rows = [(context_window(s.tokens, int(t), K), s.tokens[t]) for s in seqs for t in np.flatnonzero(s.loss_mask)]
+    contexts = np.asarray([c for c, _ in rows], dtype=np.int64).reshape(len(rows), K)
+    return contexts, np.asarray([t for _, t in rows], dtype=np.int64)
+
+
+class TestGatherPositions:
+    @pytest.mark.parametrize("K", [1, 3, 6])
+    def test_matches_per_position_loop(self, K):
+        gen = np.random.default_rng(K)
+        for _ in range(20):
+            seqs = []
+            for _ in range(int(gen.integers(0, 6))):
+                n = int(gen.integers(1, 12))  # shorter and longer than K
+                mask = gen.random(n) < gen.choice([0.0, 0.5, 1.0])  # all-masked rows included
+                seqs.append(TokenSeq(gen.integers(0, 9, size=n), loss_mask=mask))
+            contexts, targets = _gather_positions(seqs, K)
+            want_c, want_t = gather_reference(seqs, K)
+            assert contexts.shape == want_c.shape and np.array_equal(contexts, want_c)
+            assert targets.shape == want_t.shape and np.array_equal(targets, want_t)
+
+    def test_empty_and_all_masked(self):
+        for seqs in ([], [TokenSeq([2, 3], loss_mask=[False, False])]):
+            contexts, targets = _gather_positions(seqs, 4)
+            assert contexts.shape == (0, 4) and targets.shape == (0,)
 
 
 class TestSequenceLoss:
@@ -213,6 +244,21 @@ class TestBackward:
         _, grads = backward(params, batch, rule, NO_SMOOTHING)
         norm = max(np.abs(g).max() for _, g in grads.named())
         assert norm < 1e-4
+
+    def test_is_check_gather_and_core(self):
+        # backward on TokenSeqs == loss_and_grads on the gathered index arrays, bitwise
+        rule, cfg = ScoreRule("brier"), SmoothingConfig(0.1, mask_enhanced=True)
+        loss, grads = backward(self.params, self.batch, rule, cfg)
+        core_loss, core_grads = loss_and_grads(self.params, *gather_reference(self.batch, 2), rule, cfg)
+        assert loss == core_loss
+        for (n, a), (_, b) in zip(grads.named(), core_grads.named()):
+            assert a.tobytes() == b.tobytes(), n
+
+    def test_out_of_range_id_rejected(self):
+        for bad in (-1, 5):
+            batch = self.batch + [TokenSeq([2, bad, 3], loss_mask=[True, False, False])]
+            with pytest.raises(InvalidInputError, match=f"token id {bad}"):
+                backward(self.params, batch, ScoreRule("brier"), NO_SMOOTHING)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from scorelm.data import MarkovSpec, synth_markov
-from scorelm.errors import ConfigurationError
-from scorelm.model import ModelConfig, init_params, zero_grads
+from scorelm.errors import ConfigurationError, InvalidInputError
+from scorelm.model import ModelConfig, TokenSeq, init_params, zero_grads
 from scorelm.scores import ScoreRule
 from scorelm.train import (
     AdamState,
     TrainConfig,
     adam_step,
     finetune,
+    heldout_positions,
     relative_change,
     train,
 )
@@ -128,9 +129,45 @@ class TestTrain:
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
 
+    @pytest.mark.parametrize("bad", [-1, 6])
+    @pytest.mark.parametrize("where", [100, -1])  # training split, held-out split
+    def test_corpus_ids_checked_in_both_splits(self, corpus, bad, where):
+        tokens = corpus.copy()
+        tokens[where] = bad
+        with pytest.raises(InvalidInputError, match=f"token id {bad} out of range"):
+            train(quick_cfg(steps=5), MODEL_CFG, tokens)
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    @pytest.mark.parametrize("where", [0, -1])  # training split, held-out split
+    def test_paired_ids_checked_in_both_splits(self, bad, where):
+        seqs = [TokenSeq([2, 3, 1, 4, 5, 1], loss_mask=[False] * 3 + [True] * 3) for _ in range(20)]
+        seqs[where] = TokenSeq([2, bad, 1, 4, 5, 1], loss_mask=[False] * 3 + [True] * 3)
+        with pytest.raises(InvalidInputError, match=f"token id {bad} out of range"):
+            train(quick_cfg(steps=5), MODEL_CFG, seqs)
+
     def test_eval_cadence(self, corpus):
         _, records = train(quick_cfg(steps=250), MODEL_CFG, corpus)
         assert [r.step for r in records] == [50, 100, 150, 200, 250]
+
+
+class TestHeldoutPositions:
+    def test_corpus_tail_with_full_history(self):
+        tokens = np.arange(100) % 4 + 2
+        contexts, targets = heldout_positions(tokens, 3)
+        held = tokens[90:]
+        assert contexts.tolist() == [held[t - 3 : t].tolist() for t in range(3, 10)]
+        assert targets.tolist() == held[3:].tolist()
+
+    def test_sequence_tail_unmasked_positions(self):
+        seqs = [TokenSeq([2 + i % 3, 3, 4], loss_mask=[False, True, True]) for i in range(20)]
+        contexts, targets = heldout_positions(seqs, 2)
+        assert targets.tolist() == [3, 4, 3, 4]
+        assert contexts.tolist() == [[0, seqs[18].tokens[0]], seqs[18].tokens[:2].tolist(),
+                                     [0, seqs[19].tokens[0]], seqs[19].tokens[:2].tolist()]
+
+    def test_short_corpus_tail_rejected(self):
+        with pytest.raises(InvalidInputError, match="held-out"):
+            heldout_positions(np.arange(20) % 4 + 2, 2)
 
 
 @pytest.fixture(scope="module")

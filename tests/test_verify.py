@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from scorelm.errors import ParameterDomainError
-from scorelm.scores import ScoreRule, SmoothingConfig
+from scorelm.scores import ScoreRule, SmoothingConfig, token_losses_and_grads
+from scorelm.simplex import softmax
 from scorelm.verify import (
     entmax_sweep,
     grad_check,
@@ -117,6 +118,45 @@ class TestGradCheck:
     def test_masked_config(self):
         report = grad_check(ScoreRule("spherical"), SmoothingConfig(0.2, True), 8, 20, 1e-5)
         assert report["max_rel_error"] < 1e-4
+
+
+def grad_check_single_rows(rule, cfg, m, trials, h, seed):
+    """Reference: one token_losses_and_grads call per perturbed logit row."""
+    gen = np.random.default_rng(seed)
+    max_rel, checked, skipped = 0.0, 0, 0
+    for _ in range(trials):
+        z = gen.normal(size=m)
+        one = np.array([int(gen.integers(m))])
+        mask = (softmax(z) < cfg.eps / m)[None, :] if cfg.mask_enhanced else None
+        analytic = token_losses_and_grads(rule, cfg, z[None, :], one, mask_override=mask)[1][0]
+        for k in range(m):
+            zp, zm = z.copy(), z.copy()
+            zp[k] += h
+            zm[k] -= h
+            lp = token_losses_and_grads(rule, cfg, zp[None, :], one, mask_override=mask)[0]
+            lm = token_losses_and_grads(rule, cfg, zm[None, :], one, mask_override=mask)[0]
+            if abs(analytic[k]) <= 1e-8:
+                skipped += 1
+                continue
+            checked += 1
+            fd = (float(lp[0]) - float(lm[0])) / (2.0 * h)
+            max_rel = max(max_rel, abs(fd - analytic[k]) / abs(analytic[k]))
+    return max_rel, checked, skipped
+
+
+class TestGradCheckStacked:
+    @pytest.mark.parametrize("rule,cfg,m", [
+        (ScoreRule("logarithmic"), SmoothingConfig(0.0), 8),
+        (ScoreRule("alpha_power", 1.5), SmoothingConfig(0.1), 32),
+        (ScoreRule("brier"), SmoothingConfig(0.1, mask_enhanced=True), 32),
+        (ScoreRule("pseudo_spherical", 2.5), SmoothingConfig(0.0), 32),  # skips 6 coordinates
+        (ScoreRule("pseudo_spherical", 2.5), SmoothingConfig(0.1, mask_enhanced=True), 32),  # skips 1
+        (ScoreRule("linear"), SmoothingConfig(0.0), 2),
+    ])
+    def test_same_report_as_single_rows(self, rule, cfg, m):
+        report = grad_check(rule, cfg, m, 100, 1e-4, seed=5)
+        want = grad_check_single_rows(rule, cfg, m, 100, 1e-4, seed=5)
+        assert (report["max_rel_error"], report["checked"], report["skipped"]) == want
 
 
 class TestEntmaxSweep:
