@@ -1,9 +1,11 @@
 """Scoring rules as beam-search objectives.
 
 Beam search usually maximizes summed log-probabilities with a length
-penalty.  Any rule can play that role once its per-token score is
-sign-normalized to be non-positive (subtract 1 from Brier and spherical so
-longer hypotheses always pay something, as log-probability does).
+penalty.  Any proper rule can play that role once its per-token score is
+sign-normalized to be non-positive: the objective is S(p, .) - sup S, so
+longer hypotheses always pay something, as log-probability does.  sup S is
+0 for the logarithmic score and 1 for the bounded rules, the alpha-power and
+pseudo-spherical families included.
 """
 
 import numpy as np
@@ -34,20 +36,26 @@ prompt = np.array([3, 4])  # states 1, 2
 
 print("greedy decode:", greedy(params, prompt, 8).tokens)
 
+OBJECTIVES = [ScoreRule("logarithmic"), ScoreRule("brier"), ScoreRule("spherical"),
+              ScoreRule("alpha_power", 1.5), ScoreRule("pseudo_spherical", 1.5)]
+
 print("\nbeam search (width 4, max_len 8) under each normalized objective:")
-for kind in ("logarithmic", "brier", "spherical"):
+for rule in OBJECTIVES:
+    name = f"{rule.kind}({rule.alpha})"
     for lp in (0.0, 1.0):
-        bc = BeamConfig(beam_size=4, max_len=8, length_penalty=lp, objective=ScoreRule(kind))
+        bc = BeamConfig(beam_size=4, max_len=8, length_penalty=lp, objective=rule)
         best = beam_search(params, prompt, bc)[0]
-        print(f"  {kind:12s} lp={lp}: tokens={best.tokens}  raw={best.raw_score:+.4f}  "
+        print(f"  {name:21s} lp={lp}: tokens={best.tokens}  raw={best.raw_score:+.4f}  "
               f"normalized={best.normalized_score(lp):+.4f}")
 
 print("\nwidth-1 beams agree across objectives (per-step ranking is by token")
 print("probability for every rule), while wide beams with a length penalty may")
 print("prefer different hypotheses because raw score magnitudes differ by rule.")
 
-bc = BeamConfig(beam_size=3**4, max_len=4, length_penalty=1.0, objective=ScoreRule("brier"))
-full = beam_search(params, prompt, bc)[0]
-ex = exhaustive_search(params, prompt, 4, bc)
-print(f"\nfull-width beam equals exhaustive enumeration: {full.tokens == ex.tokens} "
-      f"({full.tokens}, raw {full.raw_score:+.4f})")
+print("\nfull-width beam (length penalty 1) against exhaustive enumeration:")
+for rule in OBJECTIVES:
+    bc = BeamConfig(beam_size=3**4, max_len=4, length_penalty=1.0, objective=rule)
+    full = beam_search(params, prompt, bc)[0]
+    ex = exhaustive_search(params, prompt, 4, bc)
+    print(f"  {rule.kind}({rule.alpha}): equal={full.tokens == ex.tokens}  "
+          f"({full.tokens}, raw {full.raw_score:+.4f})")

@@ -18,7 +18,7 @@ from .data import MarkovSpec, Vocab, build_vocab, decode as decode_text, encode,
 from .decode import BeamConfig, beam_search, greedy
 from .errors import ConfigurationError, InvalidInputError
 from .model import ModelConfig, N_RESERVED
-from .scores import ScoreRule, SmoothingConfig
+from .scores import RULES, ScoreRule, SmoothingConfig
 from .train import TrainConfig, evaluate_scores, finetune, heldout_positions, train
 
 
@@ -35,32 +35,46 @@ def _jsonable(obj):
     return obj
 
 
-def _load_config(path) -> dict:
+def _fields(section, where: str, **defaults) -> dict:
+    """section with defaults filled in; a key that is not in defaults is an error."""
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{where} config must be a JSON object")
+    unknown = [key for key in section if key not in defaults]
+    if unknown:
+        raise ConfigurationError(f"unknown {where} config key(s): {', '.join(map(repr, unknown))}")
+    return {**defaults, **section}
+
+
+def _load_config(args) -> dict:
+    """The config document, its data path overridden by --data."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(args.config, encoding="utf-8") as fh:
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from None
+        raise ConfigurationError(f"cannot read config {args.config}: {exc}") from None
+    _fields(config, "top-level", data=None, model=None, train=None)
+    if args.data is not None:
+        config["data"] = args.data
+    if "data" not in config:
+        raise ConfigurationError("no data file: set the config 'data' key or pass --data")
+    return config
 
 
-def _rule_from(section: dict) -> ScoreRule:
-    return ScoreRule(section.get("rule", "logarithmic"), float(section.get("alpha", 2.0)))
-
-
-def _smoothing_from(section: dict) -> SmoothingConfig:
-    return SmoothingConfig(float(section.get("eps", 0.0)), bool(section.get("mask_enhanced", False)))
-
-
-def _train_config(section: dict) -> TrainConfig:
+def _train_config(section, args) -> TrainConfig:
+    s = _fields(section, "train", rule="logarithmic", alpha=2.0, eps=0.0, mask_enhanced=False, steps=2000,
+                batch_size=64, learning_rate=1e-3, warmup_steps=100, eval_every=100, seed=0)
+    for key in ("rule", "alpha", "eps", "steps", "batch_size", "learning_rate", "seed"):
+        if getattr(args, key) is not None:
+            s[key] = getattr(args, key)
     return TrainConfig(
-        rule=_rule_from(section),
-        smoothing=_smoothing_from(section),
-        steps=int(section.get("steps", 2000)),
-        batch_size=int(section.get("batch_size", 64)),
-        learning_rate=float(section.get("learning_rate", 1e-3)),
-        warmup_steps=int(section.get("warmup_steps", 100)),
-        eval_every=int(section.get("eval_every", 100)),
-        seed=int(section.get("seed", 0)),
+        rule=ScoreRule(s["rule"], float(s["alpha"])),
+        smoothing=SmoothingConfig(float(s["eps"]), bool(s["mask_enhanced"])),
+        steps=int(s["steps"]),
+        batch_size=int(s["batch_size"]),
+        learning_rate=float(s["learning_rate"]),
+        warmup_steps=int(s["warmup_steps"]),
+        eval_every=int(s["eval_every"]),
+        seed=int(s["seed"]),
     )
 
 
@@ -78,37 +92,24 @@ def _load_data(path):
     return vocab, encode(vocab, text).tokens
 
 
-def _model_config(section: dict, vocab: Vocab) -> ModelConfig:
-    declared = section.get("vocab_size")
-    if declared is not None and int(declared) != vocab.size:
-        raise ConfigurationError(f"config vocab_size {declared} != vocabulary built from data ({vocab.size})")
+def _model_config(section, vocab: Vocab) -> ModelConfig:
+    s = _fields(section, "model", vocab_size=None, context=4, embed_dim=16, hidden_dim=32, seed=0)
+    if s["vocab_size"] is not None and int(s["vocab_size"]) != vocab.size:
+        raise ConfigurationError(f"config vocab_size {s['vocab_size']} != data vocabulary size {vocab.size}")
     return ModelConfig(
         vocab_size=vocab.size,
-        context=int(section.get("context", 4)),
-        embed_dim=int(section.get("embed_dim", 16)),
-        hidden_dim=int(section.get("hidden_dim", 32)),
-        seed=int(section.get("seed", 0)),
+        context=int(s["context"]),
+        embed_dim=int(s["embed_dim"]),
+        hidden_dim=int(s["hidden_dim"]),
+        seed=int(s["seed"]),
     )
 
 
-def _apply_overrides(config: dict, args) -> dict:
-    train_sec = config.setdefault("train", {})
-    for key in ("rule", "alpha", "eps", "steps", "batch_size", "learning_rate", "seed"):
-        val = getattr(args, key, None)
-        if val is not None:
-            train_sec[key] = val
-    if getattr(args, "data", None) is not None:
-        config["data"] = args.data
-    return config
-
-
 def _cmd_train(args) -> int:
-    config = _apply_overrides(_load_config(args.config), args)
-    if "data" not in config:
-        raise ConfigurationError("no data file: set the config 'data' key or pass --data")
+    config = _load_config(args)
+    cfg = _train_config(config.get("train", {}), args)
     vocab, data = _load_data(config["data"])
     model_cfg = _model_config(config.get("model", {}), vocab)
-    cfg = _train_config(config["train"])
     ckpt, records = train(cfg, model_cfg, data,
                           metrics_path=args.metrics, checkpoint_path=args.out)
     last = records[-1]
@@ -118,17 +119,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_finetune(args) -> int:
-    config = _apply_overrides(_load_config(args.config), args)
+    config = _load_config(args)
+    cfg = _train_config(config.get("train", {}), args)
     base = load_checkpoint(args.base)
-    if "data" not in config:
-        raise ConfigurationError("no data file: set the config 'data' key or pass --data")
     vocab, data = _load_data(config["data"])
     if vocab.size != base.model.vocab_size:
         raise ConfigurationError(
             f"data vocabulary size {vocab.size} != checkpoint vocab_size {base.model.vocab_size}"
         )
-    cfg = _train_config(config["train"])
-    ckpt, records = finetune(base, cfg, data, metrics_path=args.metrics, checkpoint_path=args.out)
+    model_cfg = _model_config(config["model"], vocab) if "model" in config else None
+    ckpt, records = finetune(base, cfg, data, model_cfg, metrics_path=args.metrics, checkpoint_path=args.out)
     tail = f"ppl={records[-1].ppl:.4f}" if records else "no steps"
     print(f"fine-tuned {cfg.steps} steps with {cfg.rule.kind}: {tail} -> {args.out}")
     return 0
@@ -145,10 +145,9 @@ def _cmd_generate(args) -> int:
     if args.beam is None:
         hyp = greedy(ckpt.params, prompt, args.max_len)
     else:
-        objective = args.objective or (ckpt.rule.kind if ckpt.rule.kind in ("logarithmic", "brier", "spherical")
-                                       else "logarithmic")
+        objective = ScoreRule(args.objective) if args.objective else ckpt.rule
         cfg = BeamConfig(beam_size=args.beam, max_len=args.max_len,
-                         length_penalty=args.length_penalty, objective=ScoreRule(objective))
+                         length_penalty=args.length_penalty, objective=objective)
         hyp = beam_search(ckpt.params, prompt, cfg)[0]
     print(decode_text(vocab, hyp.tokens))
     return 0
@@ -174,15 +173,9 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-_PROPRIETY_RULES = [
-    ScoreRule("logarithmic"),
-    ScoreRule("brier"),
-    ScoreRule("spherical"),
-    ScoreRule("alpha_power", 1.5),
-    ScoreRule("alpha_power", 2.5),
-    ScoreRule("pseudo_spherical", 1.5),
-    ScoreRule("pseudo_spherical", 2.5),
-]
+# every proper rule of the table, the two parametric families at alpha 1.5 and 2.5
+_PROPRIETY_RULES = [ScoreRule(kind, alpha) for kind, record in RULES.items() if record.proper
+                    for alpha in ((1.5, 2.5) if record.alpha is None else (record.alpha,))]
 _Q_SET_3 = [np.array([1.0, 0.0, 0.0]), np.full(3, 1.0 / 3.0), np.array([0.5, 0.3, 0.2])]
 
 
@@ -278,11 +271,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True, help="corpus used to rebuild the vocabulary")
     p.add_argument("--prompt", default="")
-    p.add_argument("--greedy", action="store_true")
-    p.add_argument("--beam", type=int)
+    search = p.add_mutually_exclusive_group()
+    search.add_argument("--greedy", action="store_true", help="greedy decoding (the default)")
+    search.add_argument("--beam", type=int, help="beam width")
     p.add_argument("--max-len", dest="max_len", type=int, default=32)
     p.add_argument("--length-penalty", dest="length_penalty", type=float, default=0.0)
-    p.add_argument("--objective", choices=["logarithmic", "brier", "spherical"])
+    p.add_argument("--objective", choices=["logarithmic", "brier", "spherical"], help="default: the checkpoint's rule")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("eval", help="held-out expected scores and perplexity")

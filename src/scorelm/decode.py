@@ -1,9 +1,9 @@
 """Greedy, beam, and exhaustive decoding under scoring-rule objectives.
 
-Per-step objectives are sign-normalized to be non-positive (Brier and
-spherical scores have 1 subtracted; the logarithmic score is already <= 0),
-so the length penalty divides a negative cumulative score exactly as in
-log-probability beam search.
+The per-step objective of a proper rule is S(p, .) - sup S, which is
+non-positive (sup S is 0 for the logarithmic score and 1 for the bounded
+rules), so the length penalty divides a negative cumulative score exactly
+as in log-probability beam search.
 
 Conventions shared by all three decoders: PAD is never generated; EOS may
 not be the first generated token (minimum generation length 1); a hypothesis
@@ -18,11 +18,14 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError, ParameterDomainError
 from .model import EOS_ID, N_RESERVED, Parameters, context_window, forward
-from .scores import ScoreRule
+from .scores import RULES, ScoreRule, score_matrix
 
 EXHAUSTIVE_LIMIT = 10**6
 
-_OBJECTIVES = ("logarithmic", "brier", "spherical")
+
+def _check_objective(rule: ScoreRule):
+    if not RULES[rule.kind].proper:
+        raise ConfigurationError(f"decoding objective must be a proper scoring rule; {rule.kind!r} is improper")
 
 
 @dataclass(frozen=True)
@@ -37,10 +40,7 @@ class BeamConfig:
             raise ConfigurationError("beam_size and max_len must be >= 1")
         if self.length_penalty < 0:
             raise ConfigurationError(f"length_penalty must be >= 0, got {self.length_penalty}")
-        if self.objective.kind not in _OBJECTIVES:
-            raise ConfigurationError(
-                f"decoding objective must be one of {_OBJECTIVES}, got {self.objective.kind!r}"
-            )
+        _check_objective(self.objective)
 
 
 @dataclass
@@ -54,15 +54,9 @@ class Hypothesis:
 
 
 def normalized_objective_vector(rule: ScoreRule, p: np.ndarray) -> np.ndarray:
-    """Sign-normalized per-token objective for every candidate token."""
-    if rule.kind == "logarithmic":
-        with np.errstate(divide="ignore"):
-            return np.log(p)
-    if rule.kind == "brier":
-        return 2.0 * p - np.sum(p * p) - 1.0
-    if rule.kind == "spherical":
-        return p / np.sqrt(np.sum(p * p)) - 1.0
-    raise ConfigurationError(f"decoding objective must be one of {_OBJECTIVES}, got {rule.kind!r}")
+    """Sign-normalized per-token objective S(p, j) - sup S for every candidate token j."""
+    _check_objective(rule)
+    return score_matrix(rule, p) - RULES[rule.kind].sup
 
 
 def normalized_objective(rule: ScoreRule, p, i: int) -> float:

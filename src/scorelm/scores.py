@@ -5,10 +5,10 @@ A rule assigns S(p, i), the utility of predicting distribution p when
 outcome i is observed.  Implemented rules:
 
     logarithmic       log p_i
-    brier             2 p_i - sum_j p_j^2
-    spherical         p_i / ||p||_2
     alpha_power       alpha p_i^(alpha-1) - (alpha-1) sum_j p_j^alpha
     pseudo_spherical  p_i^(alpha-1) / (sum_j p_j^alpha)^((alpha-1)/alpha)
+    brier             alpha_power at alpha = 2:       2 p_i - sum_j p_j^2
+    spherical         pseudo_spherical at alpha = 2:  p_i / ||p||_2
     linear            p_i   (improper; negative control for propriety scans)
 
 Score evaluation keeps extended-real semantics: -inf is a first-class value
@@ -18,30 +18,103 @@ arguments at P_MIN so losses and gradients stay finite.
 """
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError, ParameterDomainError
 from .simplex import check_logits, check_prob_vector, entmax, softmax_rows, tsallis_entropy
 
-KINDS = ("logarithmic", "brier", "spherical", "alpha_power", "pseudo_spherical", "linear")
-_PARAMETRIC = ("alpha_power", "pseudo_spherical")
-
 P_MIN = 1e-12  # log clamp used only in the training path
+
+
+def _log_value(P, a):
+    with np.errstate(divide="ignore"):
+        return np.log(P)
+
+
+def _log_parts(P, onehot, p_obs, a):
+    pt = np.maximum(P, P_MIN)
+    act = (P >= P_MIN).astype(np.float64)  # clamp is flat below P_MIN
+    inv = act / pt
+    return np.log(pt), onehot * inv, inv
+
+
+def _power_value(P, a):
+    return a * P ** (a - 1.0) - (a - 1.0) * np.sum(P**a, axis=-1, keepdims=True)
+
+
+def _power_parts(P, onehot, p_obs, a):
+    pa1 = P ** (a - 1.0)
+    c = a * (a - 1.0)
+    g_obs = c * (p_obs ** (a - 2.0) * onehot - pa1)
+    T = c * (P ** (a - 2.0) - P.shape[-1] * pa1)
+    return _power_value(P, a), g_obs, T
+
+
+def _pseudo_value(P, a):
+    qa = np.sum(P**a, axis=-1, keepdims=True)
+    return P ** (a - 1.0) / qa ** ((a - 1.0) / a)
+
+
+def _pseudo_parts(P, onehot, p_obs, a):
+    # written in n = ||p||_alpha so that alpha = 2 is the spherical rule bit for bit
+    pa1 = P ** (a - 1.0)
+    n = np.sum(P**a, axis=-1, keepdims=True) ** (1.0 / a)
+    n_lo, n_hi = n ** (a - 1.0), n ** (2.0 * a - 1.0)
+    g_obs = (a - 1.0) * (p_obs ** (a - 2.0) * onehot / n_lo - p_obs ** (a - 1.0) * pa1 / n_hi)
+    T = (a - 1.0) * (P ** (a - 2.0) / n_lo - np.sum(pa1, axis=-1, keepdims=True) * pa1 / n_hi)
+    return _pseudo_value(P, a), g_obs, T
+
+
+def _linear_value(P, a):
+    return P.copy()
+
+
+def _linear_parts(P, onehot, p_obs, a):
+    return _linear_value(P, a), onehot, np.ones_like(P)
+
+
+@dataclass(frozen=True)
+class RuleRecord:
+    """One scoring rule.  parts gives the training path at each row p = P[b]:
+    s = S(P, .) with logs clamped at P_MIN, g_obs[b] = dS(p, idx[b])/dp and
+    T[b] = sum_j dS(p, j)/dp."""
+
+    value: Callable  # (P, alpha) -> S(p, j) for every row p of P and every outcome j
+    parts: Callable  # (P, onehot, p_obs, alpha) -> (s, g_obs, T)
+    sup: float  # sup over p and i of S(p, i)
+    alpha: float | None = 2.0  # the pinned alpha, or None for a free alpha > 1
+    proper: bool = True
+
+
+# the rule table; Brier and spherical are the alpha = 2 members of their families
+RULES = {
+    "logarithmic": RuleRecord(_log_value, _log_parts, sup=0.0),
+    "brier": RuleRecord(_power_value, _power_parts, sup=1.0),
+    "spherical": RuleRecord(_pseudo_value, _pseudo_parts, sup=1.0),
+    "alpha_power": RuleRecord(_power_value, _power_parts, sup=1.0, alpha=None),
+    "pseudo_spherical": RuleRecord(_pseudo_value, _pseudo_parts, sup=1.0, alpha=None),
+    "linear": RuleRecord(_linear_value, _linear_parts, sup=1.0, proper=False),
+}
+KINDS = tuple(RULES)
 
 
 @dataclass(frozen=True)
 class ScoreRule:
-    """Rule identity plus the alpha parameter of the two parametric families."""
+    """Rule identity plus alpha: free (> 1) for the parametric families, pinned to 2 for the rest."""
 
     kind: str
     alpha: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in RULES:
             raise ParameterDomainError(f"unknown scoring rule {self.kind!r}, expected one of {KINDS}")
-        if self.kind in _PARAMETRIC and not self.alpha > 1:
+        pinned = RULES[self.kind].alpha
+        if pinned is None and not self.alpha > 1:
             raise ParameterDomainError(f"{self.kind} requires alpha > 1, got {self.alpha}")
+        if pinned is not None and self.alpha != pinned:
+            raise ParameterDomainError(f"{self.kind} has alpha pinned to {pinned}, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -71,21 +144,7 @@ def score_matrix(rule: ScoreRule, P: np.ndarray) -> np.ndarray:
 
     Rows are assumed to be valid probability vectors (may contain zeros).
     """
-    if rule.kind == "logarithmic":
-        with np.errstate(divide="ignore"):
-            return np.log(P)
-    if rule.kind == "brier":
-        return 2.0 * P - np.sum(P * P, axis=-1, keepdims=True)
-    if rule.kind == "spherical":
-        return P / np.sqrt(np.sum(P * P, axis=-1, keepdims=True))
-    if rule.kind == "alpha_power":
-        a = rule.alpha
-        return a * P ** (a - 1.0) - (a - 1.0) * np.sum(P**a, axis=-1, keepdims=True)
-    if rule.kind == "pseudo_spherical":
-        a = rule.alpha
-        qa = np.sum(P**a, axis=-1, keepdims=True)
-        return P ** (a - 1.0) / qa ** ((a - 1.0) / a)
-    return P.copy()  # linear
+    return RULES[rule.kind].value(P, rule.alpha)
 
 
 def score_vector(rule: ScoreRule, p: np.ndarray) -> np.ndarray:
@@ -157,55 +216,6 @@ def masked_log_smoothed_score(rule: ScoreRule, cfg: SmoothingConfig, p, i: int) 
 # ---------------------------------------------------------------------------
 
 
-def _clamped_score_matrix(rule: ScoreRule, P: np.ndarray) -> np.ndarray:
-    if rule.kind == "logarithmic":
-        return np.log(np.maximum(P, P_MIN))
-    return score_matrix(rule, P)
-
-
-def _score_grad_parts(rule: ScoreRule, P: np.ndarray, idx: np.ndarray):
-    """Gradients of the score with respect to p, vectorized over rows.
-
-    Returns (g_obs, T): g_obs[b] = d S(p, idx[b]) / dp and
-    T[b] = sum_j d S(p, j) / dp, both evaluated at p = P[b].
-    """
-    B, m = P.shape
-    rows = np.arange(B)
-    onehot = np.zeros_like(P)
-    onehot[rows, idx] = 1.0
-    p_obs = P[rows, idx][:, None]
-
-    if rule.kind == "logarithmic":
-        pt = np.maximum(P, P_MIN)
-        act = (P >= P_MIN).astype(np.float64)  # clamp is flat below P_MIN
-        inv = act / pt
-        return onehot * inv, inv
-    if rule.kind == "brier":
-        return 2.0 * onehot - 2.0 * P, 2.0 - 2.0 * m * P
-    if rule.kind == "spherical":
-        n2 = np.sqrt(np.sum(P * P, axis=-1, keepdims=True))
-        sigma = np.sum(P, axis=-1, keepdims=True)
-        g_obs = onehot / n2 - p_obs * P / n2**3
-        T = 1.0 / n2 - sigma * P / n2**3
-        return g_obs, T
-    if rule.kind == "alpha_power":
-        a = rule.alpha
-        pa1 = P ** (a - 1.0)
-        c = a * (a - 1.0)
-        g_obs = c * (p_obs ** (a - 2.0) * onehot - pa1)
-        T = c * (P ** (a - 2.0) - m * pa1)
-        return g_obs, T
-    if rule.kind == "pseudo_spherical":
-        a = rule.alpha
-        pa1 = P ** (a - 1.0)
-        qa = np.sum(P**a, axis=-1, keepdims=True)
-        denom = qa ** ((a - 1.0) / a)
-        g_obs = (a - 1.0) * (p_obs ** (a - 2.0) * onehot - p_obs ** (a - 1.0) * pa1 / qa) / denom
-        T = (a - 1.0) * (P ** (a - 2.0) - np.sum(pa1, axis=-1, keepdims=True) * pa1 / qa) / denom
-        return g_obs, T
-    return onehot, np.ones_like(P)  # linear
-
-
 def token_losses_and_grads(
     rule: ScoreRule,
     cfg: SmoothingConfig,
@@ -227,8 +237,9 @@ def token_losses_and_grads(
     P = softmax_rows(Z)
     eps = cfg.eps
 
-    s = _clamped_score_matrix(rule, P)
-    g_obs, T = _score_grad_parts(rule, P, idx)
+    onehot = np.zeros_like(P)
+    onehot[rows, idx] = 1.0
+    s, g_obs, T = RULES[rule.kind].parts(P, onehot, P[rows, idx][:, None], rule.alpha)
 
     values = s[rows, idx]
     grads_p = g_obs

@@ -25,10 +25,6 @@ from .scores import NO_SMOOTHING, ScoreRule, SmoothingConfig, token_losses_and_g
 
 HELD_OUT_FRACTION = 0.1
 
-_LOG = ScoreRule("logarithmic")
-_BRIER = ScoreRule("brier")
-_SPHERICAL = ScoreRule("spherical")
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -126,7 +122,7 @@ def _split_data(data):
     if isinstance(data, list) and data and isinstance(data[0], TokenSeq):
         n_held = len(data) // 10
         if n_held == 0:
-            return "seqs", data, data
+            raise InvalidInputError(f"paired data needs at least 10 records for a held-out split, got {len(data)}")
         return "seqs", data[:-n_held], data[-n_held:]
     tokens = np.asarray(data, dtype=np.int64)
     if tokens.ndim != 1:
@@ -166,8 +162,8 @@ def evaluate_scores(params: Parameters, contexts: np.ndarray, targets: np.ndarra
     """Mean held-out score per rule (log clamped so perplexity stays finite)."""
     _, _, Z = _forward_batch(params, contexts)
     out = {}
-    for key, rule in (("log", _LOG), ("brier", _BRIER), ("spherical", _SPHERICAL)):
-        losses, _ = token_losses_and_grads(rule, NO_SMOOTHING, Z, targets)
+    for key, kind in (("log", "logarithmic"), ("brier", "brier"), ("spherical", "spherical")):
+        losses, _ = token_losses_and_grads(ScoreRule(kind), NO_SMOOTHING, Z, targets)
         out[key] = float(-losses.mean())
     return out
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scorelm.cli import run_command
+from scorelm.scores import ScoreRule
 
 BASE_CONFIG = {
     "model": {"context": 1, "embed_dim": 8, "hidden_dim": 16, "seed": 1},
@@ -143,4 +144,87 @@ class TestTrainEvalGenerate:
         assert run_command(["train", "--config", str(cfg_path),
                             "--out", str(workdir / "p.json"),
                             "--metrics", str(workdir / "p.jsonl")]) == 0
+        capsys.readouterr()
+
+
+def write_config(workdir, name, section=None, **entries):
+    """BASE_CONFIG on the workdir corpus, with entries set at the top level
+    (section None) or inside one section."""
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["data"] = str(workdir / "corpus.txt")
+    (cfg if section is None else cfg[section]).update(entries)
+    path = workdir / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def train_checkpoint(workdir, name, *flags):
+    out = workdir / f"{name}.json"
+    assert run_command(["train", "--config", str(workdir / "config.json"), "--steps", "20",
+                        "--out", str(out), "--metrics", str(workdir / f"{name}.jsonl"), *flags]) == 0
+    return str(out)
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("section, key", [
+        (None, "dta"), ("model", "hiden_dim"), ("train", "lr_decay"), ("train", "beta1"),
+        ("train", "beta2"), ("train", "adam_eps"),
+    ])
+    def test_unknown_key_rejected_by_name(self, workdir, capsys, section, key):
+        path = write_config(workdir, "unknown.json", section, **{key: 1})
+        assert run_command(["train", "--config", path, "--out", str(workdir / "u.json"),
+                            "--metrics", str(workdir / "u.jsonl")]) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not (workdir / "u.json").exists()
+
+    def test_section_must_be_an_object(self, workdir, capsys):
+        path = write_config(workdir, "listed.json", train=[1])
+        assert run_command(["train", "--config", path, "--steps", "5", "--out", str(workdir / "l.json"),
+                            "--metrics", str(workdir / "l.jsonl")]) == 1
+        assert "train config must be a JSON object" in capsys.readouterr().err
+
+    def test_pinned_alpha_rejected(self, workdir, capsys):
+        path = write_config(workdir, "brier3.json", "train", rule="brier", alpha=3.0)
+        assert run_command(["train", "--config", path, "--out", str(workdir / "b3.json"),
+                            "--metrics", str(workdir / "b3.jsonl")]) == 1
+        assert "brier" in capsys.readouterr().err
+
+    def test_finetune_checks_model_section_against_base(self, workdir, capsys):
+        base = train_checkpoint(workdir, "ft_base")
+        path = write_config(workdir, "ft_other.json", "model", hidden_dim=32)
+        assert run_command(["finetune", "--config", path, "--base", base, "--steps", "5",
+                            "--out", str(workdir / "ft_o.json"), "--metrics", str(workdir / "ft_o.jsonl")]) == 1
+        assert "hidden_dim" in capsys.readouterr().err
+
+
+class TestGenerateObjective:
+    def test_greedy_and_beam_are_exclusive(self, workdir, capsys):
+        assert run_command(["generate", "--ckpt", "c.json", "--data", str(workdir / "corpus.txt"),
+                            "--greedy", "--beam", "2"]) == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_default_objective_is_checkpoint_rule_with_alpha(self, workdir, capsys, monkeypatch):
+        import scorelm.cli as cli_mod
+
+        ckpt = train_checkpoint(workdir, "ps15", "--rule", "pseudo_spherical", "--alpha", "1.5")
+        seen = []
+        real = cli_mod.beam_search
+
+        def spy(params, prompt, cfg):
+            seen.append(cfg.objective)
+            return real(params, prompt, cfg)
+
+        monkeypatch.setattr(cli_mod, "beam_search", spy)
+        assert run_command(["generate", "--ckpt", ckpt, "--data", str(workdir / "corpus.txt"),
+                            "--prompt", "a", "--beam", "2", "--max-len", "4"]) == 0
+        assert seen == [ScoreRule("pseudo_spherical", 1.5)]
+        capsys.readouterr()
+
+    def test_linear_checkpoint_needs_an_objective(self, workdir, capsys):
+        ckpt = train_checkpoint(workdir, "lin", "--rule", "linear")
+        argv = ["generate", "--ckpt", ckpt, "--data", str(workdir / "corpus.txt"), "--prompt", "a", "--max-len", "4"]
+        assert run_command(argv + ["--beam", "2"]) == 1
+        assert "'linear' is improper" in capsys.readouterr().err
+        assert run_command(argv + ["--beam", "2", "--objective", "brier"]) == 0
+        assert run_command(argv) == 0  # greedy needs no objective
         capsys.readouterr()

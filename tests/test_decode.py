@@ -17,7 +17,15 @@ from scorelm.model import EOS_ID, ModelConfig, context_window, forward, init_par
 from scorelm.scores import ScoreRule
 from scorelm.train import TrainConfig, train
 
-OBJECTIVES = [ScoreRule("logarithmic"), ScoreRule("brier"), ScoreRule("spherical")]
+OBJECTIVES = [
+    ScoreRule("logarithmic"),
+    ScoreRule("brier"),
+    ScoreRule("spherical"),
+    ScoreRule("alpha_power", 1.5),
+    ScoreRule("alpha_power", 2.5),
+    ScoreRule("pseudo_spherical", 1.5),
+    ScoreRule("pseudo_spherical", 2.5),
+]
 
 
 def random_params(vocab_size, seed, scale=6.0, context=2):
@@ -70,8 +78,8 @@ class TestNormalizedObjective:
     def test_unsupported_rule(self):
         with pytest.raises(ConfigurationError):
             normalized_objective(ScoreRule("linear"), np.array([0.5, 0.5]), 0)
-        with pytest.raises(ConfigurationError):
-            BeamConfig(objective=ScoreRule("alpha_power", 1.5))
+        with pytest.raises(ConfigurationError, match="linear"):
+            BeamConfig(objective=ScoreRule("linear"))
 
     @pytest.mark.parametrize("rule", OBJECTIVES)
     def test_non_positive(self, rule):

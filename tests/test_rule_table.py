@@ -1,0 +1,267 @@
+"""The rule table against the explicit per-rule formulas it replaced, the
+alpha = 2 identities, and property tests over random simplex points."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scorelm.decode import normalized_objective_vector
+from scorelm.scores import (
+    KINDS,
+    NO_SMOOTHING,
+    P_MIN,
+    RULES,
+    ScoreRule,
+    SmoothingConfig,
+    expected_score,
+    score_matrix,
+    token_losses_and_grads,
+)
+from scorelm.simplex import softmax_rows
+
+# ---------------------------------------------------------------------------
+# Reference: one explicit formula per kind, as written before the rule table.
+# ---------------------------------------------------------------------------
+
+
+def ref_score_matrix(rule, P):
+    a = rule.alpha
+    if rule.kind == "logarithmic":
+        with np.errstate(divide="ignore"):
+            return np.log(P)
+    if rule.kind == "brier":
+        return 2.0 * P - np.sum(P * P, axis=-1, keepdims=True)
+    if rule.kind == "spherical":
+        return P / np.sqrt(np.sum(P * P, axis=-1, keepdims=True))
+    if rule.kind == "alpha_power":
+        return a * P ** (a - 1.0) - (a - 1.0) * np.sum(P**a, axis=-1, keepdims=True)
+    if rule.kind == "pseudo_spherical":
+        qa = np.sum(P**a, axis=-1, keepdims=True)
+        return P ** (a - 1.0) / qa ** ((a - 1.0) / a)
+    return P.copy()  # linear
+
+
+def ref_grad_parts(rule, P, idx):
+    """(g_obs, T): dS(p, idx[b])/dp and sum_j dS(p, j)/dp at p = P[b]."""
+    B, m = P.shape
+    rows = np.arange(B)
+    onehot = np.zeros_like(P)
+    onehot[rows, idx] = 1.0
+    p_obs = P[rows, idx][:, None]
+    a = rule.alpha
+    if rule.kind == "logarithmic":
+        pt = np.maximum(P, P_MIN)
+        inv = (P >= P_MIN).astype(np.float64) / pt
+        return onehot * inv, inv
+    if rule.kind == "brier":
+        return 2.0 * onehot - 2.0 * P, 2.0 - 2.0 * m * P
+    if rule.kind == "spherical":
+        n2 = np.sqrt(np.sum(P * P, axis=-1, keepdims=True))
+        sigma = np.sum(P, axis=-1, keepdims=True)
+        return onehot / n2 - p_obs * P / n2**3, 1.0 / n2 - sigma * P / n2**3
+    if rule.kind == "alpha_power":
+        pa1 = P ** (a - 1.0)
+        c = a * (a - 1.0)
+        return c * (p_obs ** (a - 2.0) * onehot - pa1), c * (P ** (a - 2.0) - m * pa1)
+    if rule.kind == "pseudo_spherical":
+        pa1 = P ** (a - 1.0)
+        qa = np.sum(P**a, axis=-1, keepdims=True)
+        denom = qa ** ((a - 1.0) / a)
+        g_obs = (a - 1.0) * (p_obs ** (a - 2.0) * onehot - p_obs ** (a - 1.0) * pa1 / qa) / denom
+        T = (a - 1.0) * (P ** (a - 2.0) - np.sum(pa1, axis=-1, keepdims=True) * pa1 / qa) / denom
+        return g_obs, T
+    return onehot, np.ones_like(P)  # linear
+
+
+def ref_token_losses_and_grads(rule, cfg, Z, idx):
+    B, m = Z.shape
+    rows = np.arange(B)
+    P = softmax_rows(Z)
+    eps = cfg.eps
+    s = np.log(np.maximum(P, P_MIN)) if rule.kind == "logarithmic" else ref_score_matrix(rule, P)
+    g_obs, T = ref_grad_parts(rule, P, idx)
+    values = s[rows, idx]
+    grads_p = g_obs
+    if eps > 0.0:
+        values = (1.0 - eps) * values + (eps / m) * s.sum(axis=1)
+        grads_p = (1.0 - eps) * g_obs + (eps / m) * T
+    if cfg.mask_enhanced:
+        mask = P < eps / m
+        pt = np.maximum(P, P_MIN)
+        values = values + (eps / m) * np.sum(np.where(mask, np.log(pt), 0.0), axis=1)
+        grads_p = grads_p + (eps / m) * mask * (P >= P_MIN) / pt
+    inner = np.sum(P * grads_p, axis=1, keepdims=True)
+    return -values, -P * (grads_p - inner)
+
+
+def ref_objective(rule, p):
+    """The decode objectives as written before the rule table."""
+    if rule.kind == "logarithmic":
+        with np.errstate(divide="ignore"):
+            return np.log(p)
+    if rule.kind == "brier":
+        return 2.0 * p - np.sum(p * p) - 1.0
+    return p / np.sqrt(np.sum(p * p)) - 1.0  # spherical
+
+
+ALL_RULES = [
+    ScoreRule("logarithmic"),
+    ScoreRule("brier"),
+    ScoreRule("spherical"),
+    ScoreRule("alpha_power", 1.5),
+    ScoreRule("alpha_power", 2.5),
+    ScoreRule("pseudo_spherical", 1.5),
+    ScoreRule("pseudo_spherical", 2.5),
+    ScoreRule("linear"),
+]
+CONFIGS = [NO_SMOOTHING, SmoothingConfig(0.1), SmoothingConfig(0.1, mask_enhanced=True)]
+
+
+def random_batches(seed, count=60):
+    """(Z, idx) batches over m = 2..40 at logit scales 0.5, 3 and 20; the
+    largest scale puts probabilities below P_MIN."""
+    gen = np.random.default_rng(seed)
+    for k in range(count):
+        m = int(gen.integers(2, 41))
+        B = int(gen.integers(1, 12))
+        Z = gen.normal(size=(B, m)) * (0.5, 3.0, 20.0)[k % 3]
+        yield Z, gen.integers(0, m, B)
+
+
+class TestTableShape:
+    def test_kinds_come_from_the_table(self):
+        assert KINDS == tuple(RULES) == (
+            "logarithmic", "brier", "spherical", "alpha_power", "pseudo_spherical", "linear")
+
+    def test_sup(self):
+        assert {k: r.sup for k, r in RULES.items() if r.proper} == {
+            "logarithmic": 0.0, "brier": 1.0, "spherical": 1.0, "alpha_power": 1.0, "pseudo_spherical": 1.0}
+        assert [k for k, r in RULES.items() if not r.proper] == ["linear"]
+
+    def test_alpha2_members_share_their_family_record(self):
+        assert RULES["brier"].value is RULES["alpha_power"].value
+        assert RULES["brier"].parts is RULES["alpha_power"].parts
+        assert RULES["spherical"].value is RULES["pseudo_spherical"].value
+        assert RULES["spherical"].parts is RULES["pseudo_spherical"].parts
+
+
+class TestParityWithExplicitFormulas:
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: f"{r.kind}-{r.alpha}")
+    def test_score_matrix_bitwise(self, rule):
+        for Z, _ in random_batches(1):
+            P = softmax_rows(Z)
+            assert np.array_equal(score_matrix(rule, P), ref_score_matrix(rule, P))
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["eps0", "eps0.1", "eps0.1-mask"])
+    @pytest.mark.parametrize("rule", [r for r in ALL_RULES if r.kind != "pseudo_spherical"],
+                             ids=lambda r: f"{r.kind}-{r.alpha}")
+    def test_token_losses_and_grads_bitwise(self, rule, cfg):
+        for Z, idx in random_batches(2):
+            losses, dZ = token_losses_and_grads(rule, cfg, Z, idx)
+            ref_losses, ref_dZ = ref_token_losses_and_grads(rule, cfg, Z, idx)
+            assert np.array_equal(losses, ref_losses) and np.array_equal(dZ, ref_dZ)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.5])
+    def test_pseudo_spherical_parts_close(self, alpha):
+        # the record writes the gradient in n = ||p||_alpha (so that alpha = 2
+        # is spherical bit for bit); against the qa form it agrees to rounding,
+        # measured against the size of the two terms each entry is a difference of
+        rule = ScoreRule("pseudo_spherical", alpha)
+        for Z, idx in random_batches(3):
+            P = softmax_rows(Z)
+            rows = np.arange(P.shape[0])
+            onehot = np.zeros_like(P)
+            onehot[rows, idx] = 1.0
+            p_obs = P[rows, idx][:, None]
+            s, g_obs, T = RULES[rule.kind].parts(P, onehot, p_obs, alpha)
+            ref_g, ref_T = ref_grad_parts(rule, P, idx)
+            assert np.array_equal(s, ref_score_matrix(rule, P))
+            pa1 = P ** (alpha - 1.0)
+            n = np.sum(P**alpha, axis=1, keepdims=True) ** (1.0 / alpha)
+            lo, hi = n ** (alpha - 1.0), n ** (2.0 * alpha - 1.0)
+            g_terms = p_obs ** (alpha - 2.0) * onehot / lo + p_obs ** (alpha - 1.0) * pa1 / hi
+            T_terms = P ** (alpha - 2.0) / lo + np.sum(pa1, axis=1, keepdims=True) * pa1 / hi
+            assert (np.abs(g_obs - ref_g) <= 1e-13 * g_terms).all()
+            assert (np.abs(T - ref_T) <= 1e-13 * T_terms).all()
+
+    @pytest.mark.parametrize("kind", ["logarithmic", "brier", "spherical"])
+    def test_decode_objective_bitwise(self, kind):
+        rule = ScoreRule(kind)
+        gen = np.random.default_rng(4)
+        for k in range(600):
+            p = gen.dirichlet(np.full(int(gen.integers(2, 40)), (0.05, 1.0, 5.0)[k % 3]))
+            assert np.array_equal(normalized_objective_vector(rule, p), ref_objective(rule, p))
+
+
+class TestAlpha2Identities:
+    @pytest.mark.parametrize("kind, family", [("brier", "alpha_power"), ("spherical", "pseudo_spherical")])
+    def test_score_matrix(self, kind, family):
+        for Z, _ in random_batches(5):
+            P = softmax_rows(Z)
+            assert np.array_equal(score_matrix(ScoreRule(kind), P), score_matrix(ScoreRule(family, 2.0), P))
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["eps0", "eps0.1", "eps0.1-mask"])
+    @pytest.mark.parametrize("kind, family", [("brier", "alpha_power"), ("spherical", "pseudo_spherical")])
+    def test_token_losses_and_grads(self, kind, family, cfg):
+        for Z, idx in random_batches(6):
+            a = token_losses_and_grads(ScoreRule(kind), cfg, Z, idx)
+            b = token_losses_and_grads(ScoreRule(family, 2.0), cfg, Z, idx)
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+# ---------------------------------------------------------------------------
+# Properties of every proper rule on random simplex points.
+# ---------------------------------------------------------------------------
+
+proper_rules = st.one_of(
+    st.sampled_from([ScoreRule(k) for k, r in RULES.items() if r.proper and r.alpha is not None]),
+    st.builds(ScoreRule, st.sampled_from(["alpha_power", "pseudo_spherical"]),
+              st.floats(1.05, 4.0, allow_nan=False)),
+)
+
+
+@st.composite
+def simplex_pairs(draw):
+    """Two distributions over the same m outcomes, zeros allowed."""
+    m = draw(st.integers(2, 12))
+    weights = st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=m, max_size=m)
+    out = []
+    for _ in range(2):
+        w = np.array(draw(weights.filter(lambda ws: sum(ws) > 0)))
+        out.append(w / w.sum())
+    return out
+
+
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@PROPERTY_SETTINGS
+@given(rule=proper_rules, pq=simplex_pairs())
+def test_score_at_most_sup_so_objective_non_positive(rule, pq):
+    p, _ = pq
+    sup = RULES[rule.kind].sup
+    assert (score_matrix(rule, p) <= sup + 1e-12).all()
+    assert (normalized_objective_vector(rule, p) <= 1e-12).all()
+
+
+@PROPERTY_SETTINGS
+@given(rule=proper_rules, pq=simplex_pairs())
+def test_expected_score_maximized_at_truth(rule, pq):
+    p, q = pq
+    assert expected_score(rule, q, q) >= expected_score(rule, p, q) - 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(rule=proper_rules,
+       cfg=st.sampled_from([NO_SMOOTHING, SmoothingConfig(0.1)]),
+       z=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=12),
+       shift=st.floats(-100.0, 100.0),
+       data=st.data())
+def test_token_losses_and_grads_shift_invariant(rule, cfg, z, shift, data):
+    Z = np.array([z])
+    idx = np.array([data.draw(st.integers(0, len(z) - 1))])
+    losses, dZ = token_losses_and_grads(rule, cfg, Z, idx)
+    shifted_losses, shifted_dZ = token_losses_and_grads(rule, cfg, Z + shift, idx)
+    np.testing.assert_allclose(shifted_losses, losses, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(shifted_dZ, dZ, rtol=1e-6, atol=1e-9 * max(1.0, np.abs(dZ).max()))

@@ -50,6 +50,13 @@ class TestScoreRuleValidation:
             ScoreRule(kind, 1.0)
         ScoreRule(kind, 1.01)  # boundary ok
 
+    @pytest.mark.parametrize("kind", ["logarithmic", "brier", "spherical", "linear"])
+    def test_alpha_pinned_to_two(self, kind):
+        for alpha in (3.0, 1.5):
+            with pytest.raises(ParameterDomainError, match=f"{kind}.*{alpha}"):
+                ScoreRule(kind, alpha)
+        assert ScoreRule(kind, 2.0) == ScoreRule(kind)
+
     def test_eps_domain(self):
         with pytest.raises(ParameterDomainError):
             SmoothingConfig(-0.01)

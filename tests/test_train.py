@@ -169,6 +169,15 @@ class TestHeldoutPositions:
         with pytest.raises(InvalidInputError, match="held-out"):
             heldout_positions(np.arange(20) % 4 + 2, 2)
 
+    def test_fewer_than_ten_sequences_rejected(self):
+        # too few records to hold any out: refused, never scored on the training set
+        seqs = [TokenSeq([2, 3, 1, 4, 5, 1], loss_mask=[False] * 3 + [True] * 3) for _ in range(9)]
+        with pytest.raises(InvalidInputError, match="at least 10 records"):
+            heldout_positions(seqs, 2)
+        with pytest.raises(InvalidInputError, match="at least 10 records"):
+            train(quick_cfg(steps=5), MODEL_CFG, seqs)
+        assert heldout_positions(seqs + seqs[:1], 2)[1].tolist() == [4, 5, 1]
+
 
 @pytest.fixture(scope="module")
 def base(corpus):
