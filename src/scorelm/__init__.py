@@ -9,7 +9,18 @@ claims behind them with brute-force oracles.
 """
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .data import MarkovSpec, Vocab, build_vocab, decode, encode, encode_pair, load_pairs, make_batches, synth_markov
+from .data import (
+    MarkovSpec,
+    Vocab,
+    build_vocab,
+    decode,
+    encode,
+    encode_pair,
+    encode_pairs,
+    load_pairs,
+    make_batches,
+    synth_markov,
+)
 from .decode import BeamConfig, Hypothesis, beam_search, exhaustive_search, greedy, normalized_objective
 from .errors import (
     CheckpointError,
@@ -17,6 +28,7 @@ from .errors import (
     CheckpointShapeError,
     CheckpointVersionError,
     ConfigurationError,
+    ConvergenceError,
     InvalidInputError,
     ParameterDomainError,
 )

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .checkpoint import load_checkpoint
-from .data import MarkovSpec, Vocab, build_vocab, decode as decode_text, encode, encode_pair, load_pairs, synth_markov
+from .data import MarkovSpec, Vocab, build_vocab, decode as decode_text, encode, encode_pairs, load_pairs, synth_markov
 from .decode import BeamConfig, beam_search, greedy
 from .errors import ConfigurationError, InvalidInputError
 from .model import ModelConfig, N_RESERVED
@@ -78,18 +78,27 @@ def _train_config(section, args) -> TrainConfig:
     )
 
 
-def _load_data(path):
-    """Text corpus or JSON-lines pairs -> (vocab, training data)."""
+def _encode_corpus(vocab: Vocab, text: str) -> np.ndarray:
+    return encode(vocab, text).tokens
+
+
+def _read_data(path):
+    """Text corpus or JSON-lines pairs -> (vocab, the text or the (source,
+    target) records, the encoder that turns them into training data)."""
     if str(path).endswith(".jsonl"):
         pairs = load_pairs(path)
         if not pairs:
             raise InvalidInputError(f"no records in {path}")
-        vocab = build_vocab("".join(s + t for s, t in pairs))
-        return vocab, [encode_pair(vocab, s, t) for s, t in pairs]
+        return build_vocab("".join(s + t for s, t in pairs)), pairs, encode_pairs
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    vocab = build_vocab(text)
-    return vocab, encode(vocab, text).tokens
+    return build_vocab(text), text, _encode_corpus
+
+
+def _load_data(path):
+    """Text corpus or JSON-lines pairs -> (vocab, training data)."""
+    vocab, raw, encoder = _read_data(path)
+    return vocab, encoder(vocab, raw)
 
 
 def _model_config(section, vocab: Vocab) -> ModelConfig:
@@ -136,7 +145,7 @@ def _cmd_finetune(args) -> int:
 
 def _cmd_generate(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    vocab, _ = _load_data(args.data)
+    vocab, _, _ = _read_data(args.data)  # only the vocabulary is needed: nothing is encoded
     if vocab.size != ckpt.model.vocab_size:
         raise ConfigurationError(
             f"data vocabulary size {vocab.size} != checkpoint vocab_size {ckpt.model.vocab_size}"

@@ -56,14 +56,30 @@ def decode(vocab: Vocab, tokens) -> str:
     return "".join(out)
 
 
-def encode_pair(vocab: Vocab, source: str, target: str) -> TokenSeq:
-    """source + EOS + target + EOS, loss-masked over the source and its EOS."""
-    src = encode(vocab, source).tokens
-    tgt = encode(vocab, target).tokens
+def _pair_seq(src, tgt) -> TokenSeq:
+    """src + EOS + tgt + EOS ids, loss-masked over src and its EOS."""
     tokens = np.concatenate([src, [EOS_ID], tgt, [EOS_ID]])
     mask = np.zeros(tokens.size, dtype=bool)
     mask[src.size + 1 :] = True
     return TokenSeq(tokens, mask)
+
+
+def encode_pair(vocab: Vocab, source: str, target: str) -> TokenSeq:
+    """source + EOS + target + EOS, loss-masked over the source and its EOS."""
+    return _pair_seq(encode(vocab, source).tokens, encode(vocab, target).tokens)
+
+
+def encode_pairs(vocab: Vocab, pairs) -> list:
+    """[encode_pair(vocab, s, t) for s, t in pairs], with the text of every
+    record encoded in one call and cut into records by slicing."""
+    ids = encode(vocab, "".join(s + t for s, t in pairs)).tokens
+    seqs, at = [], 0
+    for source, target in pairs:
+        mid = at + len(source)
+        end = mid + len(target)
+        seqs.append(_pair_seq(ids[at:mid], ids[mid:end]))
+        at = end
+    return seqs
 
 
 def load_pairs(path):

@@ -16,6 +16,11 @@ class ConfigurationError(ValueError):
     (mask enhancement with eps = 0, mismatched fine-tune configs, ...)."""
 
 
+class ConvergenceError(ValueError):
+    """Raised when an iterative solver stops short of its tolerance
+    (entmax bisection after its iteration budget)."""
+
+
 class CheckpointError(ValueError):
     """Base class for checkpoint persistence failures."""
 

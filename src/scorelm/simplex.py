@@ -7,10 +7,11 @@ probability vectors live on the m-simplex with m >= 2.
 
 import numpy as np
 
-from .errors import InvalidInputError, ParameterDomainError
+from .errors import ConvergenceError, InvalidInputError, ParameterDomainError
 
 SUM_TOL = 1e-9
 ENTMAX_BISECT_TOL = 1e-10
+ENTMAX_BISECT_ITERS = 200
 
 
 def check_prob_vector(p, tol: float = SUM_TOL) -> np.ndarray:
@@ -72,7 +73,8 @@ def entmax(z, alpha: float) -> np.ndarray:
     alpha > 1 by bisection on the threshold tau in
     p_j = [(alpha-1) z_j - tau]_+^(1/(alpha-1)), over the bracket
     [min((alpha-1) z_j) - 1, max((alpha-1) z_j)].  Output entries may be
-    exactly zero.
+    exactly zero.  Raises ConvergenceError when the bisection has not brought
+    sum(p) within ENTMAX_BISECT_TOL of 1 after ENTMAX_BISECT_ITERS steps.
     """
     z = check_logits(z)
     if alpha <= 1:
@@ -82,18 +84,20 @@ def entmax(z, alpha: float) -> np.ndarray:
     zs = (alpha - 1.0) * z
     lo, hi = zs.min() - 1.0, zs.max()
     power = 1.0 / (alpha - 1.0)
-    p = None
-    for _ in range(200):
+    for _ in range(ENTMAX_BISECT_ITERS):
         tau = 0.5 * (lo + hi)
         p = np.maximum(zs - tau, 0.0) ** power
         s = p.sum()
         if abs(s - 1.0) <= ENTMAX_BISECT_TOL:
-            break
+            return p / s
         if s > 1.0:
             lo = tau
         else:
             hi = tau
-    return p / p.sum()
+    raise ConvergenceError(
+        f"entmax bisection did not converge in {ENTMAX_BISECT_ITERS} iterations "
+        f"(alpha={alpha}, |sum p - 1| = {abs(s - 1.0):.3g})"
+    )
 
 
 def tsallis_entropy(p, alpha: float) -> float:

@@ -51,6 +51,13 @@ class TestVerifyCommands:
         assert run_command(["verify", "entmax"]) == 0
         capsys.readouterr()
 
+    def test_unconverged_entmax_exits_1(self, capsys, monkeypatch):
+        import scorelm.simplex as simplex_mod
+
+        monkeypatch.setattr(simplex_mod, "ENTMAX_BISECT_TOL", -1.0)
+        assert run_command(["verify", "entmax"]) == 1
+        assert "entmax bisection did not converge" in capsys.readouterr().err
+
     def test_verification_failure_exits_3(self, capsys, monkeypatch):
         import scorelm.verify as verify_mod
 
@@ -228,3 +235,59 @@ class TestGenerateObjective:
         assert run_command(argv + ["--beam", "2", "--objective", "brier"]) == 0
         assert run_command(argv) == 0  # greedy needs no objective
         capsys.readouterr()
+
+
+class TestGenerateIngest:
+    @pytest.fixture(scope="class")
+    def paired(self, workdir):
+        pairs = workdir / "gen_pairs.jsonl"
+        pairs.write_text("".join(json.dumps({"source": s, "target": s[::-1]}) + "\n"
+                                 for s in ("abc", "cab", "bca", "ab", "ba") * 4))
+        path = write_config(workdir, "gen_pairs.json", data=str(pairs))
+        out = workdir / "gen_pairs_ckpt.json"
+        assert run_command(["train", "--config", path, "--steps", "5", "--batch-size", "4",
+                            "--out", str(out), "--metrics", str(workdir / "gen_pairs.jsonl.metrics")]) == 0
+        return pairs, out
+
+    def test_generate_never_encodes_pairs(self, paired, capsys, monkeypatch):
+        import scorelm.cli as cli_mod
+
+        def refuse(*args):
+            raise AssertionError("generate encoded its --data")
+
+        monkeypatch.setattr(cli_mod, "encode_pairs", refuse)
+        pairs, ckpt = paired
+        capsys.readouterr()
+        assert run_command(["generate", "--ckpt", str(ckpt), "--data", str(pairs), "--prompt", "ab",
+                            "--beam", "2", "--max-len", "4"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_generate_encodes_only_the_prompt_of_a_corpus(self, workdir, capsys, monkeypatch):
+        import scorelm.cli as cli_mod
+
+        ckpt = train_checkpoint(workdir, "gen_corpus")
+        seen = []
+        real = cli_mod.encode
+
+        def spy(vocab, text):
+            seen.append(text)
+            return real(vocab, text)
+
+        monkeypatch.setattr(cli_mod, "encode", spy)
+        assert run_command(["generate", "--ckpt", ckpt, "--data", str(workdir / "corpus.txt"),
+                            "--prompt", "ab", "--max-len", "4"]) == 0
+        assert seen == ["ab"]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("body, message", [
+        ("", "no records in"),
+        ("\n  \n", "no records in"),
+        ('{"source": "a", "target": "b"}\nnot json\n', "line 2: malformed JSON"),
+        ('{"source": "a"}\n', 'line 1: missing or non-string "target" field'),
+    ])
+    def test_generate_rejects_bad_pairs_file(self, paired, tmp_path, capsys, body, message):
+        _, ckpt = paired
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(body)
+        assert run_command(["generate", "--ckpt", str(ckpt), "--data", str(bad), "--prompt", "ab"]) == 1
+        assert message in capsys.readouterr().err

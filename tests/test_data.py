@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorelm.data import (
     MarkovSpec,
@@ -7,11 +9,13 @@ from scorelm.data import (
     decode,
     encode,
     encode_pair,
+    encode_pairs,
     load_pairs,
     make_batches,
     synth_markov,
 )
 from scorelm.errors import InvalidInputError
+from scorelm.model import EOS_ID
 
 
 class TestVocab:
@@ -54,6 +58,97 @@ class TestEncodeDecode:
         assert len(seq) == 5
         assert seq.loss_mask.tolist() == [False, False, False, True, True]
         assert seq.tokens[2] == 1 and seq.tokens[4] == 1  # both EOS
+
+
+def reference_ids(vocab, text):
+    """Per-character dict lookup, written out independently of encode."""
+    try:
+        ids = [vocab.symbol_to_id[ch] for ch in text]
+    except KeyError as exc:
+        raise InvalidInputError(f"character {exc.args[0]!r} not in vocabulary") from None
+    return np.asarray(ids, dtype=np.int64)
+
+
+def reference_pair(vocab, source, target):
+    """(tokens, mask) of source + EOS + target + EOS, built by concatenation."""
+    src, tgt = reference_ids(vocab, source), reference_ids(vocab, target)
+    tokens = np.concatenate([src, [EOS_ID], tgt, [EOS_ID]])
+    mask = np.zeros(tokens.size, dtype=bool)
+    mask[src.size + 1 :] = True
+    return tokens, mask
+
+
+def outcome(fn, *args):
+    """fn's result, or the message of the InvalidInputError it raised."""
+    try:
+        return fn(*args)
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+def assert_same_array(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_outcome(seq, ref):
+    """A TokenSeq equal bit for bit to a reference (tokens, mask), or the same error."""
+    if isinstance(ref, str):
+        assert seq == ref
+    else:
+        assert_same_array(seq.tokens, ref[0])
+        assert_same_array(seq.loss_mask, ref[1])
+
+
+# astral code points, lone surrogates (json.loads can produce them), the
+# brackets and letters of the reserved symbols' spellings, any character
+SPECIAL = ["\U0001F600", "\U00010000", "\U0010FFFF", "\ud800", "\udfff", "<", ">", "e", "o", "s"]
+chars = st.one_of(st.sampled_from(SPECIAL), st.characters(), st.sampled_from("abc"))
+texts = st.lists(chars, max_size=60).map("".join)
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+class TestEncodeAgainstReference:
+    @PROPERTY_SETTINGS
+    @given(vocab_text=texts.filter(bool), text=texts)
+    def test_encode(self, vocab_text, text):
+        v = build_vocab(vocab_text)
+        got, want = outcome(lambda: encode(v, text).tokens), outcome(reference_ids, v, text)
+        if isinstance(want, str):
+            assert got == want  # names the first unknown character in text order
+        else:
+            assert_same_array(got, want)
+
+    @PROPERTY_SETTINGS
+    @given(vocab_text=texts.filter(bool), pairs=st.lists(st.tuples(texts, texts), max_size=6))
+    def test_encode_pairs_and_encode_pair(self, vocab_text, pairs):
+        v = build_vocab(vocab_text)
+        refs = [outcome(reference_pair, v, s, t) for s, t in pairs]
+        for (s, t), ref in zip(pairs, refs):
+            assert_same_outcome(outcome(encode_pair, v, s, t), ref)
+        errors = [ref for ref in refs if isinstance(ref, str)]
+        batch = outcome(encode_pairs, v, pairs)
+        if errors:
+            assert batch == errors[0]  # the first unknown character of the first bad record
+        else:
+            assert len(batch) == len(refs)
+            for seq, ref in zip(batch, refs):
+                assert_same_outcome(seq, ref)
+
+    def test_unknown_character_named_in_text_order(self):
+        v = build_vocab("ab")
+        length = 20
+        text = "a" * length + "yx" + "b" * length
+        with pytest.raises(InvalidInputError, match="'y'"):
+            encode(v, text)
+        with pytest.raises(InvalidInputError, match="'y'"):
+            encode_pairs(v, [("ab", "ba"), (text[:length], text[length:])])
+
+    def test_pairs_with_empty_sides(self):
+        v = build_vocab("ab")
+        seqs = encode_pairs(v, [("", ""), ("a", ""), ("", "b")])
+        assert [s.tokens.tolist() for s in seqs] == [[1, 1], [2, 1, 1], [1, 3, 1]]
+        assert [s.loss_mask.tolist() for s in seqs] == [[False, True], [False, False, True], [False, True, True]]
+        assert encode_pairs(v, []) == []
 
 
 class TestLoadPairs:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scorelm.errors import InvalidInputError, ParameterDomainError
+from scorelm.errors import ConvergenceError, InvalidInputError, ParameterDomainError
 from scorelm.simplex import (
     check_prob_vector,
     entmax,
@@ -73,6 +73,14 @@ class TestEntmax:
         for alpha in (1.0, 0.5, -2.0):
             with pytest.raises(ParameterDomainError):
                 entmax(np.zeros(3), alpha)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.5])
+    def test_unconverged_bisection_raises(self, monkeypatch, alpha):
+        import scorelm.simplex as simplex_mod
+
+        monkeypatch.setattr(simplex_mod, "ENTMAX_BISECT_TOL", -1.0)  # |sum p - 1| can never reach it
+        with pytest.raises(ConvergenceError, match=rf"alpha={alpha}, \|sum p - 1\| = "):
+            entmax(np.array([0.5, 0.2, -0.1]), alpha)
 
     def test_matches_sparsemax_oracle(self):
         gen = np.random.default_rng(1)
