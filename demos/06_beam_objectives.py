@@ -56,6 +56,6 @@ print("\nfull-width beam (length penalty 1) against exhaustive enumeration:")
 for rule in OBJECTIVES:
     bc = BeamConfig(beam_size=3**4, max_len=4, length_penalty=1.0, objective=rule)
     full = beam_search(params, prompt, bc)[0]
-    ex = exhaustive_search(params, prompt, 4, bc)
+    ex = exhaustive_search(params, prompt, bc)
     print(f"  {rule.kind}({rule.alpha}): equal={full.tokens == ex.tokens}  "
           f"({full.tokens}, raw {full.raw_score:+.4f})")

@@ -35,14 +35,35 @@ def _jsonable(obj):
     return obj
 
 
-def _fields(section, where: str, **defaults) -> dict:
-    """section with defaults filled in; a key that is not in defaults is an error."""
+_REQUIRED = object()  # the default of a key that must be given
+_JSON_TYPES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string", list: "an array"}
+
+
+def _fields(section, where: str, **spec) -> dict:
+    """section with defaults filled in; spec maps each key to (type, default).
+    A key that is not in spec, a missing required key, and a value that is not
+    of the key's JSON type are errors: float keys take any number, int keys no
+    boolean, object keys anything (a section checked on its own), and null is
+    taken only where the default is None."""
     if not isinstance(section, dict):
-        raise ConfigurationError(f"{where} config must be a JSON object")
-    unknown = [key for key in section if key not in defaults]
+        raise ConfigurationError(f"{where} must be a JSON object")
+    unknown = [key for key in section if key not in spec]
     if unknown:
-        raise ConfigurationError(f"unknown {where} config key(s): {', '.join(map(repr, unknown))}")
-    return {**defaults, **section}
+        raise ConfigurationError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+    out = {}
+    for key, (kind, default) in spec.items():
+        if key not in section:
+            if default is _REQUIRED:
+                raise ConfigurationError(f"missing {where} key {key!r}")
+            out[key] = default
+            continue
+        value = section[key]
+        types = (int, float) if kind is float else (kind,)
+        if kind is not object and type(value) not in types and not (value is None and default is None):
+            null = " or null" if default is None else ""
+            raise ConfigurationError(f"{where} key {key!r} must be {_JSON_TYPES[kind]}{null}, got {value!r}")
+        out[key] = value
+    return out
 
 
 def _load_config(args) -> dict:
@@ -52,29 +73,30 @@ def _load_config(args) -> dict:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {args.config}: {exc}") from None
-    _fields(config, "top-level", data=None, model=None, train=None)
+    config = _fields(config, "top-level config", data=(str, None), model=(object, None), train=(object, {}))
     if args.data is not None:
         config["data"] = args.data
-    if "data" not in config:
+    if config["data"] is None:
         raise ConfigurationError("no data file: set the config 'data' key or pass --data")
     return config
 
 
 def _train_config(section, args) -> TrainConfig:
-    s = _fields(section, "train", rule="logarithmic", alpha=2.0, eps=0.0, mask_enhanced=False, steps=2000,
-                batch_size=64, learning_rate=1e-3, warmup_steps=100, eval_every=100, seed=0)
+    s = _fields(section, "train config", rule=(str, "logarithmic"), alpha=(float, 2.0), eps=(float, 0.0),
+                mask_enhanced=(bool, False), steps=(int, 2000), batch_size=(int, 64),
+                learning_rate=(float, 1e-3), warmup_steps=(int, 100), eval_every=(int, 100), seed=(int, 0))
     for key in ("rule", "alpha", "eps", "steps", "batch_size", "learning_rate", "seed"):
         if getattr(args, key) is not None:
             s[key] = getattr(args, key)
     return TrainConfig(
         rule=ScoreRule(s["rule"], float(s["alpha"])),
-        smoothing=SmoothingConfig(float(s["eps"]), bool(s["mask_enhanced"])),
-        steps=int(s["steps"]),
-        batch_size=int(s["batch_size"]),
+        smoothing=SmoothingConfig(float(s["eps"]), s["mask_enhanced"]),
+        steps=s["steps"],
+        batch_size=s["batch_size"],
         learning_rate=float(s["learning_rate"]),
-        warmup_steps=int(s["warmup_steps"]),
-        eval_every=int(s["eval_every"]),
-        seed=int(s["seed"]),
+        warmup_steps=s["warmup_steps"],
+        eval_every=s["eval_every"],
+        seed=s["seed"],
     )
 
 
@@ -102,23 +124,24 @@ def _load_data(path):
 
 
 def _model_config(section, vocab: Vocab) -> ModelConfig:
-    s = _fields(section, "model", vocab_size=None, context=4, embed_dim=16, hidden_dim=32, seed=0)
-    if s["vocab_size"] is not None and int(s["vocab_size"]) != vocab.size:
+    s = _fields(section, "model config", vocab_size=(int, None), context=(int, 4), embed_dim=(int, 16),
+                hidden_dim=(int, 32), seed=(int, 0))
+    if s["vocab_size"] is not None and s["vocab_size"] != vocab.size:
         raise ConfigurationError(f"config vocab_size {s['vocab_size']} != data vocabulary size {vocab.size}")
-    return ModelConfig(
-        vocab_size=vocab.size,
-        context=int(s["context"]),
-        embed_dim=int(s["embed_dim"]),
-        hidden_dim=int(s["hidden_dim"]),
-        seed=int(s["seed"]),
-    )
+    return ModelConfig(vocab_size=vocab.size, context=s["context"], embed_dim=s["embed_dim"],
+                       hidden_dim=s["hidden_dim"], seed=s["seed"])
+
+
+def _check_vocab(vocab: Vocab, ckpt) -> None:
+    if vocab.size != ckpt.model.vocab_size:
+        raise ConfigurationError(f"data vocabulary size {vocab.size} != checkpoint vocab_size {ckpt.model.vocab_size}")
 
 
 def _cmd_train(args) -> int:
     config = _load_config(args)
-    cfg = _train_config(config.get("train", {}), args)
+    cfg = _train_config(config["train"], args)
     vocab, data = _load_data(config["data"])
-    model_cfg = _model_config(config.get("model", {}), vocab)
+    model_cfg = _model_config({} if config["model"] is None else config["model"], vocab)
     ckpt, records = train(cfg, model_cfg, data,
                           metrics_path=args.metrics, checkpoint_path=args.out)
     last = records[-1]
@@ -129,14 +152,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_finetune(args) -> int:
     config = _load_config(args)
-    cfg = _train_config(config.get("train", {}), args)
+    cfg = _train_config(config["train"], args)
     base = load_checkpoint(args.base)
     vocab, data = _load_data(config["data"])
-    if vocab.size != base.model.vocab_size:
-        raise ConfigurationError(
-            f"data vocabulary size {vocab.size} != checkpoint vocab_size {base.model.vocab_size}"
-        )
-    model_cfg = _model_config(config["model"], vocab) if "model" in config else None
+    _check_vocab(vocab, base)
+    model_cfg = None if config["model"] is None else _model_config(config["model"], vocab)
     ckpt, records = finetune(base, cfg, data, model_cfg, metrics_path=args.metrics, checkpoint_path=args.out)
     tail = f"ppl={records[-1].ppl:.4f}" if records else "no steps"
     print(f"fine-tuned {cfg.steps} steps with {cfg.rule.kind}: {tail} -> {args.out}")
@@ -146,10 +166,7 @@ def _cmd_finetune(args) -> int:
 def _cmd_generate(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     vocab, _, _ = _read_data(args.data)  # only the vocabulary is needed: nothing is encoded
-    if vocab.size != ckpt.model.vocab_size:
-        raise ConfigurationError(
-            f"data vocabulary size {vocab.size} != checkpoint vocab_size {ckpt.model.vocab_size}"
-        )
+    _check_vocab(vocab, ckpt)
     prompt = encode(vocab, args.prompt).tokens if args.prompt else np.zeros(0, dtype=np.int64)
     if args.beam is None:
         hyp = greedy(ckpt.params, prompt, args.max_len)
@@ -165,10 +182,7 @@ def _cmd_generate(args) -> int:
 def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     vocab, data = _load_data(args.data)
-    if vocab.size != ckpt.model.vocab_size:
-        raise ConfigurationError(
-            f"data vocabulary size {vocab.size} != checkpoint vocab_size {ckpt.model.vocab_size}"
-        )
+    _check_vocab(vocab, ckpt)
     contexts, targets = heldout_positions(data, ckpt.model.context)
     scores = evaluate_scores(ckpt.params, contexts, targets)
     out = {
@@ -223,12 +237,13 @@ def _cmd_verify(args) -> int:
 def _cmd_synth(args) -> int:
     if args.spec is not None:
         with open(args.spec, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = _fields(json.load(fh), "spec", states=(int, _REQUIRED), transition=(list, _REQUIRED),
+                          initial=(list, _REQUIRED), seed=(int, args.seed))
         spec = MarkovSpec(
-            states=int(doc["states"]),
+            states=doc["states"],
             transition=np.asarray(doc["transition"], dtype=np.float64),
             initial=np.asarray(doc["initial"], dtype=np.float64),
-            seed=int(doc.get("seed", args.seed)),
+            seed=doc["seed"],
         )
     else:
         gen = np.random.default_rng(args.seed)

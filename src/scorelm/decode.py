@@ -142,15 +142,15 @@ def beam_search(params: Parameters, prompt, cfg: BeamConfig):
     return finished
 
 
-def exhaustive_search(params: Parameters, prompt, max_len: int, cfg: BeamConfig) -> Hypothesis:
-    """Enumerate every candidate generation up to max_len and return the best
-    under the same normalized objective and length penalty as beam_search.
+def exhaustive_search(params: Parameters, prompt, cfg: BeamConfig) -> Hypothesis:
+    """Enumerate every candidate generation up to cfg.max_len and return the
+    best under the same normalized objective and length penalty as beam_search.
 
     Bodies run over the non-reserved symbols; bodies shorter than max_len are
     closed by EOS (whose objective is accrued), and max_len bodies finish
     open.  Refuses when V^max_len exceeds the enumeration bound.
     """
-    V = params.embed.shape[0]
+    V, max_len = params.embed.shape[0], cfg.max_len
     if V**max_len > EXHAUSTIVE_LIMIT:
         raise ParameterDomainError(
             f"search space V^max_len = {V}^{max_len} exceeds the enumeration bound {EXHAUSTIVE_LIMIT}"

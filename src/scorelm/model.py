@@ -57,11 +57,6 @@ class Parameters:
     def copy(self) -> "Parameters":
         return Parameters(**{k: v.copy() for k, v in self.named()})
 
-    def check_finite(self):
-        for name, t in self.named():
-            if not np.all(np.isfinite(t)):
-                raise InvalidInputError(f"parameter tensor {name} contains non-finite values")
-
 
 @dataclass
 class TokenSeq:

@@ -152,11 +152,39 @@ def score_vector(rule: ScoreRule, p: np.ndarray) -> np.ndarray:
     return score_matrix(rule, p[None, :])[0]
 
 
-def score(rule: ScoreRule, p, i: int) -> float:
-    """S(p, i); -inf for the logarithmic score of a zero-probability outcome."""
+def smoothed_score_matrix(rule: ScoreRule, cfg: SmoothingConfig, P: np.ndarray) -> np.ndarray:
+    """S^eps(p, j) = (1 - eps) S(p, j) + (eps / m) sum_k S(p, k) for every row
+    p of P and every outcome j, extended-real; at eps = 1 the first term is
+    dropped, also where S(p, j) = -inf.  With cfg.mask_enhanced each row also
+    gets the penalty (eps / m) sum_{k : p_k < eps / m} log p_k, -inf if a
+    masked entry is zero."""
+    S = score_matrix(rule, P)
+    eps, m = cfg.eps, P.shape[-1]
+    if eps > 0.0:
+        tail = (eps / m) * S.sum(axis=-1, keepdims=True)
+        S = (1.0 - eps) * S + tail if eps < 1.0 else np.broadcast_to(tail, S.shape)
+    if cfg.mask_enhanced:
+        with np.errstate(divide="ignore"):
+            S = S + (eps / m) * np.where(P < eps / m, np.log(P), 0.0).sum(axis=-1, keepdims=True)
+    return S
+
+
+def expectation(S: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_j q_j S[..., j] for every row of S, with q_j * (-inf) read as -inf
+    for q_j > 0 and as 0 for q_j = 0."""
+    with np.errstate(invalid="ignore"):
+        return np.where(q > 0, S * q, 0.0).sum(axis=-1)
+
+
+def _value_at(rule: ScoreRule, cfg: SmoothingConfig, p, i: int) -> float:
     p = check_prob_vector(p)
     i = _check_index(i, p.size)
-    return float(score_vector(rule, p)[i])
+    return float(smoothed_score_matrix(rule, cfg, p[None, :])[0, i])
+
+
+def score(rule: ScoreRule, p, i: int) -> float:
+    """S(p, i); -inf for the logarithmic score of a zero-probability outcome."""
+    return _value_at(rule, NO_SMOOTHING, p, i)
 
 
 def expected_score(rule: ScoreRule, p, q) -> float:
@@ -166,29 +194,14 @@ def expected_score(rule: ScoreRule, p, q) -> float:
     q = check_prob_vector(q)
     if p.size != q.size:
         raise InvalidInputError(f"dimension mismatch: p has {p.size} entries, q has {q.size}")
-    s = score_vector(rule, p)
-    with np.errstate(invalid="ignore"):
-        terms = np.where(q > 0, q * s, 0.0)
-    return float(terms.sum())
+    return float(expectation(score_vector(rule, p), q))
 
 
 def smoothed_score(rule: ScoreRule, cfg: SmoothingConfig, p, i: int) -> float:
     """(1 - eps) S(p, i) + (eps / m) sum_j S(p, j)."""
     if cfg.mask_enhanced:
         raise ConfigurationError("smoothed_score expects mask_enhanced=False; use masked_log_smoothed_score")
-    p = check_prob_vector(p)
-    i = _check_index(i, p.size)
-    return _smoothed_value(rule, cfg.eps, p, i)
-
-
-def _smoothed_value(rule: ScoreRule, eps: float, p: np.ndarray, i: int) -> float:
-    s = score_vector(rule, p)
-    if eps == 0.0:
-        return float(s[i])
-    tail = (eps / p.size) * float(s.sum())
-    if eps == 1.0:
-        return tail
-    return (1.0 - eps) * float(s[i]) + tail
+    return _value_at(rule, cfg, p, i)
 
 
 def masked_log_smoothed_score(rule: ScoreRule, cfg: SmoothingConfig, p, i: int) -> float:
@@ -198,14 +211,7 @@ def masked_log_smoothed_score(rule: ScoreRule, cfg: SmoothingConfig, p, i: int) 
         raise ConfigurationError("masked_log_smoothed_score expects mask_enhanced=True")
     if cfg.eps == 0.0:
         raise ConfigurationError("mask enhancement needs eps > 0 (threshold eps/m is degenerate at 0)")
-    p = check_prob_vector(p)
-    i = _check_index(i, p.size)
-    base = _smoothed_value(rule, cfg.eps, p, i)
-    masked = p[p < cfg.eps / p.size]
-    if masked.size == 0:
-        return base
-    with np.errstate(divide="ignore"):
-        return base + (cfg.eps / p.size) * float(np.sum(np.log(masked)))
+    return _value_at(rule, cfg, p, i)
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +295,11 @@ def entmax_power_equivalence_gap(z, x: int, alpha: float):
     """
     z = check_logits(z)
     x = _check_index(x, z.size)
-    if alpha <= 1:
-        raise ParameterDomainError(f"alpha must exceed 1, got {alpha}")
+    rule = ScoreRule("alpha_power", alpha)
     p = entmax(z, alpha)
     e_x = np.zeros_like(p)
     e_x[x] = 1.0
     loss_entmax = float((p - e_x) @ z) + tsallis_entropy(p, alpha)
-    loss_power = (alpha - 1.0) * float(np.sum(p**alpha)) - alpha * float(p[x] ** (alpha - 1.0))
+    loss_power = -float(score_vector(rule, p)[x])
     gap = abs(loss_entmax - (loss_power + 1.0) / (alpha * (alpha - 1.0)))
     return gap, bool(p[x] > 0.0)

@@ -24,6 +24,7 @@ from .model import (
 from .scores import NO_SMOOTHING, ScoreRule, SmoothingConfig, token_losses_and_grads
 
 HELD_OUT_FRACTION = 0.1
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -33,9 +34,6 @@ class TrainConfig:
     steps: int = 2000
     batch_size: int = 64
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     warmup_steps: int = 100
     eval_every: int = 100
     seed: int = 0
@@ -88,18 +86,18 @@ def adam_step(params: Parameters, grads: Parameters, state: AdamState, step_inde
         lr *= min(1.0, step_index / cfg.warmup_steps)
     if cfg.lr_decay and step_index > cfg.warmup_steps:
         lr *= max(0.0, (cfg.steps - step_index) / max(1, cfg.steps - cfg.warmup_steps))
-    bc1 = 1.0 - cfg.beta1**step_index
-    bc2 = 1.0 - cfg.beta2**step_index
+    bc1 = 1.0 - ADAM_BETA1**step_index
+    bc2 = 1.0 - ADAM_BETA2**step_index
     for name, g in grads.named():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in tensor {name!r} at step {step_index}")
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        getattr(params, name)[:] -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        getattr(params, name)[:] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state
 
 

@@ -14,13 +14,13 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .scores import (
+    NO_SMOOTHING,
     ScoreRule,
     SmoothingConfig,
     entmax_power_equivalence_gap,
+    expectation,
     expected_score,
-    masked_log_smoothed_score,
-    score_matrix,
-    smoothed_score,
+    smoothed_score_matrix,
     token_losses_and_grads,
 )
 from .simplex import smooth_distribution, softmax
@@ -46,11 +46,6 @@ def simplex_grid(m: int, step: float) -> np.ndarray:
     return np.asarray(pts, dtype=np.float64) / n
 
 
-def _expected_over_grid(S: np.ndarray, q: np.ndarray) -> np.ndarray:
-    with np.errstate(invalid="ignore"):
-        return np.where(q > 0, S * q, 0.0).sum(axis=1)
-
-
 def _cell_certificate(grid: np.ndarray, E: np.ndarray, target: np.ndarray) -> dict:
     """Is the expected score maximized exactly in the cell(s) nearest target?"""
     finite_max = E.max()
@@ -70,26 +65,32 @@ def _cell_certificate(grid: np.ndarray, E: np.ndarray, target: np.ndarray) -> di
     }
 
 
-def propriety_scan(rule: ScoreRule, m: int, grid_step: float, q_set) -> dict:
-    """Grid certificate that the expected score is maximized at (the cell
-    containing) q, for each q in q_set.  An improper rule fails for some q."""
+def _scan(rule: ScoreRule, cfgs, m: int, grid_step: float, q_set, certify) -> dict:
+    """The scan core: S^eps on the grid for each config in cfgs, the expected
+    scores under each q in q_set, certify(q, grid, *expected) for the cells,
+    and the report; the report names eps when the scores are smoothed."""
     grid = simplex_grid(m, grid_step)
-    S = score_matrix(rule, grid)
+    grids = [smoothed_score_matrix(rule, cfg, grid) for cfg in cfgs]
     results = []
     for q in q_set:
         q = np.asarray(q, dtype=np.float64)
-        E = _expected_over_grid(S, q)
-        cert = _cell_certificate(grid, E, q)
-        results.append({"q": q.tolist(), **cert})
+        results.append({"q": q.tolist(), **certify(q, grid, *(expectation(S, q) for S in grids))})
     return {
         "rule": rule.kind,
         "alpha": rule.alpha,
+        **({"eps": cfgs[0].eps} if cfgs[0].eps else {}),
         "m": m,
         "grid_step": grid_step,
         "grid_points": int(grid.shape[0]),
         "results": results,
         "pass": bool(all(r["pass"] for r in results)),
     }
+
+
+def propriety_scan(rule: ScoreRule, m: int, grid_step: float, q_set) -> dict:
+    """Grid certificate that the expected score is maximized at (the cell
+    containing) q, for each q in q_set.  An improper rule fails for some q."""
+    return _scan(rule, [NO_SMOOTHING], m, grid_step, q_set, lambda q, grid, E: _cell_certificate(grid, E, q))
 
 
 def smoothing_propriety_scan(rule: ScoreRule, eps: float, m: int, grid_step: float, q_set) -> dict:
@@ -98,50 +99,24 @@ def smoothing_propriety_scan(rule: ScoreRule, eps: float, m: int, grid_step: flo
     the smoothed one, and the two coincide at q^eps itself."""
     if not 0.0 < eps < 1.0:
         raise ParameterDomainError(f"smoothing scan requires eps in (0, 1), got {eps}")
-    grid = simplex_grid(m, grid_step)
-    S = score_matrix(rule, grid)
-    smoothed = (1.0 - eps) * S + (eps / m) * S.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_grid = np.log(grid)
-        penalty = (eps / m) * np.where(grid < eps / m, log_grid, 0.0).sum(axis=1)
+    cfgs = [SmoothingConfig(eps), SmoothingConfig(eps, mask_enhanced=True)]
 
-    smooth_cfg = SmoothingConfig(eps)
-    masked_cfg = SmoothingConfig(eps, mask_enhanced=True)
-    results = []
-    for q in q_set:
-        q = np.asarray(q, dtype=np.float64)
+    def certify(q, grid, E, E_masked):
         q_eps = smooth_distribution(q, eps)
-        E = _expected_over_grid(smoothed, q)
         cert = _cell_certificate(grid, E, q_eps)
-        E_masked = E + penalty
         dominance = bool(np.all(E_masked <= E + _TIE_TOL))
-        at_qeps_smoothed = sum(
-            float(q[i]) * smoothed_score(rule, smooth_cfg, q_eps, i) for i in range(m) if q[i] > 0
-        )
-        at_qeps_masked = sum(
-            float(q[i]) * masked_log_smoothed_score(rule, masked_cfg, q_eps, i) for i in range(m) if q[i] > 0
-        )
-        equality = bool(abs(at_qeps_masked - at_qeps_smoothed) <= _TIE_TOL)
-        results.append(
-            {
-                "q": q.tolist(),
-                "q_eps": q_eps.tolist(),
-                **cert,
-                "dominance": dominance,
-                "equality_at_q_eps": equality,
-                "pass": bool(cert["pass"] and dominance and equality),
-            }
-        )
-    return {
-        "rule": rule.kind,
-        "alpha": rule.alpha,
-        "eps": eps,
-        "m": m,
-        "grid_step": grid_step,
-        "grid_points": int(grid.shape[0]),
-        "results": results,
-        "pass": bool(all(r["pass"] for r in results)),
-    }
+        at_q_eps, at_q_eps_masked = (expectation(smoothed_score_matrix(rule, cfg, q_eps[None, :]), q)[0]
+                                     for cfg in cfgs)
+        equality = bool(abs(at_q_eps_masked - at_q_eps) <= _TIE_TOL)
+        return {
+            "q_eps": q_eps.tolist(),
+            **cert,
+            "dominance": dominance,
+            "equality_at_q_eps": equality,
+            "pass": bool(cert["pass"] and dominance and equality),
+        }
+
+    return _scan(rule, cfgs, m, grid_step, q_set, certify)
 
 
 TABLE1_EXPECTED = {
@@ -176,7 +151,7 @@ def table1_check() -> dict:
 
 
 def grad_check(rule: ScoreRule, cfg: SmoothingConfig, m: int, trials: int, h: float, seed: int = 0) -> dict:
-    """Central finite differences vs the analytic logit gradient.
+    """Fourth-order central finite differences vs the analytic logit gradient.
 
     Coordinates with |analytic| <= 1e-8 are skipped (their relative error is
     ill-defined); the report counts them.  For mask-enhanced configs the
@@ -197,11 +172,12 @@ def grad_check(rule: ScoreRule, cfg: SmoothingConfig, m: int, trials: int, h: fl
             mask = (softmax(z) < cfg.eps / m)[None, :]
         _, dZ = token_losses_and_grads(rule, cfg, z[None, :], np.array([i]), mask_override=mask)
         analytic = dZ[0]
-        # rows k and m + k are z + h e_k and z - h e_k, all scored in one call
-        shifted = np.concatenate([z + steps, z - steps])
+        # row k of block j is z + c_j h e_k for c = (1, -1, 2, -2), all 4m scored in one call
+        shifted = np.concatenate([z + steps, z - steps, z + 2.0 * steps, z - 2.0 * steps])
         masks = None if mask is None else np.broadcast_to(mask, shifted.shape)
-        losses, _ = token_losses_and_grads(rule, cfg, shifted, np.full(2 * m, i), mask_override=masks)
-        fd = (losses[:m] - losses[m:]) / (2.0 * h)
+        losses, _ = token_losses_and_grads(rule, cfg, shifted, np.full(4 * m, i), mask_override=masks)
+        fp, fm, fp2, fm2 = losses.reshape(4, m)
+        fd = (8.0 * (fp - fm) - (fp2 - fm2)) / (12.0 * h)
         keep = np.abs(analytic) > 1e-8
         skipped += m - int(keep.sum())
         checked += int(keep.sum())

@@ -189,7 +189,7 @@ def test_criterion_8_decoding_oracles():
         for lp in (0.0, 1.0):
             bc = BeamConfig(beam_size=4**4, max_len=4, length_penalty=lp, objective=rule)
             beam_best = beam_search(params4, np.array([2, 3]), bc)[0]
-            ex_best = exhaustive_search(params4, np.array([2, 3]), 4, bc)
+            ex_best = exhaustive_search(params4, np.array([2, 3]), bc)
             oracle_ok &= beam_best.tokens == ex_best.tokens
             oracle_ok &= abs(beam_best.raw_score - ex_best.raw_score) < 1e-12
 

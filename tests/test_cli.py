@@ -78,6 +78,31 @@ class TestSynth:
         assert np.allclose(rows.sum(axis=1), 1.0)
 
 
+    SPEC = {"states": 2, "transition": [[0.5, 0.5], [0.1, 0.9]], "initial": [0.5, 0.5], "seed": 1}
+
+    def test_spec_file(self, tmp_path, capsys):
+        (tmp_path / "spec.json").write_text(json.dumps(self.SPEC))
+        assert run_command(["synth", "--spec", str(tmp_path / "spec.json"), "--length", "50",
+                            "--out", str(tmp_path / "c.txt")]) == 0
+        assert set((tmp_path / "c.txt").read_text()) <= set("ab")
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("drop, extra, message", [
+        ("transition", {}, "missing spec key 'transition'"),
+        ("initial", {}, "missing spec key 'initial'"),
+        (None, {"seeed": 2}, "unknown spec key(s): 'seeed'"),
+        (None, {"states": 2.0}, "spec key 'states' must be an integer"),
+        (None, {"seed": "1"}, "spec key 'seed' must be an integer"),
+    ])
+    def test_bad_spec_keys_exit_1_by_name(self, tmp_path, capsys, drop, extra, message):
+        spec = {k: v for k, v in self.SPEC.items() if k != drop}
+        (tmp_path / "spec.json").write_text(json.dumps({**spec, **extra}))
+        assert run_command(["synth", "--spec", str(tmp_path / "spec.json"), "--length", "50",
+                            "--out", str(tmp_path / "c.txt")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "c.txt").exists()
+
+
 class TestTrainEvalGenerate:
     def test_train_zero_steps_fails(self, workdir, capsys):
         bad = dict(BASE_CONFIG)
@@ -202,6 +227,43 @@ class TestConfigKeys:
         assert run_command(["finetune", "--config", path, "--base", base, "--steps", "5",
                             "--out", str(workdir / "ft_o.json"), "--metrics", str(workdir / "ft_o.jsonl")]) == 1
         assert "hidden_dim" in capsys.readouterr().err
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("train", "mask_enhanced", "false", "must be a boolean"),
+        ("train", "steps", 3.7, "must be an integer"),
+        ("train", "batch_size", True, "must be an integer"),
+        ("train", "eps", False, "must be a number"),
+        ("train", "learning_rate", "0.001", "must be a number"),
+        ("train", "rule", 1, "must be a string"),
+        ("model", "hidden_dim", 16.0, "must be an integer"),
+        ("model", "vocab_size", "6", "must be an integer or null"),
+        (None, "data", ["corpus.txt"], "must be a string or null"),
+    ])
+    def test_wrong_json_type_rejected_by_name(self, workdir, capsys, section, key, value, message):
+        path = write_config(workdir, "typed.json", section, **{key: value})
+        assert run_command(["train", "--config", path, "--out", str(workdir / "t.json"),
+                            "--metrics", str(workdir / "t.jsonl")]) == 1
+        assert f"{key!r} {message}" in capsys.readouterr().err
+        assert not (workdir / "t.json").exists()
+
+    def test_integers_taken_for_number_keys(self, workdir, capsys):
+        ckpts = []
+        for name, entries in (("ints", {"alpha": 2, "eps": 0}), ("floats", {"alpha": 2.0, "eps": 0.0})):
+            path = write_config(workdir, f"{name}.json", "train", **entries)
+            out = workdir / f"{name}.ckpt.json"
+            assert run_command(["train", "--config", path, "--steps", "5", "--out", str(out),
+                                "--metrics", str(workdir / f"{name}.jsonl")]) == 0
+            ckpts.append(out.read_bytes())
+        assert ckpts[0] == ckpts[1]
+        capsys.readouterr()
+
+    def test_null_vocab_size_taken(self, workdir, capsys):
+        path = write_config(workdir, "null_vocab.json", "model", vocab_size=None)
+        assert run_command(["train", "--config", path, "--steps", "5", "--out", str(workdir / "nv.json"),
+                            "--metrics", str(workdir / "nv.jsonl")]) == 0
+        capsys.readouterr()
 
 
 class TestGenerateObjective:

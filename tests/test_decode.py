@@ -142,7 +142,7 @@ class TestBeamSearch:
         prompt = np.array([3, 2])
         cfg = BeamConfig(beam_size=4**4, max_len=4, length_penalty=lp, objective=rule)
         beam_best = beam_search(params, prompt, cfg)[0]
-        ex_best = exhaustive_search(params, prompt, 4, cfg)
+        ex_best = exhaustive_search(params, prompt, cfg)
         assert beam_best.tokens == ex_best.tokens
         assert beam_best.raw_score == pytest.approx(ex_best.raw_score, abs=1e-12)
 
@@ -193,7 +193,7 @@ class TestExhaustiveSearch:
         cands = brute_force_candidates(params, prompt, 3, rule)
         assert len(cands) == 14
         cfg = BeamConfig(beam_size=1, max_len=3, length_penalty=0.0, objective=rule)
-        best = exhaustive_search(params, prompt, 3, cfg)
+        best = exhaustive_search(params, prompt, cfg)
         brute = max(cands, key=lambda c: (c[1], -len(c[0]), [-t for t in c[0]]))
         assert best.tokens == brute[0]
         assert best.raw_score == pytest.approx(brute[1], abs=1e-12)
@@ -202,7 +202,7 @@ class TestExhaustiveSearch:
         params = random_params(6, seed=71)
         prompt = np.array([4])
         cfg = BeamConfig(beam_size=1, max_len=1, objective=ScoreRule("brier"))
-        best = exhaustive_search(params, prompt, 1, cfg)
+        best = exhaustive_search(params, prompt, cfg)
         p = forward(params, context_window(prompt, prompt.size, 2))
         real = np.arange(2, 6)
         assert best.tokens == (int(real[np.argmax(p[real])]),)
@@ -210,7 +210,7 @@ class TestExhaustiveSearch:
     def test_search_space_refusal(self):
         params = random_params(6, seed=0)
         with pytest.raises(ParameterDomainError, match="10"):
-            exhaustive_search(params, np.array([2]), 9, BeamConfig(beam_size=1, max_len=9))
+            exhaustive_search(params, np.array([2]), BeamConfig(beam_size=1, max_len=9))
 
     def test_no_generatable_symbols(self):
         params = random_params(6, seed=0)

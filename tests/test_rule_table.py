@@ -1,5 +1,6 @@
-"""The rule table against the explicit per-rule formulas it replaced, the
-alpha = 2 identities, and property tests over random simplex points."""
+"""The rule table and the smoothed score matrix against the explicit
+formulas they replaced, the alpha = 2 identities, and property tests over
+random simplex points."""
 
 import numpy as np
 import pytest
@@ -15,10 +16,14 @@ from scorelm.scores import (
     ScoreRule,
     SmoothingConfig,
     expected_score,
+    masked_log_smoothed_score,
     score_matrix,
+    smoothed_score,
+    smoothed_score_matrix,
     token_losses_and_grads,
 )
 from scorelm.simplex import softmax_rows
+from scorelm.verify import simplex_grid
 
 # ---------------------------------------------------------------------------
 # Reference: one explicit formula per kind, as written before the rule table.
@@ -103,6 +108,33 @@ def ref_objective(rule, p):
     if rule.kind == "brier":
         return 2.0 * p - np.sum(p * p) - 1.0
     return p / np.sqrt(np.sum(p * p)) - 1.0  # spherical
+
+
+def ref_smoothed_score(rule, cfg, p, i):
+    """smoothed_score and masked_log_smoothed_score as written before
+    smoothed_score_matrix."""
+    s = score_matrix(rule, p[None, :])[0]
+    eps = cfg.eps
+    if eps == 0.0:
+        base = float(s[i])
+    else:
+        tail = (eps / p.size) * float(s.sum())
+        base = tail if eps == 1.0 else (1.0 - eps) * float(s[i]) + tail
+    masked = p[p < eps / p.size]
+    if not cfg.mask_enhanced or masked.size == 0:
+        return base
+    with np.errstate(divide="ignore"):
+        return base + (eps / p.size) * float(np.sum(np.log(masked)))
+
+
+def ref_scan_grids(rule, eps, P):
+    """The smoothed grid and the mask penalty as the smoothing scan wrote them."""
+    m = P.shape[1]
+    S = score_matrix(rule, P)
+    smoothed = (1.0 - eps) * S + (eps / m) * S.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        penalty = (eps / m) * np.where(P < eps / m, np.log(P), 0.0).sum(axis=1)
+    return smoothed, penalty
 
 
 ALL_RULES = [
@@ -192,6 +224,66 @@ class TestParityWithExplicitFormulas:
         for k in range(600):
             p = gen.dirichlet(np.full(int(gen.integers(2, 40)), (0.05, 1.0, 5.0)[k % 3]))
             assert np.array_equal(normalized_objective_vector(rule, p), ref_objective(rule, p))
+
+
+def random_simplex_rows(seed, count=40):
+    """P batches over m = 2..39: Dirichlet rows at concentrations 0.05, 1
+    and 5, and in every other batch one entry per row set to zero."""
+    gen = np.random.default_rng(seed)
+    for k in range(count):
+        m = int(gen.integers(2, 40))
+        P = gen.dirichlet(np.full(m, (0.05, 1.0, 5.0)[k % 3]), size=int(gen.integers(1, 5)))
+        if k % 2:
+            P[np.arange(P.shape[0]), gen.integers(0, m, P.shape[0])] = 0.0
+            P /= P.sum(axis=1, keepdims=True)
+        yield P
+
+
+def threshold_rows(eps, m):
+    """q^eps for every one-hot q: the off-target entries sit exactly at the
+    mask threshold eps / m, which is not masked."""
+    return (1.0 - eps) * np.eye(m) + eps / m
+
+
+SMOOTHINGS = [SmoothingConfig(eps, mask) for eps in (0.0, 0.1, 0.5, 1.0) for mask in (False, True) if eps or not mask]
+
+
+class TestSmoothedScoreMatrix:
+    @pytest.mark.parametrize("cfg", SMOOTHINGS, ids=lambda c: f"eps{c.eps}{'-mask' if c.mask_enhanced else ''}")
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: f"{r.kind}-{r.alpha}")
+    def test_against_the_scalar_formulas(self, rule, cfg):
+        # bitwise, but for masked rows at m >= 8: the penalty is now summed over a
+        # zero-filled row, and numpy's pairwise sum groups such rows differently;
+        # there the error is measured against the two terms the value is a sum of
+        for P in [*random_simplex_rows(7), threshold_rows(cfg.eps, 3), threshold_rows(cfg.eps, 12)]:
+            got = smoothed_score_matrix(rule, cfg, P)
+            want = np.array([[ref_smoothed_score(rule, cfg, p, i) for i in range(p.size)] for p in P])
+            if cfg.mask_enhanced and P.shape[1] >= 8:
+                assert np.array_equal(got == -np.inf, want == -np.inf)
+                finite = np.isfinite(want)
+                smoothed = smoothed_score_matrix(rule, SmoothingConfig(cfg.eps), P)[finite]
+                terms = np.abs(smoothed) + np.abs(want[finite] - smoothed)
+                assert (np.abs(got[finite] - want[finite]) <= 1e-14 * terms).all()
+            else:
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: f"{r.kind}-{r.alpha}")
+    def test_public_scores_read_the_matrix(self, rule):
+        for P in random_simplex_rows(8, count=12):
+            p = P[0]
+            for cfg in SMOOTHINGS:
+                read = masked_log_smoothed_score if cfg.mask_enhanced else smoothed_score
+                want = smoothed_score_matrix(rule, cfg, p[None, :])[0]
+                assert np.array_equal([read(rule, cfg, p, i) for i in range(p.size)], want)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5])
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: f"{r.kind}-{r.alpha}")
+    def test_equals_the_scan_grids(self, rule, eps):
+        grid = simplex_grid(3, 0.02)
+        smoothed, penalty = ref_scan_grids(rule, eps, grid)
+        assert np.array_equal(smoothed_score_matrix(rule, SmoothingConfig(eps), grid), smoothed)
+        masked = smoothed_score_matrix(rule, SmoothingConfig(eps, mask_enhanced=True), grid)
+        assert np.array_equal(masked, smoothed + penalty[:, None])
 
 
 class TestAlpha2Identities:

@@ -115,13 +115,20 @@ class TestGradCheck:
         assert report["checked"] + report["skipped"] == 80
         assert np.isfinite(report["max_rel_error"])
 
+    def test_second_order_truncation_seed(self):
+        # second-order differences miss by 4.6e-4 here: their O(h^2) truncation error
+        # is as large as gradients just above the 1e-8 skip threshold
+        report = grad_check(ScoreRule("alpha_power", 2.5), SmoothingConfig(0.0), 8, 100, 1e-4, seed=1466597378)
+        assert report["max_rel_error"] < 1e-4
+
     def test_masked_config(self):
         report = grad_check(ScoreRule("spherical"), SmoothingConfig(0.2, True), 8, 20, 1e-5)
         assert report["max_rel_error"] < 1e-4
 
 
 def grad_check_single_rows(rule, cfg, m, trials, h, seed):
-    """Reference: one token_losses_and_grads call per perturbed logit row."""
+    """Reference: one token_losses_and_grads call per perturbed logit row,
+    with the fourth-order stencil (8 (f(z+h) - f(z-h)) - (f(z+2h) - f(z-2h))) / 12h."""
     gen = np.random.default_rng(seed)
     max_rel, checked, skipped = 0.0, 0, 0
     for _ in range(trials):
@@ -130,16 +137,16 @@ def grad_check_single_rows(rule, cfg, m, trials, h, seed):
         mask = (softmax(z) < cfg.eps / m)[None, :] if cfg.mask_enhanced else None
         analytic = token_losses_and_grads(rule, cfg, z[None, :], one, mask_override=mask)[1][0]
         for k in range(m):
-            zp, zm = z.copy(), z.copy()
-            zp[k] += h
-            zm[k] -= h
-            lp = token_losses_and_grads(rule, cfg, zp[None, :], one, mask_override=mask)[0]
-            lm = token_losses_and_grads(rule, cfg, zm[None, :], one, mask_override=mask)[0]
+            f = {}
+            for c in (1.0, -1.0, 2.0, -2.0):
+                zc = z.copy()
+                zc[k] += c * h
+                f[c] = float(token_losses_and_grads(rule, cfg, zc[None, :], one, mask_override=mask)[0][0])
             if abs(analytic[k]) <= 1e-8:
                 skipped += 1
                 continue
             checked += 1
-            fd = (float(lp[0]) - float(lm[0])) / (2.0 * h)
+            fd = (8.0 * (f[1.0] - f[-1.0]) - (f[2.0] - f[-2.0])) / (12.0 * h)
             max_rel = max(max_rel, abs(fd - analytic[k]) / abs(analytic[k]))
     return max_rel, checked, skipped
 
