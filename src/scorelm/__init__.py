@@ -42,7 +42,6 @@ from .model import (
     forward,
     init_params,
     loss_and_grads,
-    sequence_loss,
 )
 from .scores import (
     NO_SMOOTHING,

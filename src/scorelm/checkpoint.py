@@ -11,21 +11,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import CheckpointFormatError, CheckpointShapeError, CheckpointVersionError
-from .model import ModelConfig, Parameters
+from .model import ModelConfig, Parameters, param_shapes
 from .scores import ScoreRule, SmoothingConfig
 
 FORMAT_VERSION = 1
-
-
-def _expected_shapes(cfg: ModelConfig):
-    V, K, d, h = cfg.vocab_size, cfg.context, cfg.embed_dim, cfg.hidden_dim
-    return {
-        "embed": (V, d),
-        "w_hidden": (K * d, h),
-        "b_hidden": (h,),
-        "w_out": (h, V),
-        "b_out": (V,),
-    }
 
 
 @dataclass
@@ -80,15 +69,15 @@ def load_checkpoint(path) -> Checkpoint:
         smoothing = SmoothingConfig(**doc["smoothing"])
         step = int(doc["step"])
         raw = doc["params"]
-        tensors = {name: np.asarray(raw[name], dtype=np.float64) for name in _expected_shapes(model)}
+        params = Parameters.zeros(param_shapes(model))
+        tensors = [(name, t, np.asarray(raw[name], dtype=np.float64)) for name, t in params.named()]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"incomplete or malformed checkpoint fields: {exc}") from None
 
-    for name, shape in _expected_shapes(model).items():
-        if tensors[name].shape != shape:
-            raise CheckpointShapeError(
-                f"tensor {name!r} has shape {tensors[name].shape}, config implies {shape}"
-            )
-        if not np.all(np.isfinite(tensors[name])):
+    for name, t, tensor in tensors:
+        if tensor.shape != t.shape:
+            raise CheckpointShapeError(f"tensor {name!r} has shape {tensor.shape}, config implies {t.shape}")
+        if not np.all(np.isfinite(tensor)):
             raise CheckpointFormatError(f"tensor {name!r} contains non-finite values")
-    return Checkpoint(model=model, rule=rule, smoothing=smoothing, step=step, params=Parameters(**tensors))
+        t[...] = tensor
+    return Checkpoint(model=model, rule=rule, smoothing=smoothing, step=step, params=params)

@@ -44,7 +44,8 @@ def _fields(section, where: str, **spec) -> dict:
     A key that is not in spec, a missing required key, and a value that is not
     of the key's JSON type are errors: float keys take any number, int keys no
     boolean, object keys anything (a section checked on its own), and null is
-    taken only where the default is None."""
+    taken only where the default is None.  NaN and +-Infinity, which json.load
+    accepts, are refused anywhere in a value."""
     if not isinstance(section, dict):
         raise ConfigurationError(f"{where} must be a JSON object")
     unknown = [key for key in section if key not in spec]
@@ -62,6 +63,8 @@ def _fields(section, where: str, **spec) -> dict:
         if kind is not object and type(value) not in types and not (value is None and default is None):
             null = " or null" if default is None else ""
             raise ConfigurationError(f"{where} key {key!r} must be {_JSON_TYPES[kind]}{null}, got {value!r}")
+        if kind in (float, list) and not np.isfinite(np.asarray(value, dtype=np.float64)).all():
+            raise ConfigurationError(f"{where} key {key!r} must be finite, got {value!r}")
         out[key] = value
     return out
 
@@ -164,6 +167,11 @@ def _cmd_finetune(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.beam is None:
+        for flag, value in (("--objective", args.objective), ("--length-penalty", args.length_penalty)):
+            if value is not None:
+                print(f"error: {flag} applies only with --beam", file=sys.stderr)
+                return 2
     ckpt = load_checkpoint(args.ckpt)
     vocab, _, _ = _read_data(args.data)  # only the vocabulary is needed: nothing is encoded
     _check_vocab(vocab, ckpt)
@@ -173,7 +181,7 @@ def _cmd_generate(args) -> int:
     else:
         objective = ScoreRule(args.objective) if args.objective else ckpt.rule
         cfg = BeamConfig(beam_size=args.beam, max_len=args.max_len,
-                         length_penalty=args.length_penalty, objective=objective)
+                         length_penalty=args.length_penalty or 0.0, objective=objective)
         hyp = beam_search(ckpt.params, prompt, cfg)[0]
     print(decode_text(vocab, hyp.tokens))
     return 0
@@ -246,6 +254,8 @@ def _cmd_synth(args) -> int:
             seed=doc["seed"],
         )
     else:
+        if args.states < 2:
+            raise ConfigurationError(f"--states must be >= 2, got {args.states}")
         gen = np.random.default_rng(args.seed)
         T = gen.dirichlet(np.ones(args.states), size=args.states)
         spec = MarkovSpec(states=args.states, transition=T,
@@ -299,8 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--greedy", action="store_true", help="greedy decoding (the default)")
     search.add_argument("--beam", type=int, help="beam width")
     p.add_argument("--max-len", dest="max_len", type=int, default=32)
-    p.add_argument("--length-penalty", dest="length_penalty", type=float, default=0.0)
-    p.add_argument("--objective", choices=["logarithmic", "brier", "spherical"], help="default: the checkpoint's rule")
+    p.add_argument("--length-penalty", dest="length_penalty", type=float, help="beam only; default 0")
+    p.add_argument("--objective", choices=["logarithmic", "brier", "spherical"], help="beam only; default: ckpt rule")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("eval", help="held-out expected scores and perplexity")

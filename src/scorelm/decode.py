@@ -85,6 +85,8 @@ def greedy(params: Parameters, prompt, max_len: int) -> Hypothesis:
     Ties break toward the lower token id.  The raw score accumulates the
     logarithmic objective of the chosen tokens.
     """
+    if max_len < 1:
+        raise ConfigurationError(f"max_len must be >= 1, got {max_len}")
     real = _candidate_ids(params.embed.shape[0])
     tokens: list = []
     raw = 0.0

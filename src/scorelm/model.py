@@ -9,8 +9,9 @@ Reserved token ids: PAD = 0 (left padding of short histories) and EOS = 1
 (sequence separator / end of generation).  Real symbols start at 2.
 """
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,21 +42,46 @@ class ModelConfig:
                 raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
+def param_shapes(cfg: ModelConfig):
+    """Each parameter tensor's (name, shape), in storage order."""
+    V, K, d, h = cfg.vocab_size, cfg.context, cfg.embed_dim, cfg.hidden_dim
+    return [("embed", (V, d)), ("w_hidden", (K * d, h)), ("b_hidden", (h,)), ("w_out", (h, V)), ("b_out", (V,))]
+
+
 @dataclass
 class Parameters:
-    """Named weight tensors; shapes fixed by ModelConfig."""
+    """Named weight tensors, each a view into one contiguous float64 vector, flat, in field order."""
 
-    embed: np.ndarray     # (V, d)
-    w_hidden: np.ndarray  # (K*d, h)
-    b_hidden: np.ndarray  # (h,)
-    w_out: np.ndarray     # (h, V)
-    b_out: np.ndarray     # (V,)
+    embed: np.ndarray
+    w_hidden: np.ndarray
+    b_hidden: np.ndarray
+    w_out: np.ndarray
+    b_out: np.ndarray
+
+    def __post_init__(self):
+        shapes = [(name, np.shape(t)) for name, t in self.named()]
+        self._view(np.concatenate([np.ravel(t) for _, t in self.named()], dtype=np.float64), shapes)
+
+    @classmethod
+    def zeros(cls, shapes) -> "Parameters":
+        """All-zero tensors laid out by shapes, (name, shape) pairs in storage order."""
+        params = cls.__new__(cls)
+        params._view(np.zeros(sum(math.prod(shape) for _, shape in shapes)), shapes)
+        return params
+
+    def _view(self, flat: np.ndarray, shapes):
+        self.flat = flat
+        offset = 0
+        for name, shape in shapes:
+            size = math.prod(shape)
+            setattr(self, name, flat[offset : offset + size].reshape(shape))
+            offset += size
 
     def named(self):
-        return list(vars(self).items())
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
     def copy(self) -> "Parameters":
-        return Parameters(**{k: v.copy() for k, v in self.named()})
+        return Parameters(**dict(self.named()))
 
 
 @dataclass
@@ -87,28 +113,18 @@ def init_params(cfg: ModelConfig) -> Parameters:
     table uses fan_in = embed_dim.  Biases start at zero.  Identical seeds
     give bitwise-identical tensors on any platform.
     """
-    V, K, d, h = cfg.vocab_size, cfg.context, cfg.embed_dim, cfg.hidden_dim
-    shapes = [("embed", (V, d), d), ("w_hidden", (K * d, h), K * d), ("w_out", (h, V), h)]
-    tensors = {}
-    offset = 0
-    total = sum(int(np.prod(s)) for _, s, _ in shapes)
-    flat = rng.uniform(cfg.seed, total, -1.0, 1.0)
-    for name, shape, fan_in in shapes:
-        n = int(np.prod(shape))
-        scale = 1.0 / np.sqrt(fan_in)
-        tensors[name] = (flat[offset : offset + n] * scale).reshape(shape)
-        offset += n
-    return Parameters(
-        embed=tensors["embed"],
-        w_hidden=tensors["w_hidden"],
-        b_hidden=np.zeros(h),
-        w_out=tensors["w_out"],
-        b_out=np.zeros(V),
-    )
+    params = Parameters.zeros(param_shapes(cfg))
+    d, h = cfg.embed_dim, cfg.hidden_dim
+    weights = [(params.embed, d), (params.w_hidden, cfg.context * d), (params.w_out, h)]
+    u = rng.uniform(cfg.seed, sum(w.size for w, _ in weights), -1.0, 1.0)
+    for w, fan_in in weights:
+        w[...] = u[: w.size].reshape(w.shape) * (1.0 / np.sqrt(fan_in))
+        u = u[w.size :]
+    return params
 
 
 def zero_grads(params: Parameters) -> Parameters:
-    return Parameters(**{k: np.zeros_like(v) for k, v in params.named()})
+    return Parameters.zeros([(name, t.shape) for name, t in params.named()])
 
 
 def _check_ids(ids: np.ndarray, V: int):
@@ -160,22 +176,6 @@ def _gather_positions(seqs, K: int):
     mask = np.concatenate([part for seq in seqs for part in (no_loss, seq.loss_mask)])
     rows = sliding_window_view(tokens, K + 1)[np.flatnonzero(mask) - K]
     return rows[:, :-1], rows[:, -1]
-
-
-def sequence_loss(params: Parameters, seq: TokenSeq, rule: ScoreRule, cfg: SmoothingConfig) -> float:
-    """Negative sum of per-position scores over unmasked positions."""
-    if len(seq) == 0:
-        raise InvalidInputError("sequence is empty")
-    V = params.embed.shape[0]
-    _check_ids(seq.tokens, V)
-    if not seq.loss_mask.any():
-        warnings.warn("sequence_loss over an all-masked sequence is 0", stacklevel=2)
-        return 0.0
-    K = params.w_hidden.shape[0] // params.embed.shape[1]
-    contexts, targets = _gather_positions([seq], K)
-    _, _, Z = _forward_batch(params, contexts)
-    losses, _ = token_losses_and_grads(rule, cfg, Z, targets)
-    return float(losses.sum())
 
 
 def loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray,

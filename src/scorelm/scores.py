@@ -111,8 +111,8 @@ class ScoreRule:
         if self.kind not in RULES:
             raise ParameterDomainError(f"unknown scoring rule {self.kind!r}, expected one of {KINDS}")
         pinned = RULES[self.kind].alpha
-        if pinned is None and not self.alpha > 1:
-            raise ParameterDomainError(f"{self.kind} requires alpha > 1, got {self.alpha}")
+        if pinned is None and not 1 < self.alpha < np.inf:
+            raise ParameterDomainError(f"{self.kind} requires a finite alpha > 1, got {self.alpha}")
         if pinned is not None and self.alpha != pinned:
             raise ParameterDomainError(f"{self.kind} has alpha pinned to {pinned}, got {self.alpha}")
 

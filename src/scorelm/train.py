@@ -19,7 +19,6 @@ from .model import (
     _gather_positions,
     init_params,
     loss_and_grads,
-    zero_grads,
 )
 from .scores import NO_SMOOTHING, ScoreRule, SmoothingConfig, token_losses_and_grads
 
@@ -42,8 +41,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ConfigurationError(f"steps must be >= 0, got {self.steps}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigurationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1 or self.eval_every < 1 or self.warmup_steps < 0:
             raise ConfigurationError("batch_size/eval_every must be >= 1 and warmup_steps >= 0")
 
@@ -68,12 +67,12 @@ class MetricsRecord:
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    m: np.ndarray  # first and second moments, laid out like Parameters.flat
+    v: np.ndarray
 
     @staticmethod
     def fresh(params: Parameters) -> "AdamState":
-        return AdamState(m=dict(zero_grads(params).named()), v=dict(zero_grads(params).named()))
+        return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adam_step(params: Parameters, grads: Parameters, state: AdamState, step_index: int, cfg: TrainConfig):
@@ -88,16 +87,15 @@ def adam_step(params: Parameters, grads: Parameters, state: AdamState, step_inde
         lr *= max(0.0, (cfg.steps - step_index) / max(1, cfg.steps - cfg.warmup_steps))
     bc1 = 1.0 - ADAM_BETA1**step_index
     bc2 = 1.0 - ADAM_BETA2**step_index
-    for name, g in grads.named():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in tensor {name!r} at step {step_index}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        getattr(params, name)[:] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    g, m, v = grads.flat, state.m, state.v
+    if not np.all(np.isfinite(g)):
+        name = next(name for name, t in grads.named() if not np.all(np.isfinite(t)))
+        raise FloatingPointError(f"non-finite gradient in tensor {name!r} at step {step_index}")
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    params.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state
 
 

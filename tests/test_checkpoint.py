@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from scorelm.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from scorelm.errors import CheckpointFormatError, CheckpointShapeError, CheckpointVersionError
-from scorelm.model import ModelConfig, Parameters, forward, init_params
+from scorelm.model import ModelConfig, Parameters, forward, init_params, param_shapes
 from scorelm.scores import NO_SMOOTHING, RULES, ScoreRule, SmoothingConfig
 
 
@@ -46,9 +46,8 @@ def checkpoints(draw):
     (subnormals, -0.0 and the extremes included), under any rule."""
     V, K, d, h = draw(st.integers(2, 7)), draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
     cfg = ModelConfig(vocab_size=V, context=K, embed_dim=d, hidden_dim=h, seed=draw(st.integers(0, 2**63 - 1)))
-    shapes = {"embed": (V, d), "w_hidden": (K * d, h), "b_hidden": (h,), "w_out": (h, V), "b_out": (V,)}
     finite = st.floats(allow_nan=False, allow_infinity=False)
-    params = Parameters(**{name: draw(arrays(np.float64, shape, elements=finite)) for name, shape in shapes.items()})
+    params = Parameters(**{name: draw(arrays(np.float64, shape, elements=finite)) for name, shape in param_shapes(cfg)})
     kind = draw(st.sampled_from(sorted(RULES)))
     pinned = RULES[kind].alpha
     alpha = pinned if pinned is not None else draw(st.floats(1.0, 1e6, exclude_min=True))

@@ -87,6 +87,25 @@ class TestSynth:
         assert set((tmp_path / "c.txt").read_text()) <= set("ab")
         capsys.readouterr()
 
+    @pytest.mark.parametrize("key, value", [
+        ("transition", [[0.5, float("nan")], [0.1, 0.9]]),
+        ("initial", [float("inf"), 0.5]),
+        ("initial", [0.5, float("-inf")]),
+    ])
+    def test_non_finite_spec_numbers_exit_1_by_name(self, tmp_path, capsys, key, value):
+        (tmp_path / "spec.json").write_text(json.dumps({**self.SPEC, key: value}))
+        assert run_command(["synth", "--spec", str(tmp_path / "spec.json"), "--length", "50",
+                            "--out", str(tmp_path / "c.txt")]) == 1
+        assert f"spec key {key!r} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "c.txt").exists()
+
+    @pytest.mark.parametrize("states", [0, 1, -3])
+    def test_fewer_than_two_states_exit_1_by_name(self, tmp_path, capsys, states):
+        assert run_command(["synth", "--states", str(states), "--length", "50",
+                            "--out", str(tmp_path / "c.txt")]) == 1
+        assert f"--states must be >= 2, got {states}" in capsys.readouterr().err
+        assert not (tmp_path / "c.txt").exists()
+
     @pytest.mark.parametrize("drop, extra, message", [
         ("transition", {}, "missing spec key 'transition'"),
         ("initial", {}, "missing spec key 'initial'"),
@@ -248,6 +267,30 @@ class TestConfigTypes:
         assert f"{key!r} {message}" in capsys.readouterr().err
         assert not (workdir / "t.json").exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "learning_rate", float("nan")),
+        ("train", "learning_rate", float("inf")),
+        ("train", "alpha", float("inf")),
+        ("train", "eps", float("-inf")),
+    ])
+    def test_non_finite_number_rejected_by_name(self, workdir, capsys, section, key, value):
+        path = write_config(workdir, "nonfinite.json", section, **{key: value})
+        assert run_command(["train", "--config", path, "--out", str(workdir / "nf.json"),
+                            "--metrics", str(workdir / "nf.jsonl")]) == 1
+        assert f"train config key {key!r} must be finite, got {value}" in capsys.readouterr().err
+        assert not (workdir / "nf.json").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--learning-rate", "nan"], "learning_rate must be finite and > 0, got nan"),
+        (["--learning-rate", "inf"], "learning_rate must be finite and > 0, got inf"),
+        (["--rule", "alpha_power", "--alpha", "inf"], "alpha_power requires a finite alpha > 1, got inf"),
+    ])
+    def test_non_finite_flag_rejected_by_name(self, workdir, capsys, flags, message):
+        assert run_command(["train", "--config", str(workdir / "config.json"), "--steps", "5",
+                            "--out", str(workdir / "nff.json"), "--metrics", str(workdir / "nff.jsonl"), *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not (workdir / "nff.json").exists()
+
     def test_integers_taken_for_number_keys(self, workdir, capsys):
         ckpts = []
         for name, entries in (("ints", {"alpha": 2, "eps": 0}), ("floats", {"alpha": 2.0, "eps": 0.0})):
@@ -297,6 +340,30 @@ class TestGenerateObjective:
         assert run_command(argv + ["--beam", "2", "--objective", "brier"]) == 0
         assert run_command(argv) == 0  # greedy needs no objective
         capsys.readouterr()
+
+
+class TestGenerateGreedyFlags:
+    @pytest.mark.parametrize("flags, flag", [
+        (["--objective", "brier"], "--objective"),
+        (["--length-penalty", "1"], "--length-penalty"),
+        (["--length-penalty", "-5"], "--length-penalty"),
+        (["--greedy", "--length-penalty", "0"], "--length-penalty"),
+    ])
+    def test_beam_only_flags_are_usage_errors(self, workdir, capsys, flags, flag):
+        ckpt = train_checkpoint(workdir, "greedy_flags")
+        capsys.readouterr()
+        assert run_command(["generate", "--ckpt", ckpt, "--data", str(workdir / "corpus.txt"),
+                            "--prompt", "a", "--max-len", "4", *flags]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} applies only with --beam" in captured.err and captured.out == ""
+
+    def test_max_len_zero_rejected(self, workdir, capsys):
+        ckpt = train_checkpoint(workdir, "greedy_flags")
+        capsys.readouterr()
+        assert run_command(["generate", "--ckpt", ckpt, "--data", str(workdir / "corpus.txt"),
+                            "--prompt", "a", "--max-len", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "max_len must be >= 1, got 0" in captured.err and captured.out == ""
 
 
 class TestGenerateIngest:

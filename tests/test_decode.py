@@ -108,6 +108,12 @@ class TestGreedy:
         hyp = greedy(ckpt.params, np.array([3]), 6)
         assert hyp.tokens == (3,) * 6  # state 1 -> token id 3, absorbing
 
+    @pytest.mark.parametrize("max_len", [0, -1])
+    def test_max_len_below_one_rejected(self, max_len):
+        # as BeamConfig refuses it: no empty generation
+        with pytest.raises(ConfigurationError, match=f"max_len must be >= 1, got {max_len}"):
+            greedy(random_params(6, 0), np.array([2]), max_len)
+
     def test_raw_score_non_positive(self):
         for seed in range(5):
             hyp = greedy(random_params(6, seed), np.array([2]), 8)

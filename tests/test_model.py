@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from scorelm.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from scorelm.errors import InvalidInputError
 from scorelm.model import (
     ModelConfig,
+    Parameters,
     TokenSeq,
     _gather_positions,
     backward,
@@ -11,7 +13,8 @@ from scorelm.model import (
     forward,
     init_params,
     loss_and_grads,
-    sequence_loss,
+    param_shapes,
+    zero_grads,
 )
 from scorelm.scores import NO_SMOOTHING, ScoreRule, SmoothingConfig
 
@@ -25,10 +28,6 @@ RULES = [
 ]
 
 
-def flatten(params):
-    return np.concatenate([t.ravel() for _, t in params.named()])
-
-
 class TestInitParams:
     def test_deterministic(self):
         cfg = ModelConfig(vocab_size=7, context=3, embed_dim=5, hidden_dim=4, seed=123)
@@ -39,12 +38,12 @@ class TestInitParams:
     def test_seed_sensitivity(self):
         cfg1 = ModelConfig(vocab_size=7, context=3, embed_dim=5, hidden_dim=4, seed=1)
         cfg2 = ModelConfig(vocab_size=7, context=3, embed_dim=5, hidden_dim=4, seed=2)
-        assert not np.array_equal(flatten(init_params(cfg1)), flatten(init_params(cfg2)))
+        assert not np.array_equal(init_params(cfg1).flat, init_params(cfg2).flat)
 
     def test_parameter_count(self):
         # V=2,K=1,d=1,h=1: 2 embed + 1 hidden weight + 1 hidden bias + 2 out + 2 out bias
         cfg = ModelConfig(vocab_size=2, context=1, embed_dim=1, hidden_dim=1, seed=0)
-        assert flatten(init_params(cfg)).size == 8
+        assert init_params(cfg).flat.size == 8
 
     def test_biases_zero_weights_bounded(self):
         cfg = ModelConfig(vocab_size=9, context=2, embed_dim=4, hidden_dim=8, seed=5)
@@ -127,39 +126,64 @@ class TestGatherPositions:
             assert contexts.shape == (0, 4) and targets.shape == (0,)
 
 
-class TestSequenceLoss:
+class TestParameters:
+    def test_tensors_are_views_of_one_vector(self, tmp_path):
+        cfg = ModelConfig(vocab_size=6, context=2, embed_dim=4, hidden_dim=8, seed=3)
+        params = init_params(cfg)
+        save_checkpoint(tmp_path / "c.json", Checkpoint(cfg, ScoreRule("brier"), NO_SMOOTHING, 0, params))
+        built = Parameters(**{name: t.copy() for name, t in params.named()})
+        for p in (params, params.copy(), zero_grads(params), load_checkpoint(tmp_path / "c.json").params, built):
+            assert p.flat.dtype == np.float64 and p.flat.flags.c_contiguous
+            assert [(name, t.shape) for name, t in p.named()] == param_shapes(cfg)
+            offset = 0
+            for name, t in p.named():
+                assert np.shares_memory(p.flat, t), name
+                assert np.array_equal(t.ravel(), p.flat[offset : offset + t.size]), name
+                offset += t.size
+            assert offset == p.flat.size
+
+    def test_copy_and_zero_grads_share_nothing(self):
+        params = init_params(ModelConfig(vocab_size=5, context=1, embed_dim=2, hidden_dim=3, seed=4))
+        for other in (params.copy(), zero_grads(params)):
+            assert not np.shares_memory(params.flat, other.flat)
+        copy = params.copy()
+        copy.flat[:] = 0.0
+        assert params.flat.any() and not copy.embed.any()
+
+
+class TestPositionLoss:
+    """The batch loss of loss_and_grads, read through backward on TokenSeqs."""
+
     def setup_method(self):
         self.cfg = ModelConfig(vocab_size=6, context=2, embed_dim=4, hidden_dim=8, seed=3)
         self.params = init_params(self.cfg)
 
     def test_single_token_log_loss(self):
-        seq = TokenSeq([4])
         p = forward(self.params, [0, 0])  # pad-padded empty history
-        loss = sequence_loss(self.params, seq, ScoreRule("logarithmic"), NO_SMOOTHING)
+        loss, _ = backward(self.params, [TokenSeq([4])], ScoreRule("logarithmic"), NO_SMOOTHING)
         assert loss == pytest.approx(-np.log(p[4]))
 
     def test_uniform_model_brier(self):
-        for _, t in self.params.named():
-            t[:] = 0.0
-        seq = TokenSeq([2, 3, 4, 5])
-        loss = sequence_loss(self.params, seq, ScoreRule("brier"), NO_SMOOTHING)
-        assert loss == pytest.approx(-4 * (1 / 6))
+        self.params.flat[:] = 0.0
+        loss, _ = backward(self.params, [TokenSeq([2, 3, 4, 5])], ScoreRule("brier"), NO_SMOOTHING)
+        assert loss == pytest.approx(-1 / 6)
 
     def test_all_masked_is_zero_with_warning(self):
         seq = TokenSeq([2, 3], loss_mask=[False, False])
-        with pytest.warns(UserWarning):
-            assert sequence_loss(self.params, seq, ScoreRule("brier"), NO_SMOOTHING) == 0.0
+        with pytest.warns(UserWarning, match="all-masked"):
+            loss, grads = backward(self.params, [seq], ScoreRule("brier"), NO_SMOOTHING)
+        assert loss == 0.0 and not grads.flat.any()
 
     def test_factorization_fidelity(self):
-        # exp(-log-loss) equals the product of per-step probabilities
+        # exp(-summed log-loss) equals the product of per-step probabilities
         seq = TokenSeq([2, 5, 3, 3, 4])
-        loss = sequence_loss(self.params, seq, ScoreRule("logarithmic"), NO_SMOOTHING)
+        loss, _ = backward(self.params, [seq], ScoreRule("logarithmic"), NO_SMOOTHING)
         prod = 1.0
         toks = seq.tokens
         for t in range(len(toks)):
             ctx = np.concatenate([np.zeros(max(0, 2 - t), dtype=np.int64), toks[max(0, t - 2) : t]])
             prod *= forward(self.params, ctx)[toks[t]]
-        assert np.exp(-loss) == pytest.approx(prod, rel=1e-9)
+        assert np.exp(-loss * len(toks)) == pytest.approx(prod, rel=1e-9)
 
     def test_loss_monotone_in_observed_probability(self):
         # raising the probability of the observed token can only improve the score
@@ -216,16 +240,16 @@ class TestBackward:
     def test_loss_is_per_token_mean(self):
         rule = ScoreRule("spherical")
         loss, _ = backward(self.params, self.batch, rule, NO_SMOOTHING)
-        total = sum(sequence_loss(self.params, s, rule, NO_SMOOTHING) for s in self.batch)
-        count = sum(int(s.loss_mask.sum()) for s in self.batch)
-        assert loss == pytest.approx(total / count, abs=1e-12)
+        counts = [int(s.loss_mask.sum()) for s in self.batch]
+        total = sum(backward(self.params, [s], rule, NO_SMOOTHING)[0] * n for s, n in zip(self.batch, counts))
+        assert loss == pytest.approx(total / sum(counts), abs=1e-12)
 
     def test_equals_mean_of_sequence_losses_when_counts_match(self):
         rule = ScoreRule("logarithmic")
         gen = np.random.default_rng(3)
         batch = [TokenSeq(gen.integers(2, 5, size=5)) for _ in range(4)]
         loss, _ = backward(self.params, batch, rule, NO_SMOOTHING)
-        per_seq = [sequence_loss(self.params, s, rule, NO_SMOOTHING) / 5 for s in batch]
+        per_seq = [backward(self.params, [s], rule, NO_SMOOTHING)[0] for s in batch]
         assert loss == pytest.approx(np.mean(per_seq), abs=1e-12)
 
     def test_converged_degenerate_corpus_zero_gradient(self):

@@ -50,6 +50,12 @@ class TestScoreRuleValidation:
             ScoreRule(kind, 1.0)
         ScoreRule(kind, 1.01)  # boundary ok
 
+    @pytest.mark.parametrize("kind", ["alpha_power", "pseudo_spherical"])
+    @pytest.mark.parametrize("alpha", [np.inf, np.nan])
+    def test_alpha_must_be_finite(self, kind, alpha):
+        with pytest.raises(ParameterDomainError, match=f"{kind} requires a finite alpha > 1, got {alpha}"):
+            ScoreRule(kind, alpha)
+
     @pytest.mark.parametrize("kind", ["logarithmic", "brier", "spherical", "linear"])
     def test_alpha_pinned_to_two(self, kind):
         for alpha in (3.0, 1.5):

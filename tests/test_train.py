@@ -74,15 +74,50 @@ class TestAdamStep:
                 for _, g in grads.named():
                     g[:] = gen.normal(size=g.shape)
                 params, state = adam_step(params, grads, state, step, self.cfg)
-            return np.concatenate([t.ravel() for _, t in params.named()])
+            return params.flat
 
         assert np.array_equal(run(), run())
 
-    def test_non_finite_gradient_aborts(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_aborts(self, bad):
         grads = zero_grads(self.params)
-        grads.w_out[0, 0] = np.nan
-        with pytest.raises(FloatingPointError, match="w_out"):
+        grads.w_out[0, 0] = bad
+        grads.b_out[1] = bad
+        with pytest.raises(FloatingPointError, match="tensor 'w_out' at step 1"):
             adam_step(self.params, grads, AdamState.fresh(self.params), 1, self.cfg)
+
+    def test_flat_update_equals_per_tensor_loop(self):
+        # the one update of params.flat against the per-tensor Adam it replaced, bit for bit
+        cfg = TrainConfig(rule=ScoreRule("brier"), steps=60, learning_rate=3e-2, warmup_steps=10, lr_decay=True)
+
+        def reference_step(params, grads, m, v, step_index):
+            lr = cfg.learning_rate
+            if cfg.warmup_steps > 0:
+                lr *= min(1.0, step_index / cfg.warmup_steps)
+            if cfg.lr_decay and step_index > cfg.warmup_steps:
+                lr *= max(0.0, (cfg.steps - step_index) / max(1, cfg.steps - cfg.warmup_steps))
+            bc1 = 1.0 - 0.9**step_index
+            bc2 = 1.0 - 0.999**step_index
+            for name, g in grads.named():
+                m[name] *= 0.9
+                m[name] += (1.0 - 0.9) * g
+                v[name] *= 0.999
+                v[name] += (1.0 - 0.999) * g * g
+                getattr(params, name)[:] -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
+
+        flat, ref = init_params(MODEL_CFG), init_params(MODEL_CFG)
+        state = AdamState.fresh(flat)
+        m = {name: np.zeros_like(t) for name, t in ref.named()}
+        v = {name: np.zeros_like(t) for name, t in ref.named()}
+        gen = np.random.default_rng(11)
+        for step in range(1, 51):
+            grads = zero_grads(flat)
+            grads.flat[:] = gen.normal(size=grads.flat.size) * gen.choice([1e-6, 1.0, 1e3])
+            adam_step(flat, grads, state, step, cfg)
+            reference_step(ref, grads, m, v, step)
+            assert flat.flat.tobytes() == ref.flat.tobytes(), step
+        assert state.m.tobytes() == np.concatenate([m[name].ravel() for name, _ in ref.named()]).tobytes()
+        assert state.v.tobytes() == np.concatenate([v[name].ravel() for name, _ in ref.named()]).tobytes()
 
 
 class TestRelativeChange:
@@ -104,6 +139,11 @@ class TestTrain:
     def test_negative_steps_rejected(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(rule=ScoreRule("brier"), steps=-1)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ConfigurationError, match=f"learning_rate must be finite and > 0, got {lr}"):
+            TrainConfig(rule=ScoreRule("brier"), learning_rate=lr)
 
     def test_loss_improves_and_metrics_consistent(self, corpus, tmp_path):
         metrics_path = tmp_path / "metrics.jsonl"
