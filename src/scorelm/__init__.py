@@ -56,7 +56,7 @@ from .scores import (
     token_loss,
 )
 from .simplex import entmax, smooth_distribution, softmax, tsallis_entropy
-from .train import MetricsRecord, TrainConfig, adam_step, finetune, heldout_positions, relative_change, train
+from .train import MetricsRecord, TrainConfig, adam_step, finetune, relative_change, train
 from .verify import entmax_sweep, grad_check, propriety_scan, smoothing_propriety_scan, table1_check
 
 __version__ = "0.1.0"

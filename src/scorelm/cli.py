@@ -18,8 +18,8 @@ from .data import MarkovSpec, Vocab, build_vocab, decode as decode_text, encode,
 from .decode import BeamConfig, beam_search, greedy
 from .errors import ConfigurationError, InvalidInputError
 from .model import ModelConfig, N_RESERVED
-from .scores import RULES, ScoreRule, SmoothingConfig
-from .train import TrainConfig, evaluate_scores, finetune, heldout_positions, train
+from .scores import ScoreRule, SmoothingConfig
+from .train import TrainConfig, _split_data, evaluate_scores, finetune, train
 
 
 def _jsonable(obj):
@@ -191,53 +191,14 @@ def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     vocab, data = _load_data(args.data)
     _check_vocab(vocab, ckpt)
-    contexts, targets = heldout_positions(data, ckpt.model.context)
+    _, (contexts, targets) = _split_data(data, ckpt.model.context)
     scores = evaluate_scores(ckpt.params, contexts, targets)
-    out = {
-        "positions": int(targets.size),
-        "score_log": scores["log"],
-        "score_brier": scores["brier"],
-        "score_spherical": scores["spherical"],
-        "ppl": float(np.exp(-scores["log"])),
-    }
-    print(json.dumps(_jsonable(out)))
+    print(json.dumps(_jsonable({"positions": int(targets.size), **scores})))
     return 0
 
 
-# every proper rule of the table, the two parametric families at alpha 1.5 and 2.5
-_PROPRIETY_RULES = [ScoreRule(kind, alpha) for kind, record in RULES.items() if record.proper
-                    for alpha in ((1.5, 2.5) if record.alpha is None else (record.alpha,))]
-_Q_SET_3 = [np.array([1.0, 0.0, 0.0]), np.full(3, 1.0 / 3.0), np.array([0.5, 0.3, 0.2])]
-
-
 def _cmd_verify(args) -> int:
-    check = args.check
-    if check == "table1":
-        report = verify_mod.table1_check()
-    elif check == "propriety":
-        reports = [verify_mod.propriety_scan(rule, 3, 0.02, _Q_SET_3) for rule in _PROPRIETY_RULES]
-        control = verify_mod.propriety_scan(ScoreRule("linear"), 3, 0.02, [np.array([0.5, 0.3, 0.2])])
-        report = {
-            "proper_rules": reports,
-            "linear_control": control,
-            "pass": bool(all(r["pass"] for r in reports) and not control["pass"]),
-        }
-    elif check == "smoothing":
-        reports = [
-            verify_mod.smoothing_propriety_scan(ScoreRule(kind), 0.1, 3, 0.02, _Q_SET_3)
-            for kind in ("brier", "spherical")
-        ]
-        report = {"rules": reports, "pass": bool(all(r["pass"] for r in reports))}
-    elif check == "gradcheck":
-        reports = []
-        combos = [(rule, eps, m) for rule in _PROPRIETY_RULES + [ScoreRule("linear")]
-                  for eps in (0.0, 0.1) for m in (2, 8, 32)]
-        for idx, (rule, eps, m) in enumerate(combos):
-            reports.append(verify_mod.grad_check(rule, SmoothingConfig(eps), m, 100, 1e-4, seed=1000 + idx))
-        worst = max(r["max_rel_error"] for r in reports)
-        report = {"checks": reports, "max_rel_error": worst, "pass": bool(worst < 1e-4)}
-    else:  # entmax
-        report = verify_mod.entmax_sweep([1.5, 2.0, 2.5], 200, m=16)
+    report = verify_mod.CERTIFICATES[args.check]()
     print(json.dumps(_jsonable(report), indent=2))
     return 0 if report["pass"] else 3
 
@@ -319,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("verify", help="brute-force certificates")
-    p.add_argument("check", choices=["table1", "propriety", "smoothing", "gradcheck", "entmax"])
+    p.add_argument("check", choices=list(verify_mod.CERTIFICATES))
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("synth", help="emit a synthetic Markov corpus")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError, ParameterDomainError
-from .model import EOS_ID, N_RESERVED, Parameters, context_window, forward
+from .model import EOS_ID, N_RESERVED, Parameters, _check_ids, context_window, forward
 from .scores import RULES, ScoreRule, score_matrix
 
 EXHAUSTIVE_LIMIT = 10**6
@@ -73,9 +73,17 @@ def _candidate_ids(V: int) -> np.ndarray:
     return ids
 
 
+def _checked_prompt(params: Parameters, prompt) -> np.ndarray:
+    """The prompt as an id array, every id checked against the vocabulary
+    (forward checks only the last K)."""
+    prompt = np.asarray(prompt, dtype=np.int64)
+    _check_ids(prompt, params.embed.shape[0])
+    return prompt
+
+
 def _next_distribution(params: Parameters, prompt, generated) -> np.ndarray:
     K = params.w_hidden.shape[0] // params.embed.shape[1]
-    seq = np.concatenate([np.asarray(prompt, dtype=np.int64), np.asarray(generated, dtype=np.int64)])
+    seq = np.concatenate([prompt, np.asarray(generated, dtype=np.int64)])
     return forward(params, context_window(seq, seq.size, K))
 
 
@@ -87,6 +95,7 @@ def greedy(params: Parameters, prompt, max_len: int) -> Hypothesis:
     """
     if max_len < 1:
         raise ConfigurationError(f"max_len must be >= 1, got {max_len}")
+    prompt = _checked_prompt(params, prompt)
     real = _candidate_ids(params.embed.shape[0])
     tokens: list = []
     raw = 0.0
@@ -111,11 +120,8 @@ def beam_search(params: Parameters, prompt, cfg: BeamConfig):
     finished pool and free their slot for the next step.  Finished
     hypotheses are ranked by raw_score / |y|^length_penalty.
     """
-    prompt = np.asarray(prompt, dtype=np.int64)
-    V = params.embed.shape[0]
-    if prompt.size and (prompt.min() < 0 or prompt.max() >= V):
-        raise InvalidInputError("prompt token id out of vocabulary range")
-    real = _candidate_ids(V)
+    prompt = _checked_prompt(params, prompt)
+    real = _candidate_ids(params.embed.shape[0])
     live = [Hypothesis((), 0.0, False)]
     finished = []
     for step in range(1, cfg.max_len + 1):
@@ -152,6 +158,7 @@ def exhaustive_search(params: Parameters, prompt, cfg: BeamConfig) -> Hypothesis
     closed by EOS (whose objective is accrued), and max_len bodies finish
     open.  Refuses when V^max_len exceeds the enumeration bound.
     """
+    prompt = _checked_prompt(params, prompt)
     V, max_len = params.embed.shape[0], cfg.max_len
     if V**max_len > EXHAUSTIVE_LIMIT:
         raise ParameterDomainError(

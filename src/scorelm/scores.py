@@ -127,6 +127,8 @@ class SmoothingConfig:
     def __post_init__(self):
         if not 0.0 <= self.eps <= 1.0:
             raise ParameterDomainError(f"eps must lie in [0, 1], got {self.eps}")
+        if self.mask_enhanced and self.eps == 0.0:
+            raise ConfigurationError("mask enhancement needs eps > 0 (threshold eps/m is degenerate at 0)")
 
 
 NO_SMOOTHING = SmoothingConfig()
@@ -209,8 +211,6 @@ def masked_log_smoothed_score(rule: ScoreRule, cfg: SmoothingConfig, p, i: int) 
     {j : p_j < eps / m} of log p_j; -inf if any masked entry is zero."""
     if not cfg.mask_enhanced:
         raise ConfigurationError("masked_log_smoothed_score expects mask_enhanced=True")
-    if cfg.eps == 0.0:
-        raise ConfigurationError("mask enhancement needs eps > 0 (threshold eps/m is degenerate at 0)")
     return _value_at(rule, cfg, p, i)
 
 
@@ -253,8 +253,6 @@ def token_losses_and_grads(
         values = (1.0 - eps) * values + (eps / m) * s.sum(axis=1)
         grads_p = (1.0 - eps) * g_obs + (eps / m) * T
     if cfg.mask_enhanced:
-        if eps == 0.0:
-            raise ConfigurationError("mask enhancement needs eps > 0 (threshold eps/m is degenerate at 0)")
         mask = (P < eps / m) if mask_override is None else mask_override
         pt = np.maximum(P, P_MIN)
         values = values + (eps / m) * np.sum(np.where(mask, np.log(pt), 0.0), axis=1)

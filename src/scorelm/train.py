@@ -3,6 +3,7 @@ and per-checkpoint score-dynamics tracking."""
 
 import json
 from dataclasses import asdict, dataclass
+from itertools import chain, count
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -106,62 +107,65 @@ def relative_change(s_new: float, s_old: float) -> float:
     return (s_new - s_old) / abs(s_old)
 
 
-def _split_data(data):
-    """Normalize data into (mode, train part, held-out part).
+def _split_data(data, K: int, V: int | None = None):
+    """The one training/held-out split of data: (batches, (contexts, targets)).
 
-    Accepts a token id array / TokenSeq (sliding-window mode) or a list of
-    TokenSeq (sequence mode).  The held-out part is the final 10%, never
-    shuffled into training.
+    data is a corpus (a token id array, or a TokenSeq with no masked
+    position) or paired records (a list of TokenSeq).  The held-out part is
+    the final 10%, never shuffled into training: a corpus tail scored at the
+    positions with a full in-split history, or the last records scored at
+    their unmasked positions.  batches(batch_size, seed) yields one epoch of
+    training (contexts, targets) index arrays, shuffled by seed.  When V is
+    given, every id of both parts is checked before anything else.
     """
     if isinstance(data, TokenSeq):
+        if not data.loss_mask.all():
+            raise InvalidInputError("a corpus has no loss mask; pass masked (paired) data as a list of TokenSeq")
         data = data.tokens
     if isinstance(data, list) and data and isinstance(data[0], TokenSeq):
         n_held = len(data) // 10
         if n_held == 0:
             raise InvalidInputError(f"paired data needs at least 10 records for a held-out split, got {len(data)}")
-        return "seqs", data[:-n_held], data[-n_held:]
+        if V is not None:
+            _check_ids(np.concatenate([seq.tokens for seq in data]), V)
+        train_part = data[:-n_held]
+
+        def batches(batch_size, seed):
+            for batch in make_seq_batches(train_part, batch_size, seed):
+                yield _gather_positions(batch, K)
+
+        return batches, _gather_positions(data[-n_held:], K)
     tokens = np.asarray(data, dtype=np.int64)
     if tokens.ndim != 1:
         raise InvalidInputError(f"corpus tokens must be 1-D, got shape {tokens.shape}")
+    if V is not None:
+        _check_ids(tokens, V)
     split = int(round(tokens.size * (1.0 - HELD_OUT_FRACTION)))
-    return "corpus", tokens[:split], tokens[split:]
-
-
-def _check_data_ids(mode, train_part, held, V: int):
-    """The one id check of a training run, over both splits."""
-    if mode == "corpus":
-        parts = (train_part, held)
-    else:
-        parts = (np.concatenate([seq.tokens for seq in train_part + held]),)
-    for ids in parts:
-        _check_ids(ids, V)
-
-
-def heldout_positions(data, K: int):
-    """(contexts, targets) index arrays for every held-out position of data.
-
-    The held-out part is the split training never sees: the final 10% of a
-    corpus, scored only at positions with a full in-split history, or the
-    final 10% of a sequence list, scored at its unmasked positions.  Ids are
-    not checked here.
-    """
-    mode, _, held = _split_data(data)
-    if mode == "seqs":
-        return _gather_positions(held, K)
-    if held.size <= K:
+    if tokens.size - split <= K:
         raise InvalidInputError("held-out split shorter than the context window")
-    rows = sliding_window_view(held, K + 1)
-    return rows[:, :-1], rows[:, -1]
+
+    def batches(batch_size, seed):
+        return make_batches(tokens[:split], K, batch_size, seed)
+
+    rows = sliding_window_view(tokens[split:], K + 1)
+    return batches, (rows[:, :-1], rows[:, -1])
+
+
+SCORE_FIELDS = {  # metrics field -> the rule whose mean held-out score it reports
+    "score_log": ScoreRule("logarithmic"),
+    "score_brier": ScoreRule("brier"),
+    "score_spherical": ScoreRule("spherical"),
+}
 
 
 def evaluate_scores(params: Parameters, contexts: np.ndarray, targets: np.ndarray):
-    """Mean held-out score per rule (log clamped so perplexity stays finite)."""
+    """Mean held-out score per SCORE_FIELDS rule, keyed by its metrics field,
+    and ppl = exp(-score_log) (log clamped so perplexity stays finite)."""
     _, _, Z = _forward_batch(params, contexts)
-    out = {}
-    for key, kind in (("log", "logarithmic"), ("brier", "brier"), ("spherical", "spherical")):
-        losses, _ = token_losses_and_grads(ScoreRule(kind), NO_SMOOTHING, Z, targets)
-        out[key] = float(-losses.mean())
-    return out
+    scores = {field: float(-token_losses_and_grads(rule, NO_SMOOTHING, Z, targets)[0].mean())
+              for field, rule in SCORE_FIELDS.items()}
+    scores["ppl"] = float(np.exp(-scores["score_log"]))
+    return scores
 
 
 def _safe_rel(s_new: float, s_old: float):
@@ -169,41 +173,17 @@ def _safe_rel(s_new: float, s_old: float):
 
 
 def _make_record(step, loss, scores, ref):
-    return MetricsRecord(
-        step=step,
-        loss=loss,
-        score_log=scores["log"],
-        score_brier=scores["brier"],
-        score_spherical=scores["spherical"],
-        ppl=float(np.exp(-scores["log"])),
-        rel_log=_safe_rel(scores["log"], ref["log"]),
-        rel_brier=_safe_rel(scores["brier"], ref["brier"]),
-        rel_spherical=_safe_rel(scores["spherical"], ref["spherical"]),
-    )
-
-
-def _batch_stream(mode, train_part, model_cfg: ModelConfig, cfg: TrainConfig):
-    """Endless (contexts, targets) training batches, one epoch per seed."""
-    K = model_cfg.context
-    epoch = 0
-    while True:
-        if mode == "corpus":
-            yield from make_batches(train_part, K, cfg.batch_size, cfg.seed + epoch)
-        else:
-            for batch in make_seq_batches(train_part, cfg.batch_size, cfg.seed + epoch):
-                yield _gather_positions(batch, K)
-        epoch += 1
+    rel = {field.replace("score_", "rel_"): _safe_rel(scores[field], ref[field]) for field in SCORE_FIELDS}
+    return MetricsRecord(step=step, loss=loss, **scores, **rel)
 
 
 def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint_path):
-    mode, train_part, held = _split_data(data)
-    _check_data_ids(mode, train_part, held, model_cfg.vocab_size)
-    eval_ctx, eval_tgt = heldout_positions(data, model_cfg.context)
+    batches, (eval_ctx, eval_tgt) = _split_data(data, model_cfg.context, model_cfg.vocab_size)
     # relative-change reference: the model as it stands at loop entry
     ref_scores = evaluate_scores(params, eval_ctx, eval_tgt)
 
     state = AdamState.fresh(params)
-    stream = _batch_stream(mode, train_part, model_cfg, cfg)
+    stream = chain.from_iterable(batches(cfg.batch_size, cfg.seed + epoch) for epoch in count())
     records = []
     for step in range(1, cfg.steps + 1):
         contexts, targets = next(stream)
@@ -246,11 +226,9 @@ def finetune(base: Checkpoint, cfg: TrainConfig, data, model_cfg: ModelConfig | 
     """Continue from a checkpoint with a (possibly different) rule.
 
     Optimizer state starts fresh; the relative-change reference is the base
-    checkpoint.  steps = 0 returns the base checkpoint unchanged.
+    checkpoint.  steps = 0 saves the base parameters under the new rule.
     """
     if model_cfg is not None and model_cfg != base.model:
         diffs = [f for f in vars(model_cfg) if getattr(model_cfg, f) != getattr(base.model, f)]
         raise ConfigurationError(f"model config mismatch with base checkpoint in fields: {', '.join(diffs)}")
-    if cfg.steps == 0:
-        return Checkpoint(base.model, cfg.rule, cfg.smoothing, base.step, base.params.copy()), []
     return _run_loop(base.params.copy(), base.step, cfg, base.model, data, metrics_path, checkpoint_path)

@@ -14,15 +14,9 @@ from scorelm.cli import run_command
 from scorelm.data import MarkovSpec, synth_markov
 from scorelm.decode import BeamConfig, beam_search, exhaustive_search
 from scorelm.model import ModelConfig, forward, init_params
-from scorelm.scores import ScoreRule, SmoothingConfig
+from scorelm.scores import ScoreRule
 from scorelm.train import TrainConfig, finetune, train
-from scorelm.verify import (
-    entmax_sweep,
-    grad_check,
-    propriety_scan,
-    smoothing_propriety_scan,
-    table1_check,
-)
+from scorelm.verify import CERTIFICATES, PROPER_RULES, Q_SET_3, table1_check
 
 RULE_SET = [
     ScoreRule("logarithmic"),
@@ -97,49 +91,55 @@ def test_criterion_1_table1():
     assert ok
 
 
+def test_certificate_suite_pinned():
+    # the rule list and q set below are the criteria's own, independent of verify
+    assert PROPER_RULES == RULE_SET
+    assert len(Q_SET_3) == len(Q_SET) and all(np.array_equal(a, b) for a, b in zip(Q_SET_3, Q_SET))
+
+
 def test_criterion_2_propriety_certificates():
     t0 = time.perf_counter()
-    proper = {f"{r.kind}({r.alpha})": propriety_scan(r, 3, 0.02, Q_SET)["pass"] for r in RULE_SET}
-    control = propriety_scan(ScoreRule("linear"), 3, 0.02, [np.array([0.5, 0.3, 0.2])])
+    report = CERTIFICATES["propriety"]()
     elapsed = time.perf_counter() - t0
-    ok = all(proper.values()) and not control["pass"] and elapsed < 30.0
+    proper = {f"{r['rule']}({r['alpha']})": r["pass"] for r in report["proper_rules"]}
+    control = report["linear_control"]
+    ok = all(proper.values()) and not control["pass"] and report["pass"] and elapsed < 30.0
     report_line(2, "propriety certificates", ok,
                 f"proper rules pass={all(proper.values())}, linear control fails={not control['pass']}, "
                 f"{elapsed:.1f}s")
     assert all(proper.values()), proper
     assert not control["pass"]
+    assert report["pass"]
     assert elapsed < 30.0
 
 
 def test_criterion_3_smoothing_certificates():
     t0 = time.perf_counter()
-    reports = {kind: smoothing_propriety_scan(ScoreRule(kind), 0.1, 3, 0.02, Q_SET)
-               for kind in ("brier", "spherical")}
+    report = CERTIFICATES["smoothing"]()
     elapsed = time.perf_counter() - t0
-    ok = all(r["pass"] for r in reports.values()) and elapsed < 30.0
+    reports = {r["rule"]: r for r in report["rules"]}
+    ok = sorted(reports) == ["brier", "spherical"] and all(r["pass"] for r in reports.values()) and elapsed < 30.0
     details = {k: [f"dom={res['dominance']} eq={res['equality_at_q_eps']}" for res in r["results"]]
                for k, r in reports.items()}
     report_line(3, "smoothing certificates", ok, f"{details} in {elapsed:.1f}s")
-    assert ok
+    assert ok and report["pass"]
 
 
 def test_criterion_4_gradient_suite():
     t0 = time.perf_counter()
-    worst = 0.0
-    combos = [(rule, eps, m) for rule in RULE_SET + [ScoreRule("linear")]
-              for eps in (0.0, 0.1) for m in (2, 8, 32)]
-    for idx, (rule, eps, m) in enumerate(combos):
-        rep = grad_check(rule, SmoothingConfig(eps), m, trials=100, h=1e-4, seed=1000 + idx)
-        worst = max(worst, rep["max_rel_error"])
+    report = CERTIFICATES["gradcheck"]()
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-4 and elapsed < 60.0
+    worst = max(r["max_rel_error"] for r in report["checks"])
+    rules = {(r["rule"], r["alpha"]) for r in report["checks"]}
+    covered = rules == {(r.kind, r.alpha) for r in RULE_SET + [ScoreRule("linear")]}
+    ok = covered and len(report["checks"]) == len(rules) * 2 * 3 and worst < 1e-4 and elapsed < 60.0
     report_line(4, "gradient suite", ok, f"max rel error {worst:.2e} over "
                 f"{len(RULE_SET) + 1} rules x eps x m x 100 seeds in {elapsed:.1f}s")
-    assert ok
+    assert ok and report["pass"]
 
 
 def test_criterion_5_entmax_equivalence():
-    report = entmax_sweep([1.5, 2.0, 2.5], trials=200, m=16, seed=0)
+    report = CERTIFICATES["entmax"]()
     counts = {r["alpha"]: (r["in_support"], r["out_of_support"]) for r in report["results"]}
     gaps = {r["alpha"]: r["max_in_support_gap"] for r in report["results"]}
     ok = report["pass"] and all(c[0] > 0 for c in counts.values())

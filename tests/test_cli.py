@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from scorelm.checkpoint import load_checkpoint
 from scorelm.cli import run_command
 from scorelm.scores import ScoreRule
 
@@ -177,6 +178,17 @@ class TestTrainEvalGenerate:
         assert doc["rule"]["kind"] == "brier"
         assert doc["step"] == 250  # 200 pretrain + 50 fine-tune
 
+    def test_finetune_zero_steps_writes_files(self, workdir, capsys):
+        out, metrics = workdir / "ft0.json", workdir / "ft0.jsonl"
+        assert run_command(["finetune", "--config", str(workdir / "config.json"),
+                            "--base", str(workdir / "ckpt.json"), "--rule", "brier", "--steps", "0",
+                            "--out", str(out), "--metrics", str(metrics)]) == 0
+        assert "no steps" in capsys.readouterr().out
+        assert metrics.read_text() == ""
+        base, ft = load_checkpoint(workdir / "ckpt.json"), load_checkpoint(out)
+        assert ft.rule == ScoreRule("brier") and ft.step == base.step
+        assert ft.params.flat.tobytes() == base.params.flat.tobytes()
+
     def test_missing_data_fails(self, workdir, capsys):
         cfg_path = workdir / "nodata.json"
         cfg_path.write_text(json.dumps(BASE_CONFIG))
@@ -239,6 +251,12 @@ class TestConfigKeys:
         assert run_command(["train", "--config", path, "--out", str(workdir / "b3.json"),
                             "--metrics", str(workdir / "b3.jsonl")]) == 1
         assert "brier" in capsys.readouterr().err
+
+    def test_mask_without_eps_rejected_before_data(self, workdir, capsys):
+        path = write_config(workdir, "mask0.json", "train", mask_enhanced=True)
+        assert run_command(["train", "--config", path, "--data", str(workdir / "absent.txt"),
+                            "--out", str(workdir / "m0.json"), "--metrics", str(workdir / "m0.jsonl")]) == 1
+        assert "mask enhancement needs eps > 0" in capsys.readouterr().err
 
     def test_finetune_checks_model_section_against_base(self, workdir, capsys):
         base = train_checkpoint(workdir, "ft_base")

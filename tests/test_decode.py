@@ -190,6 +190,17 @@ class TestBeamSearch:
             beam_search(params, np.array([7]), BeamConfig(beam_size=2, max_len=3))
 
 
+@pytest.mark.parametrize("search", [
+    lambda params, prompt: greedy(params, prompt, 4),
+    lambda params, prompt: beam_search(params, prompt, BeamConfig(beam_size=2, max_len=4)),
+    lambda params, prompt: exhaustive_search(params, prompt, BeamConfig(beam_size=1, max_len=4)),
+], ids=["greedy", "beam", "exhaustive"])
+def test_whole_prompt_checked(search):
+    # the bad ids lie before the last K = 2, where the context window never reads
+    with pytest.raises(InvalidInputError, match="token id 99 out of range for vocab size 6"):
+        search(random_params(6, seed=3), [99, -5, 2, 3])
+
+
 class TestExhaustiveSearch:
     def test_candidate_count_and_agreement(self):
         # 2 real symbols, max_len 3: 2 + 4 + 8 = 14 candidates

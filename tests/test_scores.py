@@ -69,6 +69,10 @@ class TestScoreRuleValidation:
         with pytest.raises(ParameterDomainError):
             SmoothingConfig(1.01)
 
+    def test_mask_enhancement_needs_eps(self):
+        with pytest.raises(ConfigurationError, match="mask enhancement needs eps > 0"):
+            SmoothingConfig(0.0, mask_enhanced=True)
+
 
 class TestScore:
     def test_brier_uniform(self):

@@ -11,8 +11,8 @@ from scorelm.train import (
     AdamState,
     TrainConfig,
     adam_step,
+    _split_data,
     finetune,
-    heldout_positions,
     relative_change,
     train,
 )
@@ -185,6 +185,13 @@ class TestTrain:
         with pytest.raises(InvalidInputError, match=f"token id {bad} out of range"):
             train(quick_cfg(steps=5), MODEL_CFG, seqs)
 
+    def test_masked_corpus_rejected(self, corpus):
+        # a lone TokenSeq is a corpus: its mask would be dropped, not honoured
+        seq = TokenSeq(corpus, loss_mask=np.zeros(corpus.size, dtype=bool))
+        with pytest.raises(InvalidInputError, match="list of TokenSeq"):
+            train(quick_cfg(steps=5), MODEL_CFG, seq)
+        assert train(quick_cfg(steps=5), MODEL_CFG, TokenSeq(corpus))[1][-1].step == 5
+
     def test_eval_cadence(self, corpus):
         _, records = train(quick_cfg(steps=250), MODEL_CFG, corpus)
         assert [r.step for r in records] == [50, 100, 150, 200, 250]
@@ -193,30 +200,33 @@ class TestTrain:
 class TestHeldoutPositions:
     def test_corpus_tail_with_full_history(self):
         tokens = np.arange(100) % 4 + 2
-        contexts, targets = heldout_positions(tokens, 3)
+        contexts, targets = _split_data(tokens, 3)[1]
         held = tokens[90:]
         assert contexts.tolist() == [held[t - 3 : t].tolist() for t in range(3, 10)]
         assert targets.tolist() == held[3:].tolist()
 
     def test_sequence_tail_unmasked_positions(self):
         seqs = [TokenSeq([2 + i % 3, 3, 4], loss_mask=[False, True, True]) for i in range(20)]
-        contexts, targets = heldout_positions(seqs, 2)
+        contexts, targets = _split_data(seqs, 2)[1]
         assert targets.tolist() == [3, 4, 3, 4]
         assert contexts.tolist() == [[0, seqs[18].tokens[0]], seqs[18].tokens[:2].tolist(),
                                      [0, seqs[19].tokens[0]], seqs[19].tokens[:2].tolist()]
 
     def test_short_corpus_tail_rejected(self):
         with pytest.raises(InvalidInputError, match="held-out"):
-            heldout_positions(np.arange(20) % 4 + 2, 2)
+            _split_data(np.arange(20) % 4 + 2, 2)
+        # with the vocabulary given, ids are checked first
+        with pytest.raises(InvalidInputError, match="token id 9 out of range"):
+            _split_data(np.full(20, 9), 2, V=6)
 
     def test_fewer_than_ten_sequences_rejected(self):
         # too few records to hold any out: refused, never scored on the training set
         seqs = [TokenSeq([2, 3, 1, 4, 5, 1], loss_mask=[False] * 3 + [True] * 3) for _ in range(9)]
         with pytest.raises(InvalidInputError, match="at least 10 records"):
-            heldout_positions(seqs, 2)
+            _split_data(seqs, 2)
         with pytest.raises(InvalidInputError, match="at least 10 records"):
             train(quick_cfg(steps=5), MODEL_CFG, seqs)
-        assert heldout_positions(seqs + seqs[:1], 2)[1].tolist() == [4, 5, 1]
+        assert _split_data(seqs + seqs[:1], 2)[1][1].tolist() == [4, 5, 1]
 
 
 @pytest.fixture(scope="module")
