@@ -13,7 +13,6 @@ from scorelm import (
     ScoreRule,
     SmoothingConfig,
     expected_score,
-    masked_log_smoothed_score,
     smooth_distribution,
     smoothed_score,
 )
@@ -43,7 +42,7 @@ plain_cfg = SmoothingConfig(eps)
 masked_cfg = SmoothingConfig(eps, mask_enhanced=True)
 for label, p in [("p = q (under-smooth)", q), ("p = q^eps (smoothed)", q_eps)]:
     s_plain = smoothed_score(rule, plain_cfg, p, 0)
-    s_masked = masked_log_smoothed_score(rule, masked_cfg, p, 0)
+    s_masked = smoothed_score(rule, masked_cfg, p, 0)
     print(f"  {label:22s}  smoothed={s_plain:+.4f}  mask-enhanced={s_masked:+.4f}")
 
 print(

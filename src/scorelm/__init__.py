@@ -50,13 +50,12 @@ from .scores import (
     entmax_power_equivalence_gap,
     expected_score,
     loss_gradient_logits,
-    masked_log_smoothed_score,
     score,
     smoothed_score,
     token_loss,
 )
 from .simplex import entmax, smooth_distribution, softmax, tsallis_entropy
-from .train import MetricsRecord, TrainConfig, adam_step, finetune, relative_change, train
+from .train import MetricsRecord, TrainConfig, adam_step, finetune, relative_change, split_data, train
 from .verify import entmax_sweep, grad_check, propriety_scan, smoothing_propriety_scan, table1_check
 
 __version__ = "0.1.0"

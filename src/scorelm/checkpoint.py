@@ -35,9 +35,6 @@ class Checkpoint:
             "params": {name: t.tolist() for name, t in self.params.named()},
         }
 
-    def save(self, path):
-        save_checkpoint(path, self)
-
 
 def save_checkpoint(path, ckpt: Checkpoint):
     with open(path, "w", encoding="utf-8") as fh:

@@ -18,8 +18,8 @@ from .data import MarkovSpec, Vocab, build_vocab, decode as decode_text, encode,
 from .decode import BeamConfig, beam_search, greedy
 from .errors import ConfigurationError, InvalidInputError
 from .model import ModelConfig, N_RESERVED
-from .scores import ScoreRule, SmoothingConfig
-from .train import TrainConfig, _split_data, evaluate_scores, finetune, train
+from .scores import RULES, ScoreRule, SmoothingConfig
+from .train import TrainConfig, evaluate_scores, finetune, split_data, train
 
 
 def _jsonable(obj):
@@ -85,21 +85,18 @@ def _load_config(args) -> dict:
 
 
 def _train_config(section, args) -> TrainConfig:
-    s = _fields(section, "train config", rule=(str, "logarithmic"), alpha=(float, 2.0), eps=(float, 0.0),
-                mask_enhanced=(bool, False), steps=(int, 2000), batch_size=(int, 64),
-                learning_rate=(float, 1e-3), warmup_steps=(int, 100), eval_every=(int, 100), seed=(int, 0))
+    default = TrainConfig(rule=ScoreRule("logarithmic"))
+    scalars = {key: (type(getattr(default, key)), getattr(default, key))
+            for key in ("steps", "batch_size", "learning_rate", "warmup_steps", "eval_every", "seed")}
+    s = _fields(section, "train config", rule=(str, default.rule.kind), alpha=(float, default.rule.alpha),
+                eps=(float, default.smoothing.eps), mask_enhanced=(bool, default.smoothing.mask_enhanced), **scalars)
     for key in ("rule", "alpha", "eps", "steps", "batch_size", "learning_rate", "seed"):
         if getattr(args, key) is not None:
             s[key] = getattr(args, key)
     return TrainConfig(
         rule=ScoreRule(s["rule"], float(s["alpha"])),
         smoothing=SmoothingConfig(float(s["eps"]), s["mask_enhanced"]),
-        steps=s["steps"],
-        batch_size=s["batch_size"],
-        learning_rate=float(s["learning_rate"]),
-        warmup_steps=s["warmup_steps"],
-        eval_every=s["eval_every"],
-        seed=s["seed"],
+        **{key: kind(s[key]) for key, (kind, _) in scalars.items()},
     )
 
 
@@ -179,7 +176,7 @@ def _cmd_generate(args) -> int:
     if args.beam is None:
         hyp = greedy(ckpt.params, prompt, args.max_len)
     else:
-        objective = ScoreRule(args.objective) if args.objective else ckpt.rule
+        objective = ScoreRule(args.objective, RULES[args.objective].alpha) if args.objective else ckpt.rule
         cfg = BeamConfig(beam_size=args.beam, max_len=args.max_len,
                          length_penalty=args.length_penalty or 0.0, objective=objective)
         hyp = beam_search(ckpt.params, prompt, cfg)[0]
@@ -191,7 +188,7 @@ def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     vocab, data = _load_data(args.data)
     _check_vocab(vocab, ckpt)
-    _, (contexts, targets) = _split_data(data, ckpt.model.context)
+    _, (contexts, targets) = split_data(data, ckpt.model.context)
     scores = evaluate_scores(ckpt.params, contexts, targets)
     print(json.dumps(_jsonable({"positions": int(targets.size), **scores})))
     return 0
@@ -271,7 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--beam", type=int, help="beam width")
     p.add_argument("--max-len", dest="max_len", type=int, default=32)
     p.add_argument("--length-penalty", dest="length_penalty", type=float, help="beam only; default 0")
-    p.add_argument("--objective", choices=["logarithmic", "brier", "spherical"], help="beam only; default: ckpt rule")
+    p.add_argument("--objective", choices=[kind for kind, r in RULES.items() if r.proper and r.alpha is not None],
+                   help="beam only; default: ckpt rule")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("eval", help="held-out expected scores and perplexity")

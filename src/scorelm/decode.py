@@ -36,8 +36,9 @@ class BeamConfig:
     objective: ScoreRule = ScoreRule("logarithmic")
 
     def __post_init__(self):
-        if self.beam_size < 1 or self.max_len < 1:
-            raise ConfigurationError("beam_size and max_len must be >= 1")
+        for name in ("beam_size", "max_len"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.length_penalty < 0:
             raise ConfigurationError(f"length_penalty must be >= 0, got {self.length_penalty}")
         _check_objective(self.objective)
@@ -47,7 +48,6 @@ class BeamConfig:
 class Hypothesis:
     tokens: tuple          # generated ids, EOS included when finished by EOS
     raw_score: float       # sum of per-step normalized objectives, <= 0
-    finished: bool
 
     def normalized_score(self, length_penalty: float) -> float:
         return self.raw_score / len(self.tokens) ** length_penalty
@@ -88,27 +88,9 @@ def _next_distribution(params: Parameters, prompt, generated) -> np.ndarray:
 
 
 def greedy(params: Parameters, prompt, max_len: int) -> Hypothesis:
-    """Repeatedly append the most probable token until EOS or max_len.
-
-    Ties break toward the lower token id.  The raw score accumulates the
-    logarithmic objective of the chosen tokens.
-    """
-    if max_len < 1:
-        raise ConfigurationError(f"max_len must be >= 1, got {max_len}")
-    prompt = _checked_prompt(params, prompt)
-    real = _candidate_ids(params.embed.shape[0])
-    tokens: list = []
-    raw = 0.0
-    for step in range(1, max_len + 1):
-        p = _next_distribution(params, prompt, tokens)
-        allowed = real if step == 1 else np.concatenate([[EOS_ID], real])
-        tok = int(allowed[np.argmax(p[allowed])])
-        with np.errstate(divide="ignore"):
-            raw += float(np.log(p[tok]))
-        tokens.append(tok)
-        if tok == EOS_ID:
-            break
-    return Hypothesis(tuple(tokens), raw, True)
+    """Beam search of width 1 under the logarithmic objective: the most
+    probable token at each step, ties toward the lower token id."""
+    return beam_search(params, prompt, BeamConfig(beam_size=1, max_len=max_len))[0]
 
 
 def beam_search(params: Parameters, prompt, cfg: BeamConfig):
@@ -122,7 +104,7 @@ def beam_search(params: Parameters, prompt, cfg: BeamConfig):
     """
     prompt = _checked_prompt(params, prompt)
     real = _candidate_ids(params.embed.shape[0])
-    live = [Hypothesis((), 0.0, False)]
+    live = [Hypothesis((), 0.0)]
     finished = []
     for step in range(1, cfg.max_len + 1):
         candidates = []
@@ -133,19 +115,12 @@ def beam_search(params: Parameters, prompt, cfg: BeamConfig):
             for tok in allowed:
                 candidates.append((-(hyp.raw_score + obj[tok]), int(tok), parent_idx))
         selected = heapq.nsmallest(cfg.beam_size, candidates)
-        live_next = []
+        parents, live = live, []
         for neg, tok, parent_idx in selected:
-            hyp = live[parent_idx]
-            child = Hypothesis(hyp.tokens + (tok,), -neg, False)
-            if tok == EOS_ID or step == cfg.max_len:
-                finished.append(Hypothesis(child.tokens, child.raw_score, True))
-            else:
-                live_next.append(child)
-        live = live_next
+            child = Hypothesis(parents[parent_idx].tokens + (tok,), -neg)
+            (finished if tok == EOS_ID or step == cfg.max_len else live).append(child)
         if not live:
             break
-    if not finished:
-        raise RuntimeError("beam search ended with no finished hypotheses")  # unreachable by construction
     finished.sort(key=lambda h: (-h.normalized_score(cfg.length_penalty), len(h.tokens), h.tokens))
     return finished
 
@@ -179,11 +154,11 @@ def exhaustive_search(params: Parameters, prompt, cfg: BeamConfig) -> Hypothesis
         p = _next_distribution(params, prompt, body)
         obj = normalized_objective_vector(cfg.objective, p)
         if depth >= 1:
-            consider(Hypothesis(body + (EOS_ID,), raw + float(obj[EOS_ID]), True))
+            consider(Hypothesis(body + (EOS_ID,), raw + float(obj[EOS_ID])))
         for tok in real:
             child_raw = raw + float(obj[tok])
             if depth + 1 == max_len:
-                consider(Hypothesis(body + (int(tok),), child_raw, True))
+                consider(Hypothesis(body + (int(tok),), child_raw))
             else:
                 walk(body + (int(tok),), child_raw)
 

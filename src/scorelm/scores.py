@@ -178,15 +178,9 @@ def expectation(S: np.ndarray, q: np.ndarray) -> np.ndarray:
         return np.where(q > 0, S * q, 0.0).sum(axis=-1)
 
 
-def _value_at(rule: ScoreRule, cfg: SmoothingConfig, p, i: int) -> float:
-    p = check_prob_vector(p)
-    i = _check_index(i, p.size)
-    return float(smoothed_score_matrix(rule, cfg, p[None, :])[0, i])
-
-
 def score(rule: ScoreRule, p, i: int) -> float:
     """S(p, i); -inf for the logarithmic score of a zero-probability outcome."""
-    return _value_at(rule, NO_SMOOTHING, p, i)
+    return smoothed_score(rule, NO_SMOOTHING, p, i)
 
 
 def expected_score(rule: ScoreRule, p, q) -> float:
@@ -200,18 +194,12 @@ def expected_score(rule: ScoreRule, p, q) -> float:
 
 
 def smoothed_score(rule: ScoreRule, cfg: SmoothingConfig, p, i: int) -> float:
-    """(1 - eps) S(p, i) + (eps / m) sum_j S(p, j)."""
-    if cfg.mask_enhanced:
-        raise ConfigurationError("smoothed_score expects mask_enhanced=False; use masked_log_smoothed_score")
-    return _value_at(rule, cfg, p, i)
-
-
-def masked_log_smoothed_score(rule: ScoreRule, cfg: SmoothingConfig, p, i: int) -> float:
-    """Smoothed score plus (eps / m) sum over under-smooth labels
-    {j : p_j < eps / m} of log p_j; -inf if any masked entry is zero."""
-    if not cfg.mask_enhanced:
-        raise ConfigurationError("masked_log_smoothed_score expects mask_enhanced=True")
-    return _value_at(rule, cfg, p, i)
+    """(1 - eps) S(p, i) + (eps / m) sum_j S(p, j), plus, when cfg is mask
+    enhanced, (eps / m) sum over under-smooth labels {j : p_j < eps / m} of
+    log p_j (-inf if any of those entries is zero)."""
+    p = check_prob_vector(p)
+    i = _check_index(i, p.size)
+    return float(smoothed_score_matrix(rule, cfg, p[None, :])[0, i])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from itertools import chain, count
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, save_checkpoint
 from .data import make_batches, make_seq_batches
 from .errors import ConfigurationError, InvalidInputError
 from .model import (
@@ -107,7 +107,7 @@ def relative_change(s_new: float, s_old: float) -> float:
     return (s_new - s_old) / abs(s_old)
 
 
-def _split_data(data, K: int, V: int | None = None):
+def split_data(data, K: int, V: int | None = None):
     """The one training/held-out split of data: (batches, (contexts, targets)).
 
     data is a corpus (a token id array, or a TokenSeq with no masked
@@ -116,7 +116,8 @@ def _split_data(data, K: int, V: int | None = None):
     positions with a full in-split history, or the last records scored at
     their unmasked positions.  batches(batch_size, seed) yields one epoch of
     training (contexts, targets) index arrays, shuffled by seed.  When V is
-    given, every id of both parts is checked before anything else.
+    given, every id of both parts is checked before anything else.  A
+    held-out part with no position to score is refused.
     """
     if isinstance(data, TokenSeq):
         if not data.loss_mask.all():
@@ -128,13 +129,16 @@ def _split_data(data, K: int, V: int | None = None):
             raise InvalidInputError(f"paired data needs at least 10 records for a held-out split, got {len(data)}")
         if V is not None:
             _check_ids(np.concatenate([seq.tokens for seq in data]), V)
+        held_out = _gather_positions(data[-n_held:], K)
+        if held_out[1].size == 0:
+            raise InvalidInputError(f"the {n_held} held-out records have no unmasked position to score")
         train_part = data[:-n_held]
 
         def batches(batch_size, seed):
             for batch in make_seq_batches(train_part, batch_size, seed):
                 yield _gather_positions(batch, K)
 
-        return batches, _gather_positions(data[-n_held:], K)
+        return batches, held_out
     tokens = np.asarray(data, dtype=np.int64)
     if tokens.ndim != 1:
         raise InvalidInputError(f"corpus tokens must be 1-D, got shape {tokens.shape}")
@@ -178,7 +182,7 @@ def _make_record(step, loss, scores, ref):
 
 
 def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint_path):
-    batches, (eval_ctx, eval_tgt) = _split_data(data, model_cfg.context, model_cfg.vocab_size)
+    batches, (eval_ctx, eval_tgt) = split_data(data, model_cfg.context, model_cfg.vocab_size)
     # relative-change reference: the model as it stands at loop entry
     ref_scores = evaluate_scores(params, eval_ctx, eval_tgt)
 
@@ -205,7 +209,7 @@ def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint
             for rec in records:
                 fh.write(rec.to_json() + "\n")
     if checkpoint_path is not None:
-        ckpt.save(checkpoint_path)
+        save_checkpoint(checkpoint_path, ckpt)
     return ckpt, records
 
 

@@ -258,6 +258,30 @@ class TestConfigKeys:
                             "--out", str(workdir / "m0.json"), "--metrics", str(workdir / "m0.jsonl")]) == 1
         assert "mask enhancement needs eps > 0" in capsys.readouterr().err
 
+    def test_empty_train_section_is_the_library_default(self, monkeypatch):
+        import dataclasses
+
+        import scorelm.cli as cli_mod
+        from scorelm.scores import SmoothingConfig
+        from scorelm.train import TrainConfig
+
+        args = cli_mod._build_parser().parse_args(["train", "--config", "c.json"])
+        assert cli_mod._train_config({}, args) == TrainConfig(rule=ScoreRule("logarithmic"))
+
+        # the defaults are read from TrainConfig, not written out a second time
+        @dataclasses.dataclass(frozen=True)
+        class Other(TrainConfig):
+            smoothing: SmoothingConfig = SmoothingConfig(0.05, mask_enhanced=True)
+            steps: int = 7
+            batch_size: int = 5
+            learning_rate: float = 0.25
+            warmup_steps: int = 3
+            eval_every: int = 2
+            seed: int = 11
+
+        monkeypatch.setattr(cli_mod, "TrainConfig", Other)
+        assert cli_mod._train_config({}, args) == Other(rule=ScoreRule("logarithmic"))
+
     def test_finetune_checks_model_section_against_base(self, workdir, capsys):
         base = train_checkpoint(workdir, "ft_base")
         path = write_config(workdir, "ft_other.json", "model", hidden_dim=32)
@@ -349,6 +373,15 @@ class TestGenerateObjective:
                             "--prompt", "a", "--beam", "2", "--max-len", "4"]) == 0
         assert seen == [ScoreRule("pseudo_spherical", 1.5)]
         capsys.readouterr()
+
+    def test_choices_are_the_pinned_proper_rules(self, capsys, monkeypatch):
+        from scorelm.scores import RULES
+
+        assert run_command(["generate", "--help"]) == 0
+        assert "--objective {logarithmic,brier,spherical}" in capsys.readouterr().out
+        monkeypatch.setitem(RULES, "log2", RULES["logarithmic"])  # one more proper rule with a pinned alpha
+        assert run_command(["generate", "--help"]) == 0
+        assert "--objective {logarithmic,brier,spherical,log2}" in capsys.readouterr().out
 
     def test_linear_checkpoint_needs_an_objective(self, workdir, capsys):
         ckpt = train_checkpoint(workdir, "lin", "--rule", "linear")

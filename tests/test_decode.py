@@ -62,6 +62,26 @@ def brute_force_candidates(params, prompt, max_len, objective):
     return out
 
 
+def reference_greedy(params, prompt, max_len):
+    """Greedy as its own loop, as written before it became beam width 1:
+    argmax over the allowed ids (ties toward the lower id), log p accrued."""
+    V = params.embed.shape[0]
+    K = params.w_hidden.shape[0] // params.embed.shape[1]
+    real = np.arange(2, V)
+    tokens, raw = [], 0.0
+    for step in range(1, max_len + 1):
+        seq = np.concatenate([prompt, np.array(tokens, dtype=np.int64)])
+        p = forward(params, context_window(seq, seq.size, K))
+        allowed = real if step == 1 else np.concatenate([[EOS_ID], real])
+        tok = int(allowed[np.argmax(p[allowed])])
+        with np.errstate(divide="ignore"):
+            raw += float(np.log(p[tok]))
+        tokens.append(tok)
+        if tok == EOS_ID:
+            break
+    return tuple(tokens), raw
+
+
 class TestNormalizedObjective:
     def test_spherical_perfect_is_zero(self):
         p = np.zeros(4)
@@ -114,13 +134,30 @@ class TestGreedy:
         with pytest.raises(ConfigurationError, match=f"max_len must be >= 1, got {max_len}"):
             greedy(random_params(6, 0), np.array([2]), max_len)
 
+    def test_equals_its_former_loop(self):
+        # 1 020 random (params, prompt, max_len) draws, parameters scaled x1 and x20: bitwise equal
+        gen = np.random.default_rng(8)
+        for V in (3, 6, 35):
+            for scale in (1.0, 20.0):
+                for seed in range(170):
+                    params = random_params(V, seed, scale=scale, context=int(gen.integers(1, 4)))
+                    prompt = gen.integers(0, V, size=int(gen.integers(0, 6)))
+                    max_len = int(gen.integers(1, 13))
+                    hyp = greedy(params, prompt, max_len)
+                    assert (hyp.tokens, hyp.raw_score) == reference_greedy(params, prompt, max_len)
+
     def test_raw_score_non_positive(self):
         for seed in range(5):
             hyp = greedy(random_params(6, seed), np.array([2]), 8)
-            assert hyp.raw_score <= 0.0 and hyp.finished
+            assert hyp.raw_score <= 0.0
 
 
 class TestBeamSearch:
+    @pytest.mark.parametrize("field", ["beam_size", "max_len"])
+    def test_config_names_the_bad_field(self, field):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be >= 1, got 0$"):
+            BeamConfig(**{field: 0})
+
     @pytest.mark.parametrize("rule", OBJECTIVES)
     def test_beam1_equals_greedy(self, rule):
         for seed in range(10):
@@ -165,7 +202,7 @@ class TestBeamSearch:
                 p = forward(params, context_window(seq, seq.size, K))
                 raw += normalized_objective(rule, p, tok)
             assert hyp.raw_score == pytest.approx(raw, abs=1e-9)
-            assert hyp.raw_score <= 0.0 and hyp.finished
+            assert hyp.raw_score <= 0.0
 
     def test_result_sorted_by_normalized_score(self):
         params = random_params(6, seed=41)

@@ -1,13 +1,14 @@
 """The rule table and the smoothed score matrix against the explicit
-formulas they replaced, the alpha = 2 identities, and property tests over
-random simplex points."""
+formulas they replaced, the alpha = 2 identities, property tests over
+random simplex points, and the training path at its numerical edges."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scorelm.decode import normalized_objective_vector
+from scorelm.model import ModelConfig, init_params, loss_and_grads
 from scorelm.scores import (
     KINDS,
     NO_SMOOTHING,
@@ -16,7 +17,6 @@ from scorelm.scores import (
     ScoreRule,
     SmoothingConfig,
     expected_score,
-    masked_log_smoothed_score,
     score_matrix,
     smoothed_score,
     smoothed_score_matrix,
@@ -111,7 +111,7 @@ def ref_objective(rule, p):
 
 
 def ref_smoothed_score(rule, cfg, p, i):
-    """smoothed_score and masked_log_smoothed_score as written before
+    """smoothed_score, with and without mask enhancement, as written before
     smoothed_score_matrix."""
     s = score_matrix(rule, p[None, :])[0]
     eps = cfg.eps
@@ -272,9 +272,8 @@ class TestSmoothedScoreMatrix:
         for P in random_simplex_rows(8, count=12):
             p = P[0]
             for cfg in SMOOTHINGS:
-                read = masked_log_smoothed_score if cfg.mask_enhanced else smoothed_score
                 want = smoothed_score_matrix(rule, cfg, p[None, :])[0]
-                assert np.array_equal([read(rule, cfg, p, i) for i in range(p.size)], want)
+                assert np.array_equal([smoothed_score(rule, cfg, p, i) for i in range(p.size)], want)
 
     @pytest.mark.parametrize("eps", [0.1, 0.5])
     @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: f"{r.kind}-{r.alpha}")
@@ -357,3 +356,86 @@ def test_token_losses_and_grads_shift_invariant(rule, cfg, z, shift, data):
     shifted_losses, shifted_dZ = token_losses_and_grads(rule, cfg, Z + shift, idx)
     np.testing.assert_allclose(shifted_losses, losses, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(shifted_dZ, dZ, rtol=1e-6, atol=1e-9 * max(1.0, np.abs(dZ).max()))
+
+
+# ---------------------------------------------------------------------------
+# The training path at its numerical edges: logits near +-50 and observed
+# probabilities inside the P_MIN clamp; and batching.
+# ---------------------------------------------------------------------------
+
+FD_STEP = 1e-4
+training_configs = st.sampled_from([NO_SMOOTHING, SmoothingConfig(0.1), SmoothingConfig(0.1, mask_enhanced=True)])
+
+
+@st.composite
+def large_logits(draw):
+    """Logits over m outcomes spanning about +-50, one of them at +-50, and an observed index."""
+    m = draw(st.integers(2, 12))
+    z = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=m, max_size=m)))
+    z[draw(st.integers(0, m - 1))] = draw(st.sampled_from([-50.0, 50.0]))
+    return z, draw(st.integers(0, m - 1))
+
+
+@st.composite
+def clamped_logits(draw):
+    """Logits whose observed outcome has probability below P_MIN: its logit
+    lies at least 28 below the largest other one, and e^-28 < 1e-12."""
+    m = draw(st.integers(2, 12))
+    z = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m)))
+    i = draw(st.integers(0, m - 1))
+    z[i] = np.delete(z, i).max() - draw(st.floats(28.0, 60.0))
+    return z, i
+
+
+def check_fd_gradient(rule, cfg, z, i):
+    """Fourth-order central differences of the training loss against its
+    analytic logit gradient, the under-smooth mask frozen at z."""
+    m = z.size
+    P = softmax_rows(z[None, :])
+    # a step of 2h moves each log p_j by at most 2h: keep every p_j that far from the clamp's kink
+    assume(np.all(np.abs(np.log(P) - np.log(P_MIN)) > 4 * FD_STEP))
+    mask = P < cfg.eps / m if cfg.mask_enhanced else None
+    _, dZ = token_losses_and_grads(rule, cfg, z[None, :], np.array([i]), mask_override=mask)
+    steps = FD_STEP * np.eye(m)
+    shifted = np.concatenate([z + steps, z - steps, z + 2.0 * steps, z - 2.0 * steps])
+    masks = None if mask is None else np.broadcast_to(mask, shifted.shape)
+    losses, _ = token_losses_and_grads(rule, cfg, shifted, np.full(4 * m, i), mask_override=masks)
+    fp, fm, fp2, fm2 = losses.reshape(4, m)
+    fd = (8.0 * (fp - fm) - (fp2 - fm2)) / (12.0 * FD_STEP)
+    assert np.isfinite(dZ).all()
+    np.testing.assert_allclose(fd, dZ[0], rtol=1e-6, atol=1e-8)
+    return P
+
+
+@PROPERTY_SETTINGS
+@given(rule=proper_rules, cfg=training_configs, zi=large_logits())
+def test_fd_gradient_at_large_logits(rule, cfg, zi):
+    check_fd_gradient(rule, cfg, *zi)
+
+
+@PROPERTY_SETTINGS
+@given(rule=proper_rules, cfg=training_configs, zi=clamped_logits())
+def test_fd_gradient_inside_the_clamp(rule, cfg, zi):
+    z, i = zi
+    assert check_fd_gradient(rule, cfg, z, i)[0, i] < P_MIN
+
+
+@PROPERTY_SETTINGS
+@given(rule=proper_rules, cfg=training_configs, seed=st.integers(0, 2**16), n=st.integers(1, 48), data=st.data())
+def test_mean_loss_independent_of_batching(rule, cfg, seed, n, data):
+    params = init_params(ModelConfig(vocab_size=7, context=2, embed_dim=4, hidden_dim=8, seed=seed))
+    gen = np.random.default_rng(seed)
+    contexts, targets = gen.integers(0, 7, size=(n, 2)), gen.integers(0, 7, size=n)
+    whole = loss_and_grads(params, contexts, targets, rule, cfg)[0]
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    chunked = sum((b - a) * loss_and_grads(params, contexts[a:b], targets[a:b], rule, cfg)[0]
+                  for a, b in zip(bounds, bounds[1:])) / n
+    singles = np.array([loss_and_grads(params, contexts[t : t + 1], targets[t : t + 1], rule, cfg)[0]
+                        for t in range(n)])
+    # fixed from float64 before looking: a mean of n terms summed in another order moves by at
+    # most about n u mean|l|, and the BLAS products may round a row differently in each batch
+    # size, which moves each l by a few u (logits and logit gradients are O(1) here)
+    tol = 8 * n * np.finfo(np.float64).eps * (np.abs(singles).mean() + 1.0)
+    assert abs(chunked - whole) <= tol
+    assert abs(singles.mean() - whole) <= tol

@@ -9,7 +9,6 @@ from scorelm.scores import (
     entmax_power_equivalence_gap,
     expected_score,
     loss_gradient_logits,
-    masked_log_smoothed_score,
     score,
     score_vector,
     smoothed_score,
@@ -172,10 +171,6 @@ class TestSmoothedScore:
         val = smoothed_score(ScoreRule("brier"), SmoothingConfig(0.5), [0.7, 0.3], 0)
         assert val == pytest.approx(0.62)
 
-    def test_rejects_mask_enhanced_config(self):
-        with pytest.raises(ConfigurationError):
-            smoothed_score(ScoreRule("brier"), SmoothingConfig(0.1, True), [0.5, 0.5], 0)
-
     def test_expected_smoothed_identity(self):
         # sum_i q_i S^eps(p, i) == S(p, q^eps)
         gen = np.random.default_rng(3)
@@ -197,23 +192,23 @@ class TestMaskedLogSmoothedScore:
         p = np.array([0.4, 0.35, 0.25])  # all entries >= eps/m = 0.1/3
         cfg = SmoothingConfig(0.1, True)
         for i in range(3):
-            assert masked_log_smoothed_score(rule, cfg, p, i) == smoothed_score(rule, SmoothingConfig(0.1), p, i)
+            assert smoothed_score(rule, cfg, p, i) == smoothed_score(rule, SmoothingConfig(0.1), p, i)
 
     def test_one_masked_entry_hand_example(self):
         # threshold 0.1 masks p_1 = 0.05: adds (0.2/2) ln 0.05 = -0.29957
         rule = ScoreRule("brier")
         sm = smoothed_score(rule, SmoothingConfig(0.2), [0.95, 0.05], 0)
-        ml = masked_log_smoothed_score(rule, SmoothingConfig(0.2, True), [0.95, 0.05], 0)
+        ml = smoothed_score(rule, SmoothingConfig(0.2, True), [0.95, 0.05], 0)
         assert ml == pytest.approx(sm + 0.1 * np.log(0.05))
         assert ml == pytest.approx(sm - 0.29957, abs=5e-6)
 
     def test_zero_entry_below_threshold(self):
-        val = masked_log_smoothed_score(ScoreRule("brier"), SmoothingConfig(0.2, True), [1.0, 0.0], 0)
+        val = smoothed_score(ScoreRule("brier"), SmoothingConfig(0.2, True), [1.0, 0.0], 0)
         assert val == float("-inf")
 
     def test_eps_zero_config_error(self):
         with pytest.raises(ConfigurationError):
-            masked_log_smoothed_score(ScoreRule("brier"), SmoothingConfig(0.0, True), [0.5, 0.5], 0)
+            smoothed_score(ScoreRule("brier"), SmoothingConfig(0.0, True), [0.5, 0.5], 0)
 
     def test_dominance(self):
         # masked variant never exceeds the smoothed score; equality iff empty mask
@@ -226,7 +221,7 @@ class TestMaskedLogSmoothedScore:
                 q = gen.dirichlet(np.ones(m))
                 sm = sum(q[i] * smoothed_score(rule, SmoothingConfig(eps), p, i) for i in range(m))
                 ml = sum(
-                    q[i] * masked_log_smoothed_score(rule, SmoothingConfig(eps, True), p, i)
+                    q[i] * smoothed_score(rule, SmoothingConfig(eps, True), p, i)
                     for i in range(m)
                 )
                 assert ml <= sm + 1e-12

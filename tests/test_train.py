@@ -11,9 +11,9 @@ from scorelm.train import (
     AdamState,
     TrainConfig,
     adam_step,
-    _split_data,
     finetune,
     relative_change,
+    split_data,
     train,
 )
 
@@ -200,33 +200,53 @@ class TestTrain:
 class TestHeldoutPositions:
     def test_corpus_tail_with_full_history(self):
         tokens = np.arange(100) % 4 + 2
-        contexts, targets = _split_data(tokens, 3)[1]
+        contexts, targets = split_data(tokens, 3)[1]
         held = tokens[90:]
         assert contexts.tolist() == [held[t - 3 : t].tolist() for t in range(3, 10)]
         assert targets.tolist() == held[3:].tolist()
 
     def test_sequence_tail_unmasked_positions(self):
         seqs = [TokenSeq([2 + i % 3, 3, 4], loss_mask=[False, True, True]) for i in range(20)]
-        contexts, targets = _split_data(seqs, 2)[1]
+        contexts, targets = split_data(seqs, 2)[1]
         assert targets.tolist() == [3, 4, 3, 4]
         assert contexts.tolist() == [[0, seqs[18].tokens[0]], seqs[18].tokens[:2].tolist(),
                                      [0, seqs[19].tokens[0]], seqs[19].tokens[:2].tolist()]
 
     def test_short_corpus_tail_rejected(self):
         with pytest.raises(InvalidInputError, match="held-out"):
-            _split_data(np.arange(20) % 4 + 2, 2)
+            split_data(np.arange(20) % 4 + 2, 2)
         # with the vocabulary given, ids are checked first
         with pytest.raises(InvalidInputError, match="token id 9 out of range"):
-            _split_data(np.full(20, 9), 2, V=6)
+            split_data(np.full(20, 9), 2, V=6)
 
     def test_fewer_than_ten_sequences_rejected(self):
         # too few records to hold any out: refused, never scored on the training set
         seqs = [TokenSeq([2, 3, 1, 4, 5, 1], loss_mask=[False] * 3 + [True] * 3) for _ in range(9)]
         with pytest.raises(InvalidInputError, match="at least 10 records"):
-            _split_data(seqs, 2)
+            split_data(seqs, 2)
         with pytest.raises(InvalidInputError, match="at least 10 records"):
             train(quick_cfg(steps=5), MODEL_CFG, seqs)
-        assert _split_data(seqs + seqs[:1], 2)[1][1].tolist() == [4, 5, 1]
+        assert split_data(seqs + seqs[:1], 2)[1][1].tolist() == [4, 5, 1]
+
+    def test_heldout_without_scored_position_rejected(self):
+        # the held-out scores would be means over no position: NaN in every metrics record
+        scored = TokenSeq([2, 3, 4, 5], loss_mask=[False, True, True, True])
+        unscored = TokenSeq([2, 3, 4, 5], loss_mask=[False] * 4)
+        seqs = [scored] * 18 + [unscored] * 2
+        with pytest.raises(InvalidInputError, match="the 2 held-out records have no unmasked position"):
+            split_data(seqs, 2)
+        with pytest.raises(InvalidInputError, match="no unmasked position"):
+            train(quick_cfg("brier", steps=3), MODEL_CFG, seqs)
+        # with the vocabulary given, ids are checked first
+        with pytest.raises(InvalidInputError, match="token id 9 out of range"):
+            split_data([TokenSeq([9, 3], loss_mask=[False, False])] + seqs[1:], 2, V=6)
+        # one scored held-out record is enough
+        assert split_data([unscored] + seqs[:-1], 2)[1][1].tolist() == [3, 4, 5]
+
+    def test_public(self):
+        import scorelm
+
+        assert scorelm.split_data is split_data
 
 
 @pytest.fixture(scope="module")
