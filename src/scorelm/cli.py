@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import zip_longest
 
 import numpy as np
 
@@ -133,8 +134,29 @@ def _model_config(section, vocab: Vocab) -> ModelConfig:
 
 
 def _check_vocab(vocab: Vocab, ckpt) -> None:
-    if vocab.size != ckpt.model.vocab_size:
-        raise ConfigurationError(f"data vocabulary size {vocab.size} != checkpoint vocab_size {ckpt.model.vocab_size}")
+    """vocab, rebuilt from --data, must be the checkpoint's symbol table; a
+    checkpoint without one (format v1, a library run) can only be size-checked."""
+    if ckpt.symbols is None:
+        if vocab.size != ckpt.model.vocab_size:
+            raise ConfigurationError(f"data vocabulary size {vocab.size} != checkpoint vocab_size {ckpt.model.vocab_size}")
+        return
+    if vocab.symbols != ckpt.symbols:
+        i, pair = next((i, pair) for i, pair in enumerate(zip_longest(vocab.symbols, ckpt.symbols)) if pair[0] != pair[1])
+        ours, theirs = ("no symbol" if s is None else repr(s) for s in pair)
+        raise ConfigurationError(f"data vocabulary differs from the checkpoint's symbol table at id {i}: "
+                                 f"data has {ours}, checkpoint has {theirs}")
+
+
+def _checkpoint_vocab(args, ckpt) -> Vocab:
+    """The checkpoint's vocabulary: its symbol table, checked against --data when given."""
+    if args.data is not None:
+        vocab, _, _ = _read_data(args.data)  # only the vocabulary is needed: nothing is encoded
+        _check_vocab(vocab, ckpt)
+        return vocab
+    if ckpt.symbols is None:
+        raise ConfigurationError(f"checkpoint {args.ckpt} has no symbol table (format v1 or a library run): "
+                                 "pass --data to rebuild its vocabulary")
+    return Vocab.from_symbols(ckpt.symbols)
 
 
 def _cmd_train(args) -> int:
@@ -143,7 +165,7 @@ def _cmd_train(args) -> int:
     vocab, data = _load_data(config["data"])
     model_cfg = _model_config({} if config["model"] is None else config["model"], vocab)
     ckpt, records = train(cfg, model_cfg, data,
-                          metrics_path=args.metrics, checkpoint_path=args.out)
+                          metrics_path=args.metrics, checkpoint_path=args.out, symbols=vocab.symbols)
     last = records[-1]
     print(f"trained {cfg.steps} steps with {cfg.rule.kind}: "
           f"loss={last.loss:.6f} ppl={last.ppl:.4f} -> {args.out}")
@@ -170,8 +192,7 @@ def _cmd_generate(args) -> int:
                 print(f"error: {flag} applies only with --beam", file=sys.stderr)
                 return 2
     ckpt = load_checkpoint(args.ckpt)
-    vocab, _, _ = _read_data(args.data)  # only the vocabulary is needed: nothing is encoded
-    _check_vocab(vocab, ckpt)
+    vocab = _checkpoint_vocab(args, ckpt)
     prompt = encode(vocab, args.prompt).tokens if args.prompt else np.zeros(0, dtype=np.int64)
     if args.beam is None:
         hyp = greedy(ckpt.params, prompt, args.max_len)
@@ -261,7 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", aliases=["decode"], help="greedy or beam decoding")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True, help="corpus used to rebuild the vocabulary")
+    p.add_argument("--data", help="corpus to rebuild the vocabulary from; needed only for a checkpoint "
+                                  "without a symbol table, checked against the table otherwise")
     p.add_argument("--prompt", default="")
     search = p.add_mutually_exclusive_group()
     search.add_argument("--greedy", action="store_true", help="greedy decoding (the default)")

@@ -20,18 +20,27 @@ class Vocab:
     symbol_to_id: dict
     id_to_symbol: dict
 
+    @classmethod
+    def from_symbols(cls, symbols) -> "Vocab":
+        """The vocabulary whose id i is symbols[i]."""
+        s2i = {s: i for i, s in enumerate(symbols)}
+        return cls(symbol_to_id=s2i, id_to_symbol={i: s for s, i in s2i.items()})
+
     @property
     def size(self) -> int:
         return len(self.symbol_to_id)
+
+    @property
+    def symbols(self) -> list:
+        """Every symbol in id order, pad/EOS included."""
+        return [self.id_to_symbol[i] for i in range(self.size)]
 
 
 def build_vocab(text: str) -> Vocab:
     """One id per distinct character, sorted by code point, after pad/EOS."""
     if not text:
         raise InvalidInputError("cannot build a vocabulary from empty text")
-    symbols = [PAD_SYMBOL, EOS_SYMBOL] + sorted(set(text))
-    s2i = {s: i for i, s in enumerate(symbols)}
-    return Vocab(symbol_to_id=s2i, id_to_symbol={i: s for s, i in s2i.items()})
+    return Vocab.from_symbols([PAD_SYMBOL, EOS_SYMBOL] + sorted(set(text)))
 
 
 def encode(vocab: Vocab, text: str) -> TokenSeq:

@@ -208,8 +208,17 @@ def loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray
     grads.w_hidden[:] = X.T @ dA
     grads.b_hidden[:] = dA.sum(axis=0)
     dX = (dA @ params.w_hidden.T).reshape(N, K, d)
-    np.add.at(grads.embed, contexts, dX)
+    grads.embed[:] = _scatter_rows(contexts, dX, params.embed.shape[0])
     return loss, grads
+
+
+def _scatter_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """np.add.at(np.zeros((n, d)), ids, rows) for rows shaped ids.shape + (d,),
+    as one bincount over the flat index ids * d + column: it adds in the same
+    order, so the sums are bitwise the same."""
+    d = rows.shape[-1]
+    flat = (ids[..., None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=n * d).reshape(n, d)
 
 
 def backward(params: Parameters, batch, rule: ScoreRule, cfg: SmoothingConfig):

@@ -26,6 +26,7 @@ from .errors import ConfigurationError, InvalidInputError, ParameterDomainError
 from .simplex import check_logits, check_prob_vector, entmax, softmax_rows, tsallis_entropy
 
 P_MIN = 1e-12  # log clamp used only in the training path
+P_TINY = np.finfo(np.float64).tiny  # floor of P in P ** (alpha - 2) for alpha < 2 (training path)
 
 
 def _log_value(P, a):
@@ -44,11 +45,22 @@ def _power_value(P, a):
     return a * P ** (a - 1.0) - (a - 1.0) * np.sum(P**a, axis=-1, keepdims=True)
 
 
+def _pow_a2(P, a):
+    """P ** (a - 2), with P floored at P_TINY when a < 2: a zero or subnormal
+    probability would make it infinite, and the softmax chain multiplies it
+    by P, so 0 * inf would poison the gradient; at P = 0 the floor gives the
+    exact P -> 0 limit of that product, 0.  Normal P is untouched."""
+    if a >= 2.0:
+        return P ** (a - 2.0)
+    floored = np.maximum(P, P_TINY)
+    return np.power(floored, a - 2.0, out=floored)
+
+
 def _power_parts(P, onehot, p_obs, a):
     pa1 = P ** (a - 1.0)
     c = a * (a - 1.0)
-    g_obs = c * (p_obs ** (a - 2.0) * onehot - pa1)
-    T = c * (P ** (a - 2.0) - P.shape[-1] * pa1)
+    g_obs = c * (_pow_a2(p_obs, a) * onehot - pa1)
+    T = c * (_pow_a2(P, a) - P.shape[-1] * pa1)
     return _power_value(P, a), g_obs, T
 
 
@@ -62,8 +74,8 @@ def _pseudo_parts(P, onehot, p_obs, a):
     pa1 = P ** (a - 1.0)
     n = np.sum(P**a, axis=-1, keepdims=True) ** (1.0 / a)
     n_lo, n_hi = n ** (a - 1.0), n ** (2.0 * a - 1.0)
-    g_obs = (a - 1.0) * (p_obs ** (a - 2.0) * onehot / n_lo - p_obs ** (a - 1.0) * pa1 / n_hi)
-    T = (a - 1.0) * (P ** (a - 2.0) / n_lo - np.sum(pa1, axis=-1, keepdims=True) * pa1 / n_hi)
+    g_obs = (a - 1.0) * (_pow_a2(p_obs, a) * onehot / n_lo - p_obs ** (a - 1.0) * pa1 / n_hi)
+    T = (a - 1.0) * (_pow_a2(P, a) / n_lo - np.sum(pa1, axis=-1, keepdims=True) * pa1 / n_hi)
     return _pseudo_value(P, a), g_obs, T
 
 

@@ -181,7 +181,7 @@ def _make_record(step, loss, scores, ref):
     return MetricsRecord(step=step, loss=loss, **scores, **rel)
 
 
-def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint_path):
+def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint_path, symbols):
     batches, (eval_ctx, eval_tgt) = split_data(data, model_cfg.context, model_cfg.vocab_size)
     # relative-change reference: the model as it stands at loop entry
     ref_scores = evaluate_scores(params, eval_ctx, eval_tgt)
@@ -203,6 +203,7 @@ def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint
         smoothing=cfg.smoothing,
         step=start_step + cfg.steps,
         params=params,
+        symbols=symbols,
     )
     if metrics_path is not None:
         with open(metrics_path, "w", encoding="utf-8") as fh:
@@ -213,16 +214,18 @@ def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint
     return ckpt, records
 
 
-def train(cfg: TrainConfig, model_cfg: ModelConfig, data, metrics_path=None, checkpoint_path=None):
+def train(cfg: TrainConfig, model_cfg: ModelConfig, data, metrics_path=None, checkpoint_path=None,
+          symbols=None):
     """Train from scratch; the relative-change reference is the initial model.
 
     Returns (checkpoint, metrics records); optionally persists the metrics
-    as JSON-lines and the final checkpoint.
+    as JSON-lines and the final checkpoint.  symbols, the vocabulary in id
+    order, is stored as the checkpoint's symbol table.
     """
     if cfg.steps == 0:
         raise ConfigurationError("training requires steps > 0")
     params = init_params(model_cfg)
-    return _run_loop(params, 0, cfg, model_cfg, data, metrics_path, checkpoint_path)
+    return _run_loop(params, 0, cfg, model_cfg, data, metrics_path, checkpoint_path, symbols)
 
 
 def finetune(base: Checkpoint, cfg: TrainConfig, data, model_cfg: ModelConfig | None = None,
@@ -230,9 +233,11 @@ def finetune(base: Checkpoint, cfg: TrainConfig, data, model_cfg: ModelConfig | 
     """Continue from a checkpoint with a (possibly different) rule.
 
     Optimizer state starts fresh; the relative-change reference is the base
-    checkpoint.  steps = 0 saves the base parameters under the new rule.
+    checkpoint, whose symbol table carries over.  steps = 0 saves the base
+    parameters under the new rule.
     """
     if model_cfg is not None and model_cfg != base.model:
         diffs = [f for f in vars(model_cfg) if getattr(model_cfg, f) != getattr(base.model, f)]
         raise ConfigurationError(f"model config mismatch with base checkpoint in fields: {', '.join(diffs)}")
-    return _run_loop(base.params.copy(), base.step, cfg, base.model, data, metrics_path, checkpoint_path)
+    return _run_loop(base.params.copy(), base.step, cfg, base.model, data, metrics_path, checkpoint_path,
+                     base.symbols)

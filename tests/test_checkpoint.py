@@ -1,3 +1,5 @@
+import base64
+import dataclasses
 import json
 import os
 import tempfile
@@ -9,9 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from scorelm.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from scorelm.data import EOS_SYMBOL, PAD_SYMBOL
 from scorelm.errors import CheckpointFormatError, CheckpointShapeError, CheckpointVersionError
 from scorelm.model import ModelConfig, Parameters, forward, init_params, param_shapes
 from scorelm.scores import NO_SMOOTHING, RULES, ScoreRule, SmoothingConfig
+
+from checkpoint_docs import v1_document
 
 
 @pytest.fixture
@@ -40,10 +45,18 @@ class TestRoundTrip:
         assert np.abs(forward(ckpt.params, ctx) - forward(loaded.params, ctx)).max() < 1e-12
 
 
+def symbol_tables(V):
+    """None, or a symbol table of V distinct strings after the reserved pair."""
+    table = st.lists(st.text(min_size=1, max_size=3), min_size=V - 2, max_size=V - 2, unique=True)
+    return st.none() | table.filter(lambda t: not {PAD_SYMBOL, EOS_SYMBOL} & set(t)).map(
+        lambda t: [PAD_SYMBOL, EOS_SYMBOL] + t)
+
+
 @st.composite
 def checkpoints(draw):
     """A checkpoint of arbitrary shape whose tensors hold any finite doubles
-    (subnormals, -0.0 and the extremes included), under any rule."""
+    (subnormals, -0.0 and the extremes included), under any rule, with or
+    without a symbol table."""
     V, K, d, h = draw(st.integers(2, 7)), draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
     cfg = ModelConfig(vocab_size=V, context=K, embed_dim=d, hidden_dim=h, seed=draw(st.integers(0, 2**63 - 1)))
     finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -54,14 +67,21 @@ def checkpoints(draw):
     eps = draw(st.floats(0.0, 1.0))
     smoothing = SmoothingConfig(eps, draw(st.booleans()) if eps > 0 else False)
     return Checkpoint(model=cfg, rule=ScoreRule(kind, alpha), smoothing=smoothing,
-                      step=draw(st.integers(0, 2**40)), params=params)
+                      step=draw(st.integers(0, 2**40)), params=params, symbols=draw(symbol_tables(V)))
+
+
+def same_checkpoint(a, b):
+    assert a.params.flat.dtype == b.params.flat.dtype
+    for (name, x), (_, y) in zip(a.params.named(), b.params.named()):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert (a.model, a.rule, a.smoothing, a.step, a.symbols) == (b.model, b.rule, b.smoothing, b.step, b.symbols)
 
 
 class TestRoundTripProperty:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(ckpt=checkpoints())
     def test_bitwise_and_byte_stable(self, ckpt):
-        # load(save(x)) keeps every parameter bit; saving the loaded copy gives the same bytes
+        # load(save(x)) keeps every parameter bit and the symbol table; saving the loaded copy gives the same bytes
         with tempfile.TemporaryDirectory() as tmp:
             first, again = os.path.join(tmp, "first.json"), os.path.join(tmp, "again.json")
             save_checkpoint(first, ckpt)
@@ -69,10 +89,58 @@ class TestRoundTripProperty:
             save_checkpoint(again, loaded)
             with open(first, "rb") as fa, open(again, "rb") as fb:
                 assert fa.read() == fb.read()
-        for (name, a), (_, b) in zip(ckpt.params.named(), loaded.params.named()):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
-        assert (loaded.model, loaded.rule, loaded.smoothing, loaded.step) == \
-            (ckpt.model, ckpt.rule, ckpt.smoothing, ckpt.step)
+        same_checkpoint(loaded, ckpt)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ckpt=checkpoints())
+    def test_v1_document_loads_bitwise(self, ckpt):
+        # a hand-built v1 document (nested decimal arrays) loads to the same bits, with no symbol table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "v1.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(v1_document(ckpt), fh)
+            loaded = load_checkpoint(path)
+        ckpt.symbols = None
+        same_checkpoint(loaded, ckpt)
+
+
+class TestFormat:
+    def test_v2_document(self, ckpt):
+        doc = ckpt.to_document()
+        assert list(doc) == ["v", "model", "rule", "smoothing", "step", "symbols", "params"]
+        assert doc["v"] == 2 and doc["symbols"] is None
+        raw = base64.b64decode(doc["params"])
+        assert raw == ckpt.params.flat.astype("<f8").tobytes()
+
+    def test_symbols_round_trip(self, ckpt, tmp_path):
+        ckpt.symbols = [PAD_SYMBOL, EOS_SYMBOL, "a", "b", "é", "\n"]
+        save_checkpoint(tmp_path / "ckpt.json", ckpt)
+        assert load_checkpoint(tmp_path / "ckpt.json").symbols == ckpt.symbols
+
+
+    @pytest.mark.parametrize("symbols, message", [
+        (["<pad>", "<eos>", "a"], "symbol table has 3 entries, vocab_size is 6"),
+        ("<pad><eos>abcd", "must be a list of strings or null"),
+    ])
+    def test_constructor_checks_the_table(self, ckpt, symbols, message):
+        with pytest.raises(CheckpointFormatError, match=message):
+            dataclasses.replace(ckpt, symbols=symbols)
+
+    def test_tuple_table_stored_as_list(self, ckpt):
+        table = (PAD_SYMBOL, EOS_SYMBOL, "a", "b", "c", "d")
+        assert dataclasses.replace(ckpt, symbols=table).symbols == list(table)
+
+
+def write_doc(tmp_path, doc):
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def with_payload(ckpt, raw: bytes):
+    doc = ckpt.to_document()
+    doc["params"] = base64.b64encode(raw).decode("ascii")
+    return doc
 
 
 class TestValidation:
@@ -83,34 +151,100 @@ class TestValidation:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
-    def test_unsupported_version(self, ckpt, tmp_path):
-        path = tmp_path / "ckpt.json"
+    @pytest.mark.parametrize("version", [0, 3, "2"])
+    def test_unsupported_version(self, ckpt, tmp_path, version):
         doc = ckpt.to_document()
-        doc["v"] = 2
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointVersionError, match="supported versions: 1"):
-            load_checkpoint(path)
+        doc["v"] = version
+        with pytest.raises(CheckpointVersionError, match="supported versions: 1, 2"):
+            load_checkpoint(write_doc(tmp_path, doc))
 
     def test_shape_mismatch(self, ckpt, tmp_path):
-        path = tmp_path / "ckpt.json"
         doc = ckpt.to_document()
-        doc["params"]["w_out"] = [[0.0] * 6] * 9  # h=8 expected
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointShapeError, match="w_out"):
-            load_checkpoint(path)
+        doc["model"]["hidden_dim"] = 9  # the payload holds h=8 tensors
+        with pytest.raises(CheckpointFormatError, match=f"holds {ckpt.params.flat.size * 8} bytes, the config needs"):
+            load_checkpoint(write_doc(tmp_path, doc))
 
     def test_missing_tensor(self, ckpt, tmp_path):
-        path = tmp_path / "ckpt.json"
+        raw = ckpt.params.flat[ckpt.params.embed.size:].tobytes()  # every tensor but embed
+        with pytest.raises(CheckpointFormatError, match=f"holds {len(raw)} bytes"):
+            load_checkpoint(write_doc(tmp_path, with_payload(ckpt, raw)))
+
+    def test_missing_params_field(self, ckpt, tmp_path):
         doc = ckpt.to_document()
-        del doc["params"]["embed"]
-        path.write_text(json.dumps(doc))
+        del doc["params"]
+        with pytest.raises(CheckpointFormatError, match="params"):
+            load_checkpoint(write_doc(tmp_path, doc))
+
+    def test_missing_symbols_field(self, ckpt, tmp_path):
+        doc = ckpt.to_document()
+        del doc["symbols"]
+        with pytest.raises(CheckpointFormatError, match="symbols"):
+            load_checkpoint(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("data", ["not base64!", "QUJD=", 7, None, [0.0]])
+    def test_bad_base64(self, ckpt, tmp_path, data):
+        doc = ckpt.to_document()
+        doc["params"] = data
         with pytest.raises(CheckpointFormatError):
-            load_checkpoint(path)
+            load_checkpoint(write_doc(tmp_path, doc))
+
+    def test_bad_base64_is_named(self, ckpt, tmp_path):
+        doc = ckpt.to_document()
+        doc["params"] = doc["params"][:-4] + "*" * 4
+        with pytest.raises(CheckpointFormatError, match="not valid base64"):
+            load_checkpoint(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("cut", [-8, -1, 8])
+    def test_wrong_payload_length(self, ckpt, tmp_path, cut):
+        raw = ckpt.params.flat.tobytes()
+        raw = raw[:cut] if cut < 0 else raw + bytes(cut)
+        with pytest.raises(CheckpointFormatError, match=f"holds {len(raw)} bytes, the config needs {ckpt.params.flat.size * 8}"):
+            load_checkpoint(write_doc(tmp_path, with_payload(ckpt, raw)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, ckpt, tmp_path, bad):
+        flat = ckpt.params.flat.copy()
+        flat[-1] = bad  # the last entry of b_out
+        with pytest.raises(CheckpointFormatError, match="'b_out' contains non-finite values"):
+            load_checkpoint(write_doc(tmp_path, with_payload(ckpt, flat.astype("<f8").tobytes())))
+
+    @pytest.mark.parametrize("symbols, message", [
+        ([PAD_SYMBOL, EOS_SYMBOL, "a", "b", "c"], "symbol table has 5 entries, vocab_size is 6"),
+        ([PAD_SYMBOL, EOS_SYMBOL, "a", "b", "c", "d", "e"], "symbol table has 7 entries, vocab_size is 6"),
+        ([PAD_SYMBOL, EOS_SYMBOL, "a", "b", "a", "c"], "symbol table lists 'a' more than once"),
+        ([PAD_SYMBOL, EOS_SYMBOL, "a", "b", "c", EOS_SYMBOL], "lists '<eos>' more than once"),
+        (["a", "b", PAD_SYMBOL, EOS_SYMBOL, "c", "d"], "must start with '<pad>', '<eos>'"),
+        ([PAD_SYMBOL, EOS_SYMBOL, "a", "b", "c", 4], "must be a list of strings or null"),
+        ("<pad><eos>abcd", "must be a list of strings or null"),
+    ])
+    def test_bad_symbol_table(self, ckpt, tmp_path, symbols, message):
+        doc = ckpt.to_document()
+        doc["symbols"] = symbols
+        with pytest.raises(CheckpointFormatError, match=message):
+            load_checkpoint(write_doc(tmp_path, doc))
+
+
+class TestValidationV1:
+    def test_loads_with_no_symbol_table(self, ckpt, tmp_path):
+        ckpt.symbols = [PAD_SYMBOL, EOS_SYMBOL, "a", "b", "c", "d"]
+        loaded = load_checkpoint(write_doc(tmp_path, v1_document(ckpt)))
+        assert loaded.symbols is None
+        assert loaded.params.flat.tobytes() == ckpt.params.flat.tobytes()
+
+    def test_shape_mismatch(self, ckpt, tmp_path):
+        doc = v1_document(ckpt)
+        doc["params"]["w_out"] = [[0.0] * 6] * 9  # h=8 expected
+        with pytest.raises(CheckpointShapeError, match="w_out"):
+            load_checkpoint(write_doc(tmp_path, doc))
+
+    def test_missing_tensor(self, ckpt, tmp_path):
+        doc = v1_document(ckpt)
+        del doc["params"]["embed"]
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(write_doc(tmp_path, doc))
 
     def test_non_finite_rejected(self, ckpt, tmp_path):
-        path = tmp_path / "ckpt.json"
-        doc = ckpt.to_document()
+        doc = v1_document(ckpt)
         doc["params"]["b_out"][0] = None  # json null -> nan
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointFormatError):
-            load_checkpoint(path)
+        with pytest.raises(CheckpointFormatError, match="'b_out' contains non-finite values"):
+            load_checkpoint(write_doc(tmp_path, doc))

@@ -7,6 +7,8 @@ from scorelm.checkpoint import load_checkpoint
 from scorelm.cli import run_command
 from scorelm.scores import ScoreRule
 
+from checkpoint_docs import v1_document
+
 BASE_CONFIG = {
     "model": {"context": 1, "embed_dim": 8, "hidden_dim": 16, "seed": 1},
     "train": {"rule": "logarithmic", "steps": 200, "batch_size": 64,
@@ -471,3 +473,97 @@ class TestGenerateIngest:
         bad.write_text(body)
         assert run_command(["generate", "--ckpt", str(ckpt), "--data", str(bad), "--prompt", "ab"]) == 1
         assert message in capsys.readouterr().err
+
+
+def as_v1(path, out):
+    """Write the checkpoint at path as a format-v1 document (nested decimal tensors, no symbol table)."""
+    out.write_text(json.dumps(v1_document(load_checkpoint(path))))
+    return out
+
+
+class TestSymbolTable:
+    @pytest.fixture(scope="class")
+    def trained(self, workdir):
+        """A checkpoint trained on the abcd corpus, and a corpus of another alphabet of the same size."""
+        ckpt = workdir / "sym.json"
+        assert run_command(["train", "--config", str(workdir / "config.json"), "--steps", "20",
+                            "--out", str(ckpt), "--metrics", str(workdir / "sym.jsonl")]) == 0
+        other = workdir / "wxyz.txt"
+        other.write_text((workdir / "corpus.txt").read_text().translate(str.maketrans("abcd", "wxyz")))
+        return ckpt, other
+
+    def test_train_stores_the_vocabulary(self, trained, capsys):
+        ckpt, _ = trained
+        assert load_checkpoint(ckpt).symbols == ["<pad>", "<eos>", "a", "b", "c", "d"]
+        capsys.readouterr()
+
+    def test_finetune_carries_the_table(self, trained, workdir, capsys):
+        ckpt, _ = trained
+        out = workdir / "sym_ft.json"
+        assert run_command(["finetune", "--config", str(workdir / "config.json"), "--base", str(ckpt),
+                            "--rule", "brier", "--steps", "5", "--out", str(out),
+                            "--metrics", str(workdir / "sym_ft.jsonl")]) == 0
+        assert load_checkpoint(out).symbols == load_checkpoint(ckpt).symbols
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["eval", "generate", "finetune"])
+    def test_same_size_other_alphabet_refused(self, trained, workdir, capsys, command):
+        # the abcd checkpoint would read w as a, x as b, ...: refused, not remapped
+        ckpt, other = trained
+        argv = {"eval": ["eval", "--ckpt", str(ckpt), "--data", str(other)],
+                "generate": ["generate", "--ckpt", str(ckpt), "--data", str(other), "--prompt", "w"],
+                "finetune": ["finetune", "--config", str(workdir / "config.json"), "--data", str(other),
+                             "--base", str(ckpt), "--steps", "5", "--out", str(workdir / "sym_wxyz.json"),
+                             "--metrics", str(workdir / "sym_wxyz.jsonl")]}[command]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert "differs from the checkpoint's symbol table at id 2: data has 'w', checkpoint has 'a'" in captured.err
+        assert captured.out == ""
+        assert not (workdir / "sym_wxyz.json").exists()
+
+    def test_other_size_names_the_first_missing_id(self, trained, workdir, capsys):
+        ckpt, _ = trained
+        small = workdir / "abc.txt"
+        small.write_text("abcabcab" * 20)
+        assert run_command(["eval", "--ckpt", str(ckpt), "--data", str(small)]) == 1
+        assert "at id 5: data has no symbol, checkpoint has 'd'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("search", [["--greedy"], ["--beam", "3"], ["--beam", "2", "--length-penalty", "1"]])
+    def test_generate_without_data_is_the_same(self, trained, workdir, capsys, search):
+        ckpt, _ = trained
+        argv = ["generate", "--ckpt", str(ckpt), "--prompt", "cab", "--max-len", "12", *search]
+        assert run_command(argv + ["--data", str(workdir / "corpus.txt")]) == 0
+        with_data = capsys.readouterr()
+        assert run_command(argv) == 0
+        without = capsys.readouterr()
+        assert without.out == with_data.out and without.err == with_data.err == ""
+        assert without.out.strip()
+
+    def test_v1_needs_data(self, trained, workdir, capsys):
+        v1 = as_v1(trained[0], workdir / "sym_v1.json")
+        argv = ["generate", "--ckpt", str(v1), "--prompt", "cab", "--max-len", "12"]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert f"checkpoint {v1} has no symbol table" in captured.err and "pass --data" in captured.err
+        assert captured.out == ""
+        assert run_command(argv + ["--data", str(workdir / "corpus.txt")]) == 0
+        assert capsys.readouterr().out.strip()
+
+    def test_v1_is_size_checked(self, trained, workdir, capsys):
+        v1 = as_v1(trained[0], workdir / "sym_v1.json")
+        small = workdir / "abc.txt"
+        small.write_text("abcabcab" * 20)
+        assert run_command(["eval", "--ckpt", str(v1), "--data", str(small)]) == 1
+        assert "data vocabulary size 5 != checkpoint vocab_size 6" in capsys.readouterr().err
+
+    def test_library_checkpoint_needs_data(self, trained, workdir, capsys):
+        from scorelm.checkpoint import save_checkpoint
+
+        library = load_checkpoint(trained[0])
+        library.symbols = None
+        path = workdir / "sym_none.json"
+        save_checkpoint(path, library)
+        assert run_command(["generate", "--ckpt", str(path), "--prompt", "a"]) == 1
+        assert "has no symbol table" in capsys.readouterr().err
+        assert run_command(["generate", "--ckpt", str(path), "--prompt", "a", "--data", str(workdir / "corpus.txt")]) == 0
+        capsys.readouterr()

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scorelm.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from scorelm.errors import InvalidInputError
@@ -8,6 +11,7 @@ from scorelm.model import (
     Parameters,
     TokenSeq,
     _gather_positions,
+    _scatter_rows,
     backward,
     context_window,
     forward,
@@ -197,6 +201,33 @@ class TestPositionLoss:
             z_up = z.copy()
             z_up[i] += 0.5
             assert token_loss(rule, NO_SMOOTHING, z_up, i) < base
+
+
+@st.composite
+def scatters(draw):
+    """Row ids (N, K) over V rows, often repeated, and rows (N, K, d) of any
+    finite doubles, signed zeros included."""
+    N, K, d, V = draw(st.integers(0, 40)), draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    ids = draw(arrays(np.int64, (N, K), elements=st.integers(0, V - 1)))
+    values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False, width=64))
+    return ids, draw(arrays(np.float64, (N, K, d), elements=values)), V
+
+
+class TestScatterRows:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=scatters())
+    def test_bitwise_equal_to_add_at(self, case):
+        ids, rows, V = case
+        expected = np.zeros((V, rows.shape[-1]))
+        with np.errstate(over="ignore", invalid="ignore"):  # sums of huge doubles may overflow, in both
+            np.add.at(expected, ids, rows)
+            got = _scatter_rows(ids, rows, V)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    def test_negative_zero_sums(self):
+        # -0.0 + -0.0 starts from +0.0 in both, so the sum is +0.0
+        got = _scatter_rows(np.array([[1, 1]]), np.full((1, 2, 1), -0.0), 2)
+        assert got.tobytes() == np.zeros((2, 1)).tobytes()
 
 
 class TestBackward:

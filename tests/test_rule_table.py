@@ -2,6 +2,8 @@
 formulas they replaced, the alpha = 2 identities, property tests over
 random simplex points, and the training path at its numerical edges."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -418,6 +420,33 @@ def test_fd_gradient_at_large_logits(rule, cfg, zi):
 def test_fd_gradient_inside_the_clamp(rule, cfg, zi):
     z, i = zi
     assert check_fd_gradient(rule, cfg, z, i)[0, i] < P_MIN
+
+
+@st.composite
+def underflow_logits(draw):
+    """Logits over m outcomes where up to m - 1 of them lie up to 800 below
+    the rest, so their probabilities may be subnormal or 0; and an observed
+    index, which may be one of those."""
+    m = draw(st.integers(2, 12))
+    z = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m)))
+    far = draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m - 1))
+    for j in far:
+        z[j] -= draw(st.floats(600.0, 800.0))
+    return z, draw(st.integers(0, m - 1))
+
+
+@PROPERTY_SETTINGS
+@given(kind=st.sampled_from(["alpha_power", "pseudo_spherical"]),
+       alpha=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+       cfg=training_configs, zi=underflow_logits())
+def test_finite_gradient_when_a_probability_underflows(kind, alpha, cfg, zi):
+    z, i = zi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        losses, dZ = token_losses_and_grads(ScoreRule(kind, alpha), cfg, z[None, :], np.array([i]))
+    assert np.isfinite(losses).all() and np.isfinite(dZ).all()
+    assert (dZ[softmax_rows(z[None, :]) == 0.0] == 0.0).all()  # the P -> 0 limit
+    assert abs(dZ.sum()) <= 1e-12 * max(1.0, np.abs(dZ).max())  # shift invariance survives
 
 
 @PROPERTY_SETTINGS

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,20 @@ class TestLossGradients:
             for cfg in (NO_SMOOTHING, SmoothingConfig(0.1)):
                 g = loss_gradient_logits(rule, cfg, z, 0)
                 assert np.isfinite(g).all()
+
+    @pytest.mark.parametrize("kind", ["alpha_power", "pseudo_spherical"])
+    def test_underflowed_probability_gives_finite_gradient(self, kind):
+        # p_1 = e^-800 underflows to 0; P ** (alpha - 2) there made 0 * inf = nan in the softmax chain
+        from scorelm.scores import token_losses_and_grads
+
+        rule, cfg = ScoreRule(kind, 1.5), SmoothingConfig(0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            losses, dZ = token_losses_and_grads(rule, cfg, [[0, -800, 3]], [0])
+            _, near = token_losses_and_grads(rule, cfg, [[0, -700, 3]], [0])
+        assert np.isfinite(losses).all() and np.isfinite(dZ).all()
+        assert dZ[0, 1] == 0.0  # the P -> 0 limit of -p (v - <p, v>)
+        np.testing.assert_allclose(dZ, near, rtol=1e-12, atol=1e-150)  # continuous into the underflow
 
     def test_spherical_smoothed_fd(self):
         gen = np.random.default_rng(6)

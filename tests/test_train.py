@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from scorelm.checkpoint import load_checkpoint
 from scorelm.data import MarkovSpec, synth_markov
 from scorelm.errors import ConfigurationError, InvalidInputError
 from scorelm.model import ModelConfig, TokenSeq, init_params, zero_grads
@@ -169,6 +171,12 @@ class TestTrain:
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
 
+    def test_symbols_stored(self, corpus, tmp_path):
+        symbols = ["<pad>", "<eos>", "a", "b", "c", "d"]
+        ckpt, _ = train(quick_cfg(steps=5), MODEL_CFG, corpus, checkpoint_path=tmp_path / "c.json", symbols=symbols)
+        assert ckpt.symbols == symbols and load_checkpoint(tmp_path / "c.json").symbols == symbols
+        assert train(quick_cfg(steps=5), MODEL_CFG, corpus)[0].symbols is None
+
     @pytest.mark.parametrize("bad", [-1, 6])
     @pytest.mark.parametrize("where", [100, -1])  # training split, held-out split
     def test_corpus_ids_checked_in_both_splits(self, corpus, bad, where):
@@ -262,6 +270,11 @@ class TestFinetune:
         assert out.step == base.step
         for (n, a), (_, b) in zip(out.params.named(), base.params.named()):
             assert np.array_equal(a, b), n
+
+    def test_symbol_table_carried(self, base, corpus):
+        base = dataclasses.replace(base, symbols=["<pad>", "<eos>", "w", "x", "y", "z"])
+        out, _ = finetune(base, quick_cfg("brier", steps=3), corpus)
+        assert out.symbols == base.symbols
 
     def test_config_mismatch_names_fields(self, base, corpus):
         other = ModelConfig(vocab_size=6, context=2, embed_dim=8, hidden_dim=32, seed=1)
