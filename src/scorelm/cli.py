@@ -40,13 +40,27 @@ _REQUIRED = object()  # the default of a key that must be given
 _JSON_TYPES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string", list: "an array"}
 
 
+def _array_shape(value):
+    """The shape of value if it is a JSON number or a rectangular nest of
+    arrays of them, else None; a boolean is not a number."""
+    if type(value) in (int, float):
+        return ()
+    if type(value) is not list:
+        return None
+    shapes = {_array_shape(v) for v in value}
+    if len(shapes) > 1 or None in shapes:
+        return None
+    return (len(value), *next(iter(shapes), ()))
+
+
 def _fields(section, where: str, **spec) -> dict:
     """section with defaults filled in; spec maps each key to (type, default).
     A key that is not in spec, a missing required key, and a value that is not
     of the key's JSON type are errors: float keys take any number, int keys no
-    boolean, object keys anything (a section checked on its own), and null is
-    taken only where the default is None.  NaN and +-Infinity, which json.load
-    accepts, are refused anywhere in a value."""
+    boolean, list keys only numbers in rectangular rows, object keys anything
+    (a section checked on its own), and null is taken only where the default
+    is None.  NaN and +-Infinity, which json.load accepts, are refused
+    anywhere in a value."""
     if not isinstance(section, dict):
         raise ConfigurationError(f"{where} must be a JSON object")
     unknown = [key for key in section if key not in spec]
@@ -64,6 +78,9 @@ def _fields(section, where: str, **spec) -> dict:
         if kind is not object and type(value) not in types and not (value is None and default is None):
             null = " or null" if default is None else ""
             raise ConfigurationError(f"{where} key {key!r} must be {_JSON_TYPES[kind]}{null}, got {value!r}")
+        if kind is list and _array_shape(value) is None:
+            raise ConfigurationError(f"{where} key {key!r} must be an array of numbers in rows of equal length, "
+                                     f"got {value!r}")
         if kind in (float, list) and not np.isfinite(np.asarray(value, dtype=np.float64)).all():
             raise ConfigurationError(f"{where} key {key!r} must be finite, got {value!r}")
         out[key] = value

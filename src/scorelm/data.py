@@ -157,6 +157,9 @@ class MarkovSpec:
                 check_prob_vector(row)
             except InvalidInputError as exc:
                 raise InvalidInputError(f"transition row {r} is not a distribution: {exc}") from None
+        if init.shape != (self.states,):
+            raise InvalidInputError(f"initial distribution must have one entry per state ({self.states}), "
+                                    f"got shape {init.shape}")
         check_prob_vector(init)
         object.__setattr__(self, "transition", T)
         object.__setattr__(self, "initial", init)

@@ -13,8 +13,9 @@ outcome i is observed.  Implemented rules:
 
 Score evaluation keeps extended-real semantics: -inf is a first-class value
 (logarithmic score of a zero-probability outcome), never an exception.  The
-training path (token_loss / loss_gradient_logits) instead clamps log
-arguments at P_MIN so losses and gradients stay finite.
+training path (token_loss / loss_gradient_logits, and observed_scores for
+held-out evaluation) instead clamps log arguments at P_MIN so losses and
+gradients stay finite.
 """
 
 from dataclasses import dataclass
@@ -34,11 +35,14 @@ def _log_value(P, a):
         return np.log(P)
 
 
+def _log_clamped(P, a):
+    return np.log(np.maximum(P, P_MIN))
+
+
 def _log_parts(P, onehot, p_obs, a):
-    pt = np.maximum(P, P_MIN)
     act = (P >= P_MIN).astype(np.float64)  # clamp is flat below P_MIN
-    inv = act / pt
-    return np.log(pt), onehot * inv, inv
+    inv = act / np.maximum(P, P_MIN)
+    return onehot * inv, inv
 
 
 def _power_value(P, a):
@@ -61,7 +65,7 @@ def _power_parts(P, onehot, p_obs, a):
     c = a * (a - 1.0)
     g_obs = c * (_pow_a2(p_obs, a) * onehot - pa1)
     T = c * (_pow_a2(P, a) - P.shape[-1] * pa1)
-    return _power_value(P, a), g_obs, T
+    return g_obs, T
 
 
 def _pseudo_value(P, a):
@@ -76,7 +80,7 @@ def _pseudo_parts(P, onehot, p_obs, a):
     n_lo, n_hi = n ** (a - 1.0), n ** (2.0 * a - 1.0)
     g_obs = (a - 1.0) * (_pow_a2(p_obs, a) * onehot / n_lo - p_obs ** (a - 1.0) * pa1 / n_hi)
     T = (a - 1.0) * (_pow_a2(P, a) / n_lo - np.sum(pa1, axis=-1, keepdims=True) * pa1 / n_hi)
-    return _pseudo_value(P, a), g_obs, T
+    return g_obs, T
 
 
 def _linear_value(P, a):
@@ -84,17 +88,18 @@ def _linear_value(P, a):
 
 
 def _linear_parts(P, onehot, p_obs, a):
-    return _linear_value(P, a), onehot, np.ones_like(P)
+    return onehot, np.ones_like(P)
 
 
 @dataclass(frozen=True)
 class RuleRecord:
-    """One scoring rule.  parts gives the training path at each row p = P[b]:
-    s = S(P, .) with logs clamped at P_MIN, g_obs[b] = dS(p, idx[b])/dp and
-    T[b] = sum_j dS(p, j)/dp."""
+    """One scoring rule.  clamped and parts give the training path at each
+    row p = P[b]: S(p, j) with logs clamped at P_MIN, g_obs[b] =
+    dS(p, idx[b])/dp and T[b] = sum_j dS(p, j)/dp."""
 
     value: Callable  # (P, alpha) -> S(p, j) for every row p of P and every outcome j
-    parts: Callable  # (P, onehot, p_obs, alpha) -> (s, g_obs, T)
+    clamped: Callable  # (P, alpha) -> value with logs clamped at P_MIN
+    parts: Callable  # (P, onehot, p_obs, alpha) -> (g_obs, T)
     sup: float  # sup over p and i of S(p, i)
     alpha: float | None = 2.0  # the pinned alpha, or None for a free alpha > 1
     proper: bool = True
@@ -102,12 +107,12 @@ class RuleRecord:
 
 # the rule table; Brier and spherical are the alpha = 2 members of their families
 RULES = {
-    "logarithmic": RuleRecord(_log_value, _log_parts, sup=0.0),
-    "brier": RuleRecord(_power_value, _power_parts, sup=1.0),
-    "spherical": RuleRecord(_pseudo_value, _pseudo_parts, sup=1.0),
-    "alpha_power": RuleRecord(_power_value, _power_parts, sup=1.0, alpha=None),
-    "pseudo_spherical": RuleRecord(_pseudo_value, _pseudo_parts, sup=1.0, alpha=None),
-    "linear": RuleRecord(_linear_value, _linear_parts, sup=1.0, proper=False),
+    "logarithmic": RuleRecord(_log_value, _log_clamped, _log_parts, sup=0.0),
+    "brier": RuleRecord(_power_value, _power_value, _power_parts, sup=1.0),
+    "spherical": RuleRecord(_pseudo_value, _pseudo_value, _pseudo_parts, sup=1.0),
+    "alpha_power": RuleRecord(_power_value, _power_value, _power_parts, sup=1.0, alpha=None),
+    "pseudo_spherical": RuleRecord(_pseudo_value, _pseudo_value, _pseudo_parts, sup=1.0, alpha=None),
+    "linear": RuleRecord(_linear_value, _linear_value, _linear_parts, sup=1.0, proper=False),
 }
 KINDS = tuple(RULES)
 
@@ -222,6 +227,13 @@ def smoothed_score(rule: ScoreRule, cfg: SmoothingConfig, p, i: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def observed_scores(rule: ScoreRule, P: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Per-row training-path scores S(P[b], idx[b]) with logs clamped at
+    P_MIN, the values token_losses_and_grads negates at eps = 0, with no
+    gradient formed.  P is (B, m) softmax rows, idx is (B,)."""
+    return RULES[rule.kind].clamped(P, rule.alpha)[np.arange(P.shape[0]), idx]
+
+
 def token_losses_and_grads(
     rule: ScoreRule,
     cfg: SmoothingConfig,
@@ -245,7 +257,9 @@ def token_losses_and_grads(
 
     onehot = np.zeros_like(P)
     onehot[rows, idx] = 1.0
-    s, g_obs, T = RULES[rule.kind].parts(P, onehot, P[rows, idx][:, None], rule.alpha)
+    record = RULES[rule.kind]
+    s = record.clamped(P, rule.alpha)
+    g_obs, T = record.parts(P, onehot, P[rows, idx][:, None], rule.alpha)
 
     values = s[rows, idx]
     grads_p = g_obs

@@ -21,7 +21,8 @@ from .model import (
     init_params,
     loss_and_grads,
 )
-from .scores import NO_SMOOTHING, ScoreRule, SmoothingConfig, token_losses_and_grads
+from .scores import NO_SMOOTHING, ScoreRule, SmoothingConfig, observed_scores
+from .simplex import softmax_rows
 
 HELD_OUT_FRACTION = 0.1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -164,10 +165,11 @@ SCORE_FIELDS = {  # metrics field -> the rule whose mean held-out score it repor
 
 def evaluate_scores(params: Parameters, contexts: np.ndarray, targets: np.ndarray):
     """Mean held-out score per SCORE_FIELDS rule, keyed by its metrics field,
-    and ppl = exp(-score_log) (log clamped so perplexity stays finite)."""
+    and ppl = exp(-score_log) (log clamped so perplexity stays finite).
+    One forward and one softmax serve every rule; no gradient is formed."""
     _, _, Z = _forward_batch(params, contexts)
-    scores = {field: float(-token_losses_and_grads(rule, NO_SMOOTHING, Z, targets)[0].mean())
-              for field, rule in SCORE_FIELDS.items()}
+    P = softmax_rows(Z)
+    scores = {field: float(observed_scores(rule, P, targets).mean()) for field, rule in SCORE_FIELDS.items()}
     scores["ppl"] = float(np.exp(-scores["score_log"]))
     return scores
 

@@ -124,6 +124,40 @@ class TestSynth:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "c.txt").exists()
 
+    @pytest.mark.parametrize("length", ["1", "50"])
+    def test_initial_of_another_size_exits_1_by_name(self, tmp_path, capsys, length):
+        spec = {"states": 2, "transition": [[0.5, 0.5], [0.5, 0.5]], "initial": [0.1, 0.1, 0.8], "seed": 0}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert run_command(["synth", "--spec", str(tmp_path / "spec.json"), "--length", length,
+                            "--out", str(tmp_path / "c.txt")]) == 1
+        assert "initial distribution must have one entry per state (2), got shape (3,)" in capsys.readouterr().err
+        assert not (tmp_path / "c.txt").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("transition", [[True, False], [False, True]]),
+        ("transition", [[1, 0], [0, False]]),
+        ("initial", ["0.5", "0.5"]),
+        ("initial", [0.5, "half"]),
+        ("transition", [[0.5, 0.5], [0.1]]),
+        ("transition", [[0.5, 0.5], 0.5]),
+        ("initial", [0.5, None]),
+        ("initial", [0.5, {"p": 0.5}]),
+    ])
+    def test_non_numeric_or_ragged_arrays_exit_1_by_name(self, tmp_path, capsys, key, value):
+        (tmp_path / "spec.json").write_text(json.dumps({**self.SPEC, key: value}))
+        assert run_command(["synth", "--spec", str(tmp_path / "spec.json"), "--length", "50",
+                            "--out", str(tmp_path / "c.txt")]) == 1
+        assert f"spec key {key!r} must be an array of numbers in rows of equal length" in capsys.readouterr().err
+        assert not (tmp_path / "c.txt").exists()
+
+    def test_integer_entries_are_numbers(self, tmp_path, capsys):
+        (tmp_path / "spec.json").write_text(json.dumps({**self.SPEC, "transition": [[0, 1], [1, 0]],
+                                                        "initial": [1, 0]}))
+        assert run_command(["synth", "--spec", str(tmp_path / "spec.json"), "--length", "6",
+                            "--out", str(tmp_path / "c.txt")]) == 0
+        assert (tmp_path / "c.txt").read_text() == "ababab"
+        capsys.readouterr()
+
 
 class TestTrainEvalGenerate:
     def test_train_zero_steps_fails(self, workdir, capsys):
@@ -417,6 +451,29 @@ class TestGenerateGreedyFlags:
                             "--prompt", "a", "--max-len", "0"]) == 1
         captured = capsys.readouterr()
         assert "max_len must be >= 1, got 0" in captured.err and captured.out == ""
+
+
+class TestEvalReproducesTraining:
+    FIELDS = ("score_log", "score_brier", "score_spherical", "ppl")
+
+    @pytest.mark.parametrize("kind", ["corpus", "pairs"])
+    def test_eval_prints_the_last_metrics_record(self, workdir, capsys, kind):
+        # eval on the training data scores the same held-out split with the same function
+        data = workdir / "corpus.txt"
+        if kind == "pairs":
+            data = workdir / "eval_pairs.jsonl"
+            data.write_text("".join(json.dumps({"source": s, "target": s[::-1] + "a"}) + "\n"
+                                    for s in ("abc", "dcab", "bca", "abd", "ba", "cdd") * 5))
+        config = write_config(workdir, f"eval_{kind}.json", data=str(data))
+        ckpt, metrics = workdir / f"eval_{kind}_ckpt.json", workdir / f"eval_{kind}_metrics.jsonl"
+        assert run_command(["train", "--config", config, "--steps", "30", "--batch-size", "16",
+                            "--out", str(ckpt), "--metrics", str(metrics)]) == 0
+        capsys.readouterr()
+        assert run_command(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        last = json.loads(metrics.read_text().splitlines()[-1])
+        assert last["step"] == 30
+        assert {k: printed[k] for k in self.FIELDS} == {k: last[k] for k in self.FIELDS}
 
 
 class TestGenerateIngest:

@@ -241,6 +241,12 @@ class TestSynthMarkov:
         with pytest.raises(InvalidInputError, match="row 1"):
             MarkovSpec(states=2, transition=[[0.5, 0.5], [0.7, 0.7]], initial=[0.5, 0.5], seed=0)
 
+    @pytest.mark.parametrize("states, initial", [(2, [0.1, 0.1, 0.8]), (3, [0.5, 0.5]), (2, [[0.5, 0.5]])])
+    def test_initial_of_another_size_rejected(self, states, initial):
+        # a longer vector would walk off the transition table, a shorter one never start in the last states
+        with pytest.raises(InvalidInputError, match=rf"one entry per state \({states}\), got shape \({len(initial)},"):
+            MarkovSpec(states=states, transition=np.full((states, states), 1.0 / states), initial=initial, seed=0)
+
     def test_conditional_rows_are_distributions(self):
         spec = MarkovSpec(
             states=3,

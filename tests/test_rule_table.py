@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scorelm.decode import normalized_objective_vector
-from scorelm.model import ModelConfig, init_params, loss_and_grads
+from scorelm.model import ModelConfig, _forward_batch, init_params, loss_and_grads
 from scorelm.scores import (
     KINDS,
     NO_SMOOTHING,
@@ -19,12 +19,14 @@ from scorelm.scores import (
     ScoreRule,
     SmoothingConfig,
     expected_score,
+    observed_scores,
     score_matrix,
     smoothed_score,
     smoothed_score_matrix,
     token_losses_and_grads,
 )
 from scorelm.simplex import softmax_rows
+from scorelm.train import SCORE_FIELDS, evaluate_scores
 from scorelm.verify import simplex_grid
 
 # ---------------------------------------------------------------------------
@@ -208,9 +210,9 @@ class TestParityWithExplicitFormulas:
             onehot = np.zeros_like(P)
             onehot[rows, idx] = 1.0
             p_obs = P[rows, idx][:, None]
-            s, g_obs, T = RULES[rule.kind].parts(P, onehot, p_obs, alpha)
+            g_obs, T = RULES[rule.kind].parts(P, onehot, p_obs, alpha)
             ref_g, ref_T = ref_grad_parts(rule, P, idx)
-            assert np.array_equal(s, ref_score_matrix(rule, P))
+            assert np.array_equal(RULES[rule.kind].clamped(P, alpha), ref_score_matrix(rule, P))
             pa1 = P ** (alpha - 1.0)
             n = np.sum(P**alpha, axis=1, keepdims=True) ** (1.0 / alpha)
             lo, hi = n ** (alpha - 1.0), n ** (2.0 * alpha - 1.0)
@@ -468,3 +470,58 @@ def test_mean_loss_independent_of_batching(rule, cfg, seed, n, data):
     tol = 8 * n * np.finfo(np.float64).eps * (np.abs(singles).mean() + 1.0)
     assert abs(chunked - whole) <= tol
     assert abs(singles.mean() - whole) <= tol
+
+
+# ---------------------------------------------------------------------------
+# Held-out scores read from the rule table against the gradient path they
+# replaced: the negated per-row training losses at eps = 0.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def scored_batches(draw):
+    """(Z, idx, inside): N = 1..300 rows over m = 2..40 outcomes with logits
+    up to +-50, and the rows whose observed outcome was pushed inside the
+    P_MIN clamp (28-60 below the largest other logit, and e^-28 < 1e-12)."""
+    n, m = draw(st.integers(1, 300)), draw(st.integers(2, 40))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Z = gen.uniform(-1.0, 1.0, (n, m)) * draw(st.sampled_from([0.5, 5.0, 50.0]))
+    idx = gen.integers(0, m, n)
+    inside = np.flatnonzero(gen.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0])))
+    others = Z.copy()
+    others[np.arange(n), idx] = -np.inf
+    Z[inside, idx[inside]] = others[inside].max(axis=1) - gen.uniform(28.0, 60.0, inside.size)
+    return Z, idx, inside
+
+
+@PROPERTY_SETTINGS
+@given(rule=proper_rules, batch=scored_batches())
+def test_observed_scores_equal_the_gradient_path_bitwise(rule, batch):
+    Z, idx, inside = batch
+    P = softmax_rows(Z)
+    assert (P[inside, idx[inside]] < P_MIN).all()
+    want = -token_losses_and_grads(rule, NO_SMOOTHING, Z, idx)[0]
+    assert observed_scores(rule, P, idx).tobytes() == want.tobytes()
+
+
+def ref_evaluate_scores(params, contexts, targets):
+    """evaluate_scores as it was written on the gradient path."""
+    _, _, Z = _forward_batch(params, contexts)
+    scores = {field: float(-token_losses_and_grads(rule, NO_SMOOTHING, Z, targets)[0].mean())
+              for field, rule in SCORE_FIELDS.items()}
+    scores["ppl"] = float(np.exp(-scores["score_log"]))
+    return scores
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 300), V=st.integers(2, 40),
+       scale=st.sampled_from([1.0, 5.0, 20.0]))
+def test_evaluate_scores_equal_the_gradient_path_bitwise(seed, n, V, scale):
+    # scale 20 puts logits near +-50 and many observed probabilities inside the clamp
+    params = init_params(ModelConfig(vocab_size=V, context=2, embed_dim=4, hidden_dim=8, seed=seed))
+    params.flat *= scale
+    gen = np.random.default_rng(seed)
+    contexts, targets = gen.integers(0, V, size=(n, 2)), gen.integers(0, V, size=n)
+    got, want = evaluate_scores(params, contexts, targets), ref_evaluate_scores(params, contexts, targets)
+    assert list(got) == [*SCORE_FIELDS, "ppl"]
+    assert {k: np.float64(v).tobytes() for k, v in got.items()} == {k: np.float64(v).tobytes() for k, v in want.items()}
