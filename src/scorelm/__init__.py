@@ -36,6 +36,7 @@ from .model import (
     EOS_ID,
     PAD_ID,
     ModelConfig,
+    PackedSeqs,
     Parameters,
     TokenSeq,
     backward,

@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import EOS_SYMBOL, PAD_SYMBOL
-from .errors import CheckpointError, CheckpointFormatError, CheckpointShapeError, CheckpointVersionError
+from .documents import REQUIRED, read_fields
+from .errors import CheckpointFormatError, CheckpointShapeError, CheckpointVersionError
 from .model import ModelConfig, Parameters, param_shapes
 from .scores import ScoreRule, SmoothingConfig
 
@@ -60,7 +61,10 @@ def _v1_flat(raw, shapes) -> np.ndarray:
     """The nested decimal tensors of a v1 document, concatenated in layout order."""
     tensors = []
     for name, shape in shapes:
-        tensor = np.asarray(raw[name], dtype=np.float64)
+        try:
+            tensor = np.asarray(raw[name], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointFormatError(f"tensor {name!r} is missing or not numeric: {exc}") from None
         if tensor.shape != shape:
             raise CheckpointShapeError(f"tensor {name!r} has shape {tensor.shape}, config implies {shape}")
         tensors.append(tensor.ravel())
@@ -94,10 +98,35 @@ def _checked_symbols(symbols, vocab_size: int) -> list:
     return list(symbols)
 
 
+def _header(doc):
+    """(model, rule, smoothing, step, params field, symbols) of a document,
+    each key read by its JSON type; the version was checked first."""
+    v2 = doc["v"] == 2
+    top = read_fields(doc, "checkpoint", CheckpointFormatError, v=(int, REQUIRED), model=(object, REQUIRED),
+                      rule=(object, REQUIRED), smoothing=(object, REQUIRED), step=(int, REQUIRED),
+                      params=(str if v2 else object, REQUIRED), **({"symbols": (object, REQUIRED)} if v2 else {}))
+    if top["step"] < 0:
+        raise CheckpointFormatError(f"checkpoint key 'step' must be >= 0, got {top['step']}")
+    model = read_fields(top["model"], "checkpoint model", CheckpointFormatError, vocab_size=(int, REQUIRED),
+                        context=(int, REQUIRED), embed_dim=(int, REQUIRED), hidden_dim=(int, REQUIRED),
+                        seed=(int, 0))
+    rule = read_fields(top["rule"], "checkpoint rule", CheckpointFormatError, kind=(str, REQUIRED),
+                       alpha=(float, 2.0))
+    smoothing = read_fields(top["smoothing"], "checkpoint smoothing", CheckpointFormatError, eps=(float, 0.0),
+                            mask_enhanced=(bool, False))
+    try:
+        configs = ModelConfig(**model), ScoreRule(**rule), SmoothingConfig(**smoothing)
+    except ValueError as exc:
+        raise CheckpointFormatError(f"malformed checkpoint fields: {exc}") from None
+    return (*configs, top["step"], top["params"], top.get("symbols"))
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Parse and validate a checkpoint document (format v2, or v1 with symbols None).
 
-    Raises CheckpointVersionError / CheckpointShapeError /
+    The header is read by type: a key of the wrong JSON type, a missing or
+    unknown key and a negative step are CheckpointFormatErrors that name the
+    key.  Raises CheckpointVersionError / CheckpointShapeError /
     CheckpointFormatError for the three failure classes.
     """
     try:
@@ -108,22 +137,15 @@ def load_checkpoint(path) -> Checkpoint:
 
     if not isinstance(doc, dict) or "v" not in doc:
         raise CheckpointFormatError("checkpoint document lacks a version field")
+    if type(doc["v"]) in (bool, float):  # would compare equal to a version: true == 1, 2.0 == 2
+        raise CheckpointFormatError(f"checkpoint key 'v' must be an integer, got {doc['v']!r}")
     if doc["v"] not in READABLE_VERSIONS:
         raise CheckpointVersionError(
             f"unsupported checkpoint version {doc['v']!r}; supported versions: {', '.join(map(str, READABLE_VERSIONS))}"
         )
-    try:
-        model = ModelConfig(**doc["model"])
-        rule = ScoreRule(**doc["rule"])
-        smoothing = SmoothingConfig(**doc["smoothing"])
-        step = int(doc["step"])
-        shapes = param_shapes(model)
-        flat = _v1_flat(doc["params"], shapes) if doc["v"] == 1 else _v2_flat(doc["params"], shapes)
-        symbols = doc["symbols"] if doc["v"] == 2 else None
-    except CheckpointError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointFormatError(f"incomplete or malformed checkpoint fields: {exc}") from None
+    model, rule, smoothing, step, payload, symbols = _header(doc)
+    shapes = param_shapes(model)
+    flat = _v2_flat(payload, shapes) if doc["v"] == 2 else _v1_flat(payload, shapes)
 
     params = Parameters.zeros(shapes)
     params.flat[:] = flat

@@ -6,6 +6,7 @@ config keys.  Exit codes: 0 success, 1 validation or runtime failure,
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,6 +18,7 @@ from . import verify as verify_mod
 from .checkpoint import load_checkpoint
 from .data import MarkovSpec, Vocab, build_vocab, decode as decode_text, encode, encode_pairs, load_pairs, synth_markov
 from .decode import BeamConfig, beam_search, greedy
+from .documents import REQUIRED, read_fields
 from .errors import ConfigurationError, InvalidInputError
 from .model import ModelConfig, N_RESERVED
 from .scores import RULES, ScoreRule, SmoothingConfig
@@ -36,57 +38,6 @@ def _jsonable(obj):
     return obj
 
 
-_REQUIRED = object()  # the default of a key that must be given
-_JSON_TYPES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string", list: "an array"}
-
-
-def _array_shape(value):
-    """The shape of value if it is a JSON number or a rectangular nest of
-    arrays of them, else None; a boolean is not a number."""
-    if type(value) in (int, float):
-        return ()
-    if type(value) is not list:
-        return None
-    shapes = {_array_shape(v) for v in value}
-    if len(shapes) > 1 or None in shapes:
-        return None
-    return (len(value), *next(iter(shapes), ()))
-
-
-def _fields(section, where: str, **spec) -> dict:
-    """section with defaults filled in; spec maps each key to (type, default).
-    A key that is not in spec, a missing required key, and a value that is not
-    of the key's JSON type are errors: float keys take any number, int keys no
-    boolean, list keys only numbers in rectangular rows, object keys anything
-    (a section checked on its own), and null is taken only where the default
-    is None.  NaN and +-Infinity, which json.load accepts, are refused
-    anywhere in a value."""
-    if not isinstance(section, dict):
-        raise ConfigurationError(f"{where} must be a JSON object")
-    unknown = [key for key in section if key not in spec]
-    if unknown:
-        raise ConfigurationError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
-    out = {}
-    for key, (kind, default) in spec.items():
-        if key not in section:
-            if default is _REQUIRED:
-                raise ConfigurationError(f"missing {where} key {key!r}")
-            out[key] = default
-            continue
-        value = section[key]
-        types = (int, float) if kind is float else (kind,)
-        if kind is not object and type(value) not in types and not (value is None and default is None):
-            null = " or null" if default is None else ""
-            raise ConfigurationError(f"{where} key {key!r} must be {_JSON_TYPES[kind]}{null}, got {value!r}")
-        if kind is list and _array_shape(value) is None:
-            raise ConfigurationError(f"{where} key {key!r} must be an array of numbers in rows of equal length, "
-                                     f"got {value!r}")
-        if kind in (float, list) and not np.isfinite(np.asarray(value, dtype=np.float64)).all():
-            raise ConfigurationError(f"{where} key {key!r} must be finite, got {value!r}")
-        out[key] = value
-    return out
-
-
 def _load_config(args) -> dict:
     """The config document, its data path overridden by --data."""
     try:
@@ -94,7 +45,7 @@ def _load_config(args) -> dict:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {args.config}: {exc}") from None
-    config = _fields(config, "top-level config", data=(str, None), model=(object, None), train=(object, {}))
+    config = read_fields(config, "top-level config", data=(str, None), model=(object, None), train=(object, {}))
     if args.data is not None:
         config["data"] = args.data
     if config["data"] is None:
@@ -106,8 +57,9 @@ def _train_config(section, args) -> TrainConfig:
     default = TrainConfig(rule=ScoreRule("logarithmic"))
     scalars = {key: (type(getattr(default, key)), getattr(default, key))
             for key in ("steps", "batch_size", "learning_rate", "warmup_steps", "eval_every", "seed")}
-    s = _fields(section, "train config", rule=(str, default.rule.kind), alpha=(float, default.rule.alpha),
-                eps=(float, default.smoothing.eps), mask_enhanced=(bool, default.smoothing.mask_enhanced), **scalars)
+    s = read_fields(section, "train config", rule=(str, default.rule.kind), alpha=(float, default.rule.alpha),
+                    eps=(float, default.smoothing.eps), mask_enhanced=(bool, default.smoothing.mask_enhanced),
+                    **scalars)
     for key in ("rule", "alpha", "eps", "steps", "batch_size", "learning_rate", "seed"):
         if getattr(args, key) is not None:
             s[key] = getattr(args, key)
@@ -142,8 +94,8 @@ def _load_data(path):
 
 
 def _model_config(section, vocab: Vocab) -> ModelConfig:
-    s = _fields(section, "model config", vocab_size=(int, None), context=(int, 4), embed_dim=(int, 16),
-                hidden_dim=(int, 32), seed=(int, 0))
+    s = read_fields(section, "model config", vocab_size=(int, None), context=(int, 4), embed_dim=(int, 16),
+                    hidden_dim=(int, 32), seed=(int, 0))
     if s["vocab_size"] is not None and s["vocab_size"] != vocab.size:
         raise ConfigurationError(f"config vocab_size {s['vocab_size']} != data vocabulary size {vocab.size}")
     return ModelConfig(vocab_size=vocab.size, context=s["context"], embed_dim=s["embed_dim"],
@@ -241,8 +193,8 @@ def _cmd_verify(args) -> int:
 def _cmd_synth(args) -> int:
     if args.spec is not None:
         with open(args.spec, encoding="utf-8") as fh:
-            doc = _fields(json.load(fh), "spec", states=(int, _REQUIRED), transition=(list, _REQUIRED),
-                          initial=(list, _REQUIRED), seed=(int, args.seed))
+            doc = read_fields(json.load(fh), "spec", states=(int, REQUIRED), transition=(list, REQUIRED),
+                              initial=(list, REQUIRED), seed=(int, args.seed))
         spec = MarkovSpec(
             states=doc["states"],
             transition=np.asarray(doc["transition"], dtype=np.float64),
@@ -270,7 +222,9 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="scorelm",
                                      description="language modeling with strictly proper scoring rules")
     sub = parser.add_subparsers(dest="command", required=True)

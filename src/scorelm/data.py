@@ -8,7 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError
-from .model import EOS_ID, N_RESERVED, PAD_ID, TokenSeq
+from .model import EOS_ID, N_RESERVED, PAD_ID, PackedSeqs, TokenSeq
 from .simplex import check_prob_vector
 
 PAD_SYMBOL = "<pad>"
@@ -65,47 +65,65 @@ def decode(vocab: Vocab, tokens) -> str:
     return "".join(out)
 
 
-def _pair_seq(src, tgt) -> TokenSeq:
-    """src + EOS + tgt + EOS ids, loss-masked over src and its EOS."""
+def encode_pair(vocab: Vocab, source: str, target: str) -> TokenSeq:
+    """source + EOS + target + EOS, loss-masked over the source and its EOS."""
+    src, tgt = encode(vocab, source).tokens, encode(vocab, target).tokens
     tokens = np.concatenate([src, [EOS_ID], tgt, [EOS_ID]])
     mask = np.zeros(tokens.size, dtype=bool)
     mask[src.size + 1 :] = True
     return TokenSeq(tokens, mask)
 
 
-def encode_pair(vocab: Vocab, source: str, target: str) -> TokenSeq:
-    """source + EOS + target + EOS, loss-masked over the source and its EOS."""
-    return _pair_seq(encode(vocab, source).tokens, encode(vocab, target).tokens)
-
-
-def encode_pairs(vocab: Vocab, pairs) -> list:
-    """[encode_pair(vocab, s, t) for s, t in pairs], with the text of every
-    record encoded in one call and cut into records by slicing."""
+def encode_pairs(vocab: Vocab, pairs) -> PackedSeqs:
+    """The records encode_pair(vocab, s, t) for s, t in pairs, packed: the
+    text of every record encoded in one call, an EOS inserted after each
+    source and each target, and the mask set over every target and its EOS."""
+    lengths = np.fromiter((len(part) for s, t in pairs for part in (s, t)), dtype=np.int64, count=2 * len(pairs))
     ids = encode(vocab, "".join(s + t for s, t in pairs)).tokens
-    seqs, at = [], 0
-    for source, target in pairs:
-        mid = at + len(source)
-        end = mid + len(target)
-        seqs.append(_pair_seq(ids[at:mid], ids[mid:end]))
-        at = end
-    return seqs
+    tokens = np.insert(ids, np.cumsum(lengths), EOS_ID)
+    mask = np.repeat(np.arange(lengths.size) % 2 == 1, lengths + 1)  # segments alternate source, target
+    offsets = np.zeros(len(pairs) + 1, dtype=np.int64)
+    np.cumsum(lengths.reshape(-1, 2).sum(axis=1) + 2, out=offsets[1:])
+    return PackedSeqs(tokens, mask, offsets)
+
+
+_scan_json = json.JSONDecoder().scan_once  # json.loads' C scanner, without the whitespace skipping
+_JSON_SPACE = " \t\n\r"
 
 
 def load_pairs(path):
-    """Read JSON-lines records with "source" and "target" string fields."""
-    records = []
+    """Read JSON-lines records with "source" and "target" string fields.
+
+    The file is read in one piece and split at "\n", as iterating over it
+    in text mode splits it.  Each line is read as json.loads reads it:
+    stripped of JSON whitespace and scanned by the C scanner, which must
+    consume all of it.  A line the scanner refuses is skipped if it is
+    blank (line.strip() is empty), and otherwise parsed again by json.loads
+    for its error message.
+    """
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        lines = fh.read().split("\n")
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        body = line.strip(_JSON_SPACE)
+        try:
+            obj, end = _scan_json(body, 0)
+            if end != len(body):
+                raise ValueError("extra data")
+        except (StopIteration, ValueError):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InvalidInputError(f"line {lineno}: malformed JSON ({exc.msg})") from None
-            for key in ("source", "target"):
-                if key not in obj or not isinstance(obj[key], str):
-                    raise InvalidInputError(f'line {lineno}: missing or non-string "{key}" field')
-            records.append((obj["source"], obj["target"]))
+        if not isinstance(obj, dict):
+            raise InvalidInputError(f"line {lineno}: record must be a JSON object")
+        source, target = obj.get("source"), obj.get("target")
+        if not (isinstance(source, str) and isinstance(target, str)):
+            key = "target" if isinstance(source, str) else "source"
+            raise InvalidInputError(f'line {lineno}: missing or non-string "{key}" field')
+        records.append((source, target))
     return records
 
 

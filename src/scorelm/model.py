@@ -106,6 +106,42 @@ class TokenSeq:
         return int(self.tokens.size)
 
 
+@dataclass(frozen=True)
+class PackedSeqs:
+    """Many TokenSeqs in one buffer: record i is tokens[offsets[i]:offsets[i + 1]]
+    with its loss mask at the same positions."""
+
+    tokens: np.ndarray     # int64, every record back to back
+    loss_mask: np.ndarray  # bool, one flag per token
+    offsets: np.ndarray    # int64, the len(self) + 1 record boundaries, from 0 to tokens.size
+
+    def __post_init__(self):
+        tokens = np.asarray(self.tokens, dtype=np.int64)
+        mask = np.asarray(self.loss_mask, dtype=bool)
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        if tokens.ndim != 1 or mask.shape != tokens.shape:
+            raise InvalidInputError(f"tokens and loss_mask must be 1-D of one length, got {tokens.shape} "
+                                    f"and {mask.shape}")
+        if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 or offsets[-1] != tokens.size \
+                or np.any(np.diff(offsets) < 0):
+            raise InvalidInputError(f"offsets must rise from 0 to the token count {tokens.size}")
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "loss_mask", mask)
+        object.__setattr__(self, "offsets", offsets)
+
+    @classmethod
+    def pack(cls, seqs) -> "PackedSeqs":
+        """The records of a list of TokenSeq, in list order."""
+        offsets = np.zeros(len(seqs) + 1, dtype=np.int64)
+        np.cumsum([len(seq) for seq in seqs], out=offsets[1:])
+        tokens = np.concatenate([np.zeros(0, dtype=np.int64), *(seq.tokens for seq in seqs)])
+        mask = np.concatenate([np.zeros(0, dtype=bool), *(seq.loss_mask for seq in seqs)])
+        return cls(tokens, mask, offsets)
+
+    def __len__(self):
+        return int(self.offsets.size - 1)
+
+
 def init_params(cfg: ModelConfig) -> Parameters:
     """Deterministic initialization from cfg.seed via splitmix64.
 
@@ -134,10 +170,13 @@ def _check_ids(ids: np.ndarray, V: int):
 
 
 def _forward_batch(params: Parameters, contexts: np.ndarray):
-    """contexts (N, K) -> (X, H, Z): concatenated inputs, hidden, logits."""
+    """contexts (N, K) -> (X, H, Z): concatenated inputs, hidden, logits.
+    The hidden layer is built in place in its one (N, h) array."""
     N, K = contexts.shape
     X = params.embed[contexts].reshape(N, K * params.embed.shape[1])
-    H = np.tanh(X @ params.w_hidden + params.b_hidden)
+    H = X @ params.w_hidden
+    H += params.b_hidden
+    np.tanh(H, out=H)
     Z = H @ params.w_out + params.b_out
     return X, H, Z
 
@@ -169,7 +208,7 @@ def _gather_positions(seqs, K: int):
     are always the row of a sliding window view ending just before t,
     left-padded exactly as context_window pads them.
     """
-    if not seqs:
+    if not any(len(seq) for seq in seqs):  # no position at all, and too few tokens for one window
         return np.zeros((0, K), dtype=np.int64), np.zeros(0, dtype=np.int64)
     pad, no_loss = np.full(K, PAD_ID, dtype=np.int64), np.zeros(K, dtype=bool)
     tokens = np.concatenate([part for seq in seqs for part in (pad, seq.tokens)])

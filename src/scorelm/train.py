@@ -12,12 +12,13 @@ from .checkpoint import Checkpoint, save_checkpoint
 from .data import make_batches, make_seq_batches
 from .errors import ConfigurationError, InvalidInputError
 from .model import (
+    PAD_ID,
     ModelConfig,
+    PackedSeqs,
     Parameters,
     TokenSeq,
     _check_ids,
     _forward_batch,
-    _gather_positions,
     init_params,
     loss_and_grads,
 )
@@ -72,6 +73,9 @@ class AdamState:
     m: np.ndarray  # first and second moments, laid out like Parameters.flat
     v: np.ndarray
 
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))  # adam_step's temporaries
+
     @staticmethod
     def fresh(params: Parameters) -> "AdamState":
         return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
@@ -81,7 +85,11 @@ def adam_step(params: Parameters, grads: Parameters, state: AdamState, step_inde
     """One bias-corrected Adam update at 1-based step_index, with linear
     warmup of the learning rate over cfg.warmup_steps (and, when cfg.lr_decay
     is set, linear decay to zero over the remaining steps; constant-rate Adam
-    orbits rather than settles, which matters at desk scale)."""
+    orbits rather than settles, which matters at desk scale).
+
+    The update is params -= lr * (m / bc1) / (sqrt(v / bc2) + eps), each
+    operation done in place in the state's scratch vectors, in the order the
+    expression evaluates, so no temporary is allocated."""
     lr = cfg.learning_rate
     if cfg.warmup_steps > 0:
         lr *= min(1.0, step_index / cfg.warmup_steps)
@@ -93,11 +101,18 @@ def adam_step(params: Parameters, grads: Parameters, state: AdamState, step_inde
     if not np.all(np.isfinite(g)):
         name = next(name for name, t in grads.named() if not np.all(np.isfinite(t)))
         raise FloatingPointError(f"non-finite gradient in tensor {name!r} at step {step_index}")
+    a, b = state.scratch
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * g * g
-    params.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+    v += np.multiply(a, g, out=a)
+    np.divide(m, bc1, out=a)
+    a *= lr
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    params.flat -= np.divide(a, b, out=a)
     return params, state
 
 
@@ -108,38 +123,67 @@ def relative_change(s_new: float, s_old: float) -> float:
     return (s_new - s_old) / abs(s_old)
 
 
+def _records_split(records: PackedSeqs, K: int, V: int | None):
+    """split_data for paired records.
+
+    The records lie in one stream, each behind K PAD_IDs, so the K tokens
+    before a position are the row of a sliding window view that ends just
+    before it, padded as context_window pads them; scored holds the stream
+    position of every unmasked token, record after record.  A batch reads
+    the rows of its records' scored positions, in the order that
+    make_seq_batches draws the records; _gather_positions over the same
+    TokenSeqs gives the same arrays.
+    """
+    n = len(records)
+    n_held = n // 10
+    if n_held == 0:
+        raise InvalidInputError(f"paired data needs at least 10 records for a held-out split, got {n}")
+    if V is not None:
+        _check_ids(records.tokens, V)
+    stream = np.insert(records.tokens, np.repeat(records.offsets[:-1], K), PAD_ID)
+    scored = np.flatnonzero(records.loss_mask)
+    first = np.searchsorted(scored, records.offsets)  # record i: scored[first[i]:first[i + 1]]
+    scored += K * np.searchsorted(records.offsets, scored, side="right")  # K pads per record up to its own
+    windows = sliding_window_view(stream, K + 1)
+
+    held = windows[scored[first[n - n_held] :] - K]
+    if held.shape[0] == 0:
+        raise InvalidInputError(f"the {n_held} held-out records have no unmasked position to score")
+
+    def batches(batch_size, seed):
+        for batch in make_seq_batches(range(n - n_held), batch_size, seed):
+            sel = np.asarray(batch, dtype=np.int64)  # record ids
+            starts, counts = first[sel], first[sel + 1] - first[sel]
+            # batch entry j of record r is scored[starts[r] + j - out[r]], out[r] being r's first batch entry
+            out = np.cumsum(counts) - counts
+            rows = windows[scored[np.arange(counts.sum()) + np.repeat(starts - out, counts)] - K]
+            yield rows[:, :-1], rows[:, -1]
+
+    return batches, (held[:, :-1], held[:, -1])
+
+
 def split_data(data, K: int, V: int | None = None):
     """The one training/held-out split of data: (batches, (contexts, targets)).
 
     data is a corpus (a token id array, or a TokenSeq with no masked
-    position) or paired records (a list of TokenSeq).  The held-out part is
-    the final 10%, never shuffled into training: a corpus tail scored at the
-    positions with a full in-split history, or the last records scored at
-    their unmasked positions.  batches(batch_size, seed) yields one epoch of
-    training (contexts, targets) index arrays, shuffled by seed.  When V is
-    given, every id of both parts is checked before anything else.  A
-    held-out part with no position to score is refused.
+    position) or paired records (PackedSeqs, or a list of TokenSeq, which is
+    packed first).  The held-out part is the final 10%, never shuffled into
+    training: a corpus tail scored at the positions with a full in-split
+    history, or the last records scored at their unmasked positions.
+    batches(batch_size, seed) yields one epoch of training (contexts,
+    targets) index arrays, shuffled by seed.  When V is given, every id of
+    both parts is checked before anything else.  A held-out part with no
+    position to score is refused.
     """
     if isinstance(data, TokenSeq):
         if not data.loss_mask.all():
-            raise InvalidInputError("a corpus has no loss mask; pass masked (paired) data as a list of TokenSeq")
+            raise InvalidInputError("a corpus has no loss mask; pass masked (paired) data as a list of TokenSeq "
+                                    "or as PackedSeqs")
         data = data.tokens
     if isinstance(data, list) and data and isinstance(data[0], TokenSeq):
-        n_held = len(data) // 10
-        if n_held == 0:
-            raise InvalidInputError(f"paired data needs at least 10 records for a held-out split, got {len(data)}")
-        if V is not None:
-            _check_ids(np.concatenate([seq.tokens for seq in data]), V)
-        held_out = _gather_positions(data[-n_held:], K)
-        if held_out[1].size == 0:
-            raise InvalidInputError(f"the {n_held} held-out records have no unmasked position to score")
-        train_part = data[:-n_held]
-
-        def batches(batch_size, seed):
-            for batch in make_seq_batches(train_part, batch_size, seed):
-                yield _gather_positions(batch, K)
-
-        return batches, held_out
+        data = PackedSeqs.pack(data)
+    if isinstance(data, PackedSeqs):
+        return _records_split(data, K, V)
     tokens = np.asarray(data, dtype=np.int64)
     if tokens.ndim != 1:
         raise InvalidInputError(f"corpus tokens must be 1-D, got shape {tokens.shape}")

@@ -224,6 +224,78 @@ class TestValidation:
             load_checkpoint(write_doc(tmp_path, doc))
 
 
+
+class TestHeaderTypes:
+    """Each header key is read by its JSON type and never converted; a probe
+    fails naming its key, and a valid checkpoint loads bit for bit."""
+
+    def probe(self, ckpt, tmp_path, edit, message):
+        doc = ckpt.to_document()
+        edit(doc)
+        with pytest.raises(CheckpointFormatError, match=message):
+            load_checkpoint(write_doc(tmp_path, doc))
+
+    def test_float_model_dimension(self, ckpt, tmp_path):
+        self.probe(ckpt, tmp_path, lambda doc: doc["model"].update(hidden_dim=8.0),
+                   "checkpoint model key 'hidden_dim' must be an integer, got 8.0")
+
+    def test_float_v1_model_dimension(self, ckpt, tmp_path):
+        doc = v1_document(ckpt)
+        doc["model"]["embed_dim"] = 4.0
+        with pytest.raises(CheckpointFormatError, match="checkpoint model key 'embed_dim' must be an integer"):
+            load_checkpoint(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("step", [1.7, 123.0, "12", True, None])
+    def test_step_not_an_integer(self, ckpt, tmp_path, step):
+        self.probe(ckpt, tmp_path, lambda doc: doc.update(step=step), "checkpoint key 'step' must be an integer")
+
+    def test_negative_step(self, ckpt, tmp_path):
+        self.probe(ckpt, tmp_path, lambda doc: doc.update(step=-5), "checkpoint key 'step' must be >= 0, got -5")
+
+    @pytest.mark.parametrize("flag", ["no", 0, 1, None])
+    def test_mask_enhanced_not_a_boolean(self, ckpt, tmp_path, flag):
+        self.probe(ckpt, tmp_path, lambda doc: doc["smoothing"].update(mask_enhanced=flag),
+                   "checkpoint smoothing key 'mask_enhanced' must be a boolean")
+
+    @pytest.mark.parametrize("v", [True, False, 2.0, 1.0])
+    def test_version_not_an_integer(self, ckpt, tmp_path, v):
+        self.probe(ckpt, tmp_path, lambda doc: doc.update(v=v), f"checkpoint key 'v' must be an integer, got {v!r}")
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("model", "seed", "x", "checkpoint model key 'seed' must be an integer"),
+        ("model", "context", True, "checkpoint model key 'context' must be an integer"),
+        ("rule", "kind", 3, "checkpoint rule key 'kind' must be a string"),
+        ("rule", "alpha", "2", "checkpoint rule key 'alpha' must be a number"),
+        ("smoothing", "eps", float("nan"), "checkpoint smoothing key 'eps' must be finite"),
+        ("model", "width", 3, "unknown checkpoint model key"),
+        (None, "extra", 1, "unknown checkpoint key"),
+        (None, "model", [], "checkpoint model must be a JSON object"),
+    ])
+    def test_other_keys_by_type(self, ckpt, tmp_path, section, key, value, message):
+        self.probe(ckpt, tmp_path, lambda doc: (doc if section is None else doc[section]).update({key: value}),
+                   message)
+
+    @pytest.mark.parametrize("section, key", [(None, "step"), (None, "rule"), ("model", "context"),
+                                              ("rule", "kind")])
+    def test_missing_key_named(self, ckpt, tmp_path, section, key):
+        self.probe(ckpt, tmp_path, lambda doc: (doc if section is None else doc[section]).pop(key),
+                   f"missing checkpoint {'' if section is None else section + ' '}key {key!r}")
+
+    def test_range_errors_are_format_errors(self, ckpt, tmp_path):
+        self.probe(ckpt, tmp_path, lambda doc: doc["model"].update(context=0), "context must be >= 1")
+        self.probe(ckpt, tmp_path, lambda doc: doc["rule"].update(kind="log"), "unknown scoring rule 'log'")
+
+    def test_valid_header_loads_bit_for_bit(self, ckpt, tmp_path):
+        ckpt.smoothing = SmoothingConfig(0.1, mask_enhanced=True)
+        path = tmp_path / "ok.json"
+        save_checkpoint(path, ckpt)
+        loaded = load_checkpoint(path)
+        assert (loaded.model, loaded.rule, loaded.smoothing, loaded.step) == (
+            ckpt.model, ckpt.rule, ckpt.smoothing, ckpt.step)
+        assert loaded.params.flat.tobytes() == ckpt.params.flat.tobytes()
+        save_checkpoint(tmp_path / "again.json", loaded)
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
 class TestValidationV1:
     def test_loads_with_no_symbol_table(self, ckpt, tmp_path):
         ckpt.symbols = [PAD_SYMBOL, EOS_SYMBOL, "a", "b", "c", "d"]

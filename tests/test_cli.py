@@ -1,4 +1,6 @@
+import functools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,11 +413,14 @@ class TestGenerateObjective:
         capsys.readouterr()
 
     def test_choices_are_the_pinned_proper_rules(self, capsys, monkeypatch):
+        import scorelm.cli as cli_mod
         from scorelm.scores import RULES
 
         assert run_command(["generate", "--help"]) == 0
         assert "--objective {logarithmic,brier,spherical}" in capsys.readouterr().out
         monkeypatch.setitem(RULES, "log2", RULES["logarithmic"])  # one more proper rule with a pinned alpha
+        # the parser reads the table when it is built, once per process: build a new one
+        monkeypatch.setattr(cli_mod, "_build_parser", functools.cache(cli_mod._build_parser.__wrapped__))
         assert run_command(["generate", "--help"]) == 0
         assert "--objective {logarithmic,brier,spherical,log2}" in capsys.readouterr().out
 
@@ -624,3 +629,86 @@ class TestSymbolTable:
         assert "has no symbol table" in capsys.readouterr().err
         assert run_command(["generate", "--ckpt", str(path), "--prompt", "a", "--data", str(workdir / "corpus.txt")]) == 0
         capsys.readouterr()
+
+
+class TestPairsRecords:
+    @pytest.mark.parametrize("value", ["5", "null", "true"])
+    @pytest.mark.parametrize("command", ["train", "generate"])
+    def test_non_object_record_exits_1(self, workdir, tmp_path, capsys, value, command):
+        pairs = tmp_path / "scalar.jsonl"
+        pairs.write_text('{"source": "ab", "target": "ba"}\n' * 11 + value + "\n")
+        if command == "train":
+            argv = ["train", "--config", str(workdir / "config.json"), "--data", str(pairs), "--steps", "2",
+                    "--out", str(tmp_path / "c.json"), "--metrics", str(tmp_path / "m.jsonl")]
+        else:
+            argv = ["generate", "--ckpt", train_checkpoint(workdir, "scalar"), "--data", str(pairs)]
+            capsys.readouterr()
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 12: record must be a JSON object\n" and captured.out == ""
+
+
+class TestCheckpointHeaderProbes:
+    @pytest.fixture(scope="class")
+    def document(self, workdir):
+        return json.loads(Path(train_checkpoint(workdir, "probe")).read_text())
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["model"].update(hidden_dim=16.0), "checkpoint model key 'hidden_dim' must be an integer"),
+        (lambda doc: doc.update(step=1.7), "checkpoint key 'step' must be an integer, got 1.7"),
+        (lambda doc: doc.update(step=-5), "checkpoint key 'step' must be >= 0, got -5"),
+        (lambda doc: doc["smoothing"].update(mask_enhanced="no"),
+         "checkpoint smoothing key 'mask_enhanced' must be a boolean, got 'no'"),
+        (lambda doc: doc.update(v=True), "checkpoint key 'v' must be an integer, got True"),
+    ], ids=["float-hidden-dim", "float-step", "negative-step", "string-flag", "boolean-version"])
+    def test_generate_exits_1_naming_the_key(self, document, tmp_path, capsys, edit, message):
+        doc = json.loads(json.dumps(document))
+        edit(doc)
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(doc))
+        assert run_command(["generate", "--ckpt", str(path), "--prompt", "ab"]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        path.write_text(json.dumps(document))
+        assert run_command(["generate", "--ckpt", str(path), "--prompt", "ab"]) == 0
+        capsys.readouterr()
+
+
+class TestParserOncePerProcess:
+    def test_same_output_codes_and_messages_as_fresh_parsers(self, workdir, tmp_path, capsys, monkeypatch):
+        import scorelm.cli as cli_mod
+
+        ckpt, corpus = tmp_path / "ckpt.json", str(workdir / "corpus.txt")
+        calls = [
+            ["train", "--config", str(workdir / "config.json"), "--steps", "5", "--out", str(ckpt),
+             "--metrics", str(tmp_path / "m.jsonl")],
+            ["eval", "--ckpt", str(ckpt), "--data", corpus],
+            ["generate", "--ckpt", str(ckpt), "--prompt", "ab", "--beam", "2", "--max-len", "5"],
+            ["generate", "--ckpt", str(ckpt), "--prompt", "ab", "--objective", "brier"],
+            ["generate", "--ckpt", str(ckpt), "--greedy", "--beam", "2"],
+            ["decode", "--ckpt", str(ckpt), "--prompt", "zz"],
+            ["train", "--bogus"],
+            ["eval", "--ckpt", str(ckpt)],
+            ["frobnicate"],
+            [],
+            ["generate", "--help"],
+            ["synth", "--states", "1", "--out", str(tmp_path / "s.txt")],
+            ["synth", "--states", "3", "--length", "50", "--out", str(tmp_path / "s.txt")],
+            ["finetune", "--config", str(workdir / "config.json"), "--base", str(ckpt), "--steps", "0",
+             "--out", str(tmp_path / "ft.json"), "--metrics", str(tmp_path / "ft.jsonl")],
+            ["eval", "--ckpt", str(tmp_path / "ft.json"), "--data", corpus],
+        ]
+
+        def session():
+            results = []
+            for argv in calls:
+                rc = run_command(argv)
+                captured = capsys.readouterr()
+                results.append((rc, captured.out, captured.err))
+            return results
+
+        once = session()
+        monkeypatch.setattr(cli_mod, "_build_parser", cli_mod._build_parser.__wrapped__)  # a new parser per call
+        fresh = session()
+        assert once == fresh
+        assert [rc for rc, _, _ in once] == [0, 0, 0, 2, 2, 1, 2, 2, 2, 2, 0, 1, 0, 0, 0]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from scorelm.data import (
     synth_markov,
 )
 from scorelm.errors import InvalidInputError
-from scorelm.model import EOS_ID
+from scorelm.model import EOS_ID, PackedSeqs, TokenSeq
 
 
 class TestVocab:
@@ -86,6 +88,12 @@ def outcome(fn, *args):
         return str(exc)
 
 
+def unpack(packed):
+    """The records of a PackedSeqs as TokenSeqs cut from its buffers."""
+    bounds = zip(packed.offsets[:-1], packed.offsets[1:])
+    return [TokenSeq(packed.tokens[a:b], packed.loss_mask[a:b]) for a, b in bounds]
+
+
 def assert_same_array(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -126,12 +134,12 @@ class TestEncodeAgainstReference:
         for (s, t), ref in zip(pairs, refs):
             assert_same_outcome(outcome(encode_pair, v, s, t), ref)
         errors = [ref for ref in refs if isinstance(ref, str)]
-        batch = outcome(encode_pairs, v, pairs)
+        packed = outcome(encode_pairs, v, pairs)
         if errors:
-            assert batch == errors[0]  # the first unknown character of the first bad record
+            assert packed == errors[0]  # the first unknown character of the first bad record
         else:
-            assert len(batch) == len(refs)
-            for seq, ref in zip(batch, refs):
+            assert len(packed) == len(refs)
+            for seq, ref in zip(unpack(packed), refs):
                 assert_same_outcome(seq, ref)
 
     def test_unknown_character_named_in_text_order(self):
@@ -145,10 +153,10 @@ class TestEncodeAgainstReference:
 
     def test_pairs_with_empty_sides(self):
         v = build_vocab("ab")
-        seqs = encode_pairs(v, [("", ""), ("a", ""), ("", "b")])
+        seqs = unpack(encode_pairs(v, [("", ""), ("a", ""), ("", "b")]))
         assert [s.tokens.tolist() for s in seqs] == [[1, 1], [2, 1, 1], [1, 3, 1]]
         assert [s.loss_mask.tolist() for s in seqs] == [[False, True], [False, False, True], [False, True, True]]
-        assert encode_pairs(v, []) == []
+        assert unpack(encode_pairs(v, [])) == []
 
 
 class TestLoadPairs:
@@ -174,6 +182,111 @@ class TestLoadPairs:
         with pytest.raises(InvalidInputError, match='"target"'):
             load_pairs(f)
 
+
+    @pytest.mark.parametrize("value", ["5", "null", "true", '"source target"', '["source", "target"]'])
+    def test_record_must_be_an_object(self, tmp_path, value):
+        f = tmp_path / "scalar.jsonl"
+        f.write_text('{"source": "a", "target": "b"}\n\n' + value + "\n")
+        with pytest.raises(InvalidInputError, match="^line 3: record must be a JSON object$"):
+            load_pairs(f)
+
+
+def reference_load_pairs(path):
+    """The per-line reader that load_pairs replaced: text-mode iteration and
+    one json.loads per line (plus the object check both readers make)."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InvalidInputError(f"line {lineno}: malformed JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise InvalidInputError(f"line {lineno}: record must be a JSON object")
+            for key in ("source", "target"):
+                if key not in obj or not isinstance(obj[key], str):
+                    raise InvalidInputError(f'line {lineno}: missing or non-string "{key}" field')
+            records.append((obj["source"], obj["target"]))
+    return records
+
+
+# whitespace that JSON allows around a value, and whitespace that only str.strip,
+# str.splitlines or a universal-newline reader treats as such
+JSON_SPACE, OTHER_SPACE = [" ", "\t"], ["\xa0", "\x0c", "\x0b", "\x1c", "\x85", "\u2028", "\u3000", "\ufeff"]
+JUNK = ["1,[2", '{"source": "a", "target": "b"},{"source": "c", "target": "d"}', "},{", "5", "null", "true",
+        '"source"', '["source", "target"]', '{"source": 1, "target": "x"}', '{"source": "a"}', "{", "NaN",
+        '{"source": "a", "target": "b"} x', '{"source": "a", "target": "b"}}', '{"source": "\x01", "target": ""}',
+        '{"target": "t", "source": "s", "source": 3}', '{"source": "a", "target": "b", "extra": [1, {}]}']
+record_texts = st.lists(st.one_of(st.characters(exclude_categories=("Cs",)), st.sampled_from(
+    OTHER_SPACE + ["\r", "\n", '"', "\\", "}", "{", ","])), max_size=8).map("".join)
+
+
+@st.composite
+def jsonl_lines(draw):
+    """One line of a pairs file: a record with padding, junk, or blank space."""
+    kind = draw(st.sampled_from(["record", "record", "record", "junk", "blank"]))
+    if kind == "blank":
+        return "".join(draw(st.lists(st.sampled_from(JSON_SPACE + OTHER_SPACE), max_size=3)))
+    if kind == "junk":
+        body = draw(st.sampled_from(JUNK))
+    else:
+        record = {"source": draw(record_texts), "target": draw(record_texts)}
+        if draw(st.booleans()):
+            record = dict(reversed(record.items()))
+        body = json.dumps(record, ensure_ascii=draw(st.booleans()), separators=draw(st.sampled_from(
+            [(", ", ": "), (",", ":")])))
+    pad = st.lists(st.sampled_from(JSON_SPACE + OTHER_SPACE if draw(st.integers(0, 4)) == 0 else JSON_SPACE),
+                   max_size=2).map("".join)
+    return draw(pad) + body + draw(pad)
+
+
+class TestLoadPairsAgainstReference:
+    @PROPERTY_SETTINGS
+    @given(lines=st.lists(jsonl_lines(), max_size=8), newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           last=st.booleans())
+    def test_same_records_or_same_error(self, tmp_path_factory, lines, newline, last):
+        f = tmp_path_factory.mktemp("pairs") / "pairs.jsonl"
+        f.write_bytes((newline.join(lines) + (newline if last else "")).encode("utf-8"))
+        assert outcome(load_pairs, f) == outcome(reference_load_pairs, f)
+
+    @pytest.mark.parametrize("line", JUNK + [OTHER_SPACE[0] + '{"source": "a", "target": "b"}',
+                                             '{"source": "a", "target": "b"}' + OTHER_SPACE[1],
+                                             '\ufeff{"source": "a", "target": "b"}'])
+    def test_each_junk_line(self, tmp_path, line):
+        f = tmp_path / "junk.jsonl"
+        f.write_bytes(('{"source": "a", "target": "b"}\r\n' + line + "\r\n").encode("utf-8"))
+        assert outcome(load_pairs, f) == outcome(reference_load_pairs, f)
+
+
+class TestEncodePairsPacked:
+    def test_layout(self):
+        v = build_vocab("abc")
+        packed = encode_pairs(v, [("ab", "c"), ("", "ba")])
+        assert packed.tokens.tolist() == [2, 3, 1, 4, 1, 1, 3, 2, 1]
+        assert packed.loss_mask.tolist() == [False, False, False, True, True, False, True, True, True]
+        assert packed.offsets.tolist() == [0, 5, 9]
+        assert len(packed) == 2
+
+    def test_pack_is_the_inverse_of_unpack(self):
+        v = build_vocab("abc")
+        packed = encode_pairs(v, [("ab", "c"), ("", ""), ("c", "ab")])
+        again = PackedSeqs.pack(unpack(packed))
+        for name in ("tokens", "loss_mask", "offsets"):
+            assert_same_array(getattr(again, name), getattr(packed, name))
+        assert_same_array(PackedSeqs.pack([]).tokens, np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("tokens, mask, offsets, message", [
+        ([2, 3], [True], [0, 2], "one length"),
+        ([2, 3], [True, True], [0, 1], "offsets must rise from 0 to the token count 2"),
+        ([2, 3], [True, True], [1, 2], "offsets must rise"),
+        ([2, 3], [True, True], [0, 2, 1, 2], "offsets must rise"),
+        ([2, 3], [True, True], [], "offsets must rise"),
+    ])
+    def test_inconsistent_buffers_rejected(self, tokens, mask, offsets, message):
+        with pytest.raises(InvalidInputError, match=message):
+            PackedSeqs(np.asarray(tokens), np.asarray(mask, dtype=bool), np.asarray(offsets))
 
 class TestMakeBatches:
     def test_window_count_per_epoch(self):

@@ -129,6 +129,14 @@ class TestGatherPositions:
             contexts, targets = _gather_positions(seqs, 4)
             assert contexts.shape == (0, 4) and targets.shape == (0,)
 
+    def test_sequences_without_tokens(self):
+        # fewer tokens than one window holds: no position, not a numpy error
+        for seqs in ([TokenSeq([])], [TokenSeq([]), TokenSeq([])]):
+            contexts, targets = _gather_positions(seqs, 3)
+            assert contexts.shape == (0, 3) and targets.shape == (0,)
+        contexts, targets = _gather_positions([TokenSeq([]), TokenSeq([5])], 3)
+        assert contexts.tolist() == [[0, 0, 0]] and targets.tolist() == [5]
+
 
 class TestParameters:
     def test_tensors_are_views_of_one_vector(self, tmp_path):

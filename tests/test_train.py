@@ -1,14 +1,19 @@
 import dataclasses
+import importlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from scorelm.checkpoint import load_checkpoint
-from scorelm.data import MarkovSpec, synth_markov
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scorelm.data import MarkovSpec, build_vocab, encode_pair, encode_pairs, make_seq_batches, synth_markov
 from scorelm.errors import ConfigurationError, InvalidInputError
-from scorelm.model import ModelConfig, TokenSeq, init_params, zero_grads
-from scorelm.scores import ScoreRule
+from scorelm.model import ModelConfig, PackedSeqs, TokenSeq, _gather_positions, init_params, zero_grads
+from scorelm.scores import ScoreRule, SmoothingConfig
 from scorelm.train import (
     AdamState,
     TrainConfig,
@@ -120,6 +125,22 @@ class TestAdamStep:
             assert flat.flat.tobytes() == ref.flat.tobytes(), step
         assert state.m.tobytes() == np.concatenate([m[name].ravel() for name, _ in ref.named()]).tobytes()
         assert state.v.tobytes() == np.concatenate([v[name].ravel() for name, _ in ref.named()]).tobytes()
+
+    def test_no_float_temporaries(self):
+        # the update runs in the state's scratch vectors; only the finiteness check's
+        # boolean vector (one byte per entry) is allocated
+        params = init_params(ModelConfig(vocab_size=35, context=8, embed_dim=32, hidden_dim=128))
+        grads = zero_grads(params)
+        grads.flat[:] = np.random.default_rng(0).normal(size=grads.flat.size)
+        state = AdamState.fresh(params)
+        adam_step(params, grads, state, 1, self.cfg)
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state, 2, self.cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params.flat.nbytes / 4
 
 
 class TestRelativeChange:
@@ -256,6 +277,91 @@ class TestHeldoutPositions:
 
         assert scorelm.split_data is split_data
 
+
+
+def reference_split(seqs, K, batch_size, seed):
+    """The per-record split that the packed one replaced: each batch gathered
+    from its TokenSeqs, the held-out part from the last 10% of them."""
+    n_held = len(seqs) // 10
+    held = _gather_positions(seqs[-n_held:], K)
+    if held[1].size == 0:
+        return f"the {n_held} held-out records have no unmasked position to score"
+    batches = [_gather_positions(b, K) for b in make_seq_batches(seqs[:-n_held], batch_size, seed)]
+    return batches, held
+
+
+def token_seqs(draw, n):
+    seqs = []
+    for _ in range(n):
+        size = draw(st.integers(0, 7))
+        tokens = draw(st.lists(st.integers(0, 9), min_size=size, max_size=size))
+        mask = draw(st.one_of(st.just([False] * size), st.lists(st.booleans(), min_size=size, max_size=size)))
+        seqs.append(TokenSeq(tokens, loss_mask=mask))
+    return seqs
+
+
+@st.composite
+def split_cases(draw):
+    return (token_seqs(draw, draw(st.integers(10, 45))), draw(st.integers(1, 5)), draw(st.integers(1, 12)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def same_arrays(a, b):
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+class TestPackedSplit:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=split_cases())
+    def test_batches_and_held_out_equal_the_per_record_gather(self, case):
+        seqs, K, batch_size, seed = case
+        want = reference_split(seqs, K, batch_size, seed)
+        for data in (seqs, PackedSeqs.pack(seqs)):
+            try:
+                batches, held = split_data(data, K)
+            except InvalidInputError as exc:
+                assert str(exc) == want
+                continue
+            assert not isinstance(want, str)
+            got = list(batches(batch_size, seed))
+            assert len(got) == len(want[0])
+            assert all(same_arrays(g, w) for g, w in zip(got, want[0]))
+            assert same_arrays(held, want[1])
+
+    def test_batches_drawn_through_make_seq_batches_at_call_time(self, monkeypatch):
+        train_mod = importlib.import_module("scorelm.train")  # the package's `train` is the function
+
+        seqs = [TokenSeq([2, 3, 1, 4, 1], loss_mask=[False] * 3 + [True] * 2) for _ in range(20)]
+        drawn = []
+
+        def spy(items, batch_size, seed):
+            for batch in make_seq_batches(items, batch_size, seed):
+                drawn.append(batch)
+                yield batch
+
+        batches, _ = split_data(encode_pairs(build_vocab("ab"), [("a", "b")] * 20), 2)
+        monkeypatch.setattr(train_mod, "make_seq_batches", spy)
+        assert len(list(batches(4, 7))) == len(drawn) == 5
+        assert sorted(i for batch in drawn for i in batch) == list(range(18))
+
+    def test_train_on_packed_and_listed_records_writes_the_same_bytes(self, tmp_path):
+        vocab = build_vocab("abcdef")
+        gen = np.random.default_rng(4)
+        pairs = []
+        for _ in range(40):
+            src = "".join(gen.choice(list("abcdef"), int(gen.integers(1, 7))))
+            pairs.append((src, src[::-1]))
+        model_cfg = ModelConfig(vocab_size=vocab.size, context=3, embed_dim=4, hidden_dim=8, seed=2)
+        cfg = TrainConfig(rule=ScoreRule("brier"), smoothing=SmoothingConfig(0.1, mask_enhanced=True), steps=25,
+                          batch_size=6, eval_every=5, seed=9)
+        outputs = []
+        for name, data in (("packed", encode_pairs(vocab, pairs)),
+                           ("listed", [encode_pair(vocab, s, t) for s, t in pairs])):
+            metrics, ckpt = tmp_path / f"{name}.metrics.jsonl", tmp_path / f"{name}.ckpt.json"
+            train(cfg, model_cfg, data, metrics_path=metrics, checkpoint_path=ckpt, symbols=vocab.symbols)
+            outputs.append((metrics.read_bytes(), ckpt.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0].splitlines()) == 5
 
 @pytest.fixture(scope="module")
 def base(corpus):
