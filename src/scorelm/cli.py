@@ -16,7 +16,8 @@ import numpy as np
 
 from . import verify as verify_mod
 from .checkpoint import load_checkpoint
-from .data import MarkovSpec, Vocab, build_vocab, decode as decode_text, encode, encode_pairs, load_pairs, synth_markov
+from .data import (MarkovSpec, Vocab, build_vocab, decode as decode_text, encode, encode_pairs, load_pairs,
+                   read_text, synth_markov)
 from .decode import BeamConfig, beam_search, greedy
 from .documents import REQUIRED, read_fields
 from .errors import ConfigurationError, InvalidInputError
@@ -82,8 +83,7 @@ def _read_data(path):
         if not pairs:
             raise InvalidInputError(f"no records in {path}")
         return build_vocab("".join(s + t for s, t in pairs)), pairs, encode_pairs
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     return build_vocab(text), text, _encode_corpus
 
 

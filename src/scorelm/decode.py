@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .documents import check_field_types
 from .errors import ConfigurationError, InvalidInputError, ParameterDomainError
 from .model import EOS_ID, N_RESERVED, Parameters, _check_ids, context_window, forward
 from .scores import RULES, ScoreRule, score_matrix
@@ -36,6 +37,7 @@ class BeamConfig:
     objective: ScoreRule = ScoreRule("logarithmic")
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("beam_size", "max_len"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -1,10 +1,13 @@
 """The one typed reader for the JSON documents a user hands in: config and
-Markov spec files (scorelm.cli) and checkpoint headers (scorelm.checkpoint).
+Markov spec files (scorelm.cli) and checkpoint headers (scorelm.checkpoint);
+and its library counterpart, the type check of the config dataclasses.
 
 A key is read by its JSON type, never converted: an integer key takes no
 boolean and no float, a number key takes no string.  The dataclasses built
-from the values check their ranges.
+from the values check their types the same way, and their ranges.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -12,6 +15,29 @@ from .errors import ConfigurationError
 
 REQUIRED = object()  # the default of a key that must be given
 _JSON_TYPES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string", list: "an array"}
+_NUMERIC = {int: int, float: (int, float)}  # what an int or float field takes, a bool aside
+
+
+def check_field_types(config) -> None:
+    """Refuse, by name, a field of the dataclass instance config whose value
+    is not of its annotated type: an int field takes an integer but no
+    boolean, a float field an integer or a float but no boolean, a bool or
+    str field only that, and a field annotated with another class an
+    instance of it.  A numpy scalar counts as the Python scalar it holds,
+    which is stored in its place."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if isinstance(value, np.generic):
+            value = value.item()
+            object.__setattr__(config, field.name, value)
+        kind = field.type
+        if kind in _NUMERIC:
+            ok = isinstance(value, _NUMERIC[kind]) and not isinstance(value, bool)
+        else:
+            ok = isinstance(value, kind)
+        if not ok:
+            want = _JSON_TYPES.get(kind, f"a {kind.__name__}")
+            raise ConfigurationError(f"{type(config).__name__} field {field.name!r} must be {want}, got {value!r}")
 
 
 def _array_shape(value):

@@ -17,7 +17,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
-from .errors import InvalidInputError
+from .documents import check_field_types
+from .errors import ConfigurationError, InvalidInputError
 from .scores import ScoreRule, SmoothingConfig, token_losses_and_grads
 from .simplex import softmax_rows
 
@@ -35,6 +36,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
+        if not 0 <= self.seed < 2**64:
+            raise ConfigurationError(f"ModelConfig field 'seed' must lie in [0, 2**64), got {self.seed}")
         if self.vocab_size < 2:
             raise InvalidInputError(f"vocab_size must be >= 2, got {self.vocab_size}")
         for name in ("context", "embed_dim", "hidden_dim"):

@@ -13,9 +13,9 @@ outcome i is observed.  Implemented rules:
 
 Score evaluation keeps extended-real semantics: -inf is a first-class value
 (logarithmic score of a zero-probability outcome), never an exception.  The
-training path (token_loss / loss_gradient_logits, and observed_scores for
-held-out evaluation) instead clamps log arguments at P_MIN so losses and
-gradients stay finite.
+training path (token_losses_and_grads, and observed_scores for held-out
+evaluation) instead clamps log arguments at P_MIN so losses and gradients
+stay finite.
 """
 
 from dataclasses import dataclass
@@ -23,8 +23,9 @@ from typing import Callable
 
 import numpy as np
 
+from .documents import check_field_types
 from .errors import ConfigurationError, InvalidInputError, ParameterDomainError
-from .simplex import check_logits, check_prob_vector, entmax, softmax_rows, tsallis_entropy
+from .simplex import check_logits, check_prob_vector, entmax, row_sum, softmax_rows, tsallis_entropy
 
 P_MIN = 1e-12  # log clamp used only in the training path
 P_TINY = np.finfo(np.float64).tiny  # floor of P in P ** (alpha - 2) for alpha < 2 (training path)
@@ -39,14 +40,17 @@ def _log_clamped(P, a):
     return np.log(np.maximum(P, P_MIN))
 
 
-def _log_parts(P, onehot, p_obs, a):
+def _log_grad_sum(P, a):
     act = (P >= P_MIN).astype(np.float64)  # clamp is flat below P_MIN
-    inv = act / np.maximum(P, P_MIN)
-    return onehot * inv, inv
+    return act / np.maximum(P, P_MIN)
+
+
+def _log_grad(P, onehot, p_obs, a):
+    return onehot * _log_grad_sum(P, a)
 
 
 def _power_value(P, a):
-    return a * P ** (a - 1.0) - (a - 1.0) * np.sum(P**a, axis=-1, keepdims=True)
+    return a * P ** (a - 1.0) - (a - 1.0) * row_sum(P**a)
 
 
 def _pow_a2(P, a):
@@ -60,46 +64,58 @@ def _pow_a2(P, a):
     return np.power(floored, a - 2.0, out=floored)
 
 
-def _power_parts(P, onehot, p_obs, a):
-    pa1 = P ** (a - 1.0)
-    c = a * (a - 1.0)
-    g_obs = c * (_pow_a2(p_obs, a) * onehot - pa1)
-    T = c * (_pow_a2(P, a) - P.shape[-1] * pa1)
-    return g_obs, T
+def _power_grad(P, onehot, p_obs, a):
+    return a * (a - 1.0) * (_pow_a2(p_obs, a) * onehot - P ** (a - 1.0))
+
+
+def _power_grad_sum(P, a):
+    return a * (a - 1.0) * (_pow_a2(P, a) - P.shape[-1] * P ** (a - 1.0))
 
 
 def _pseudo_value(P, a):
-    qa = np.sum(P**a, axis=-1, keepdims=True)
+    qa = row_sum(P**a)
     return P ** (a - 1.0) / qa ** ((a - 1.0) / a)
 
 
-def _pseudo_parts(P, onehot, p_obs, a):
-    # written in n = ||p||_alpha so that alpha = 2 is the spherical rule bit for bit
-    pa1 = P ** (a - 1.0)
-    n = np.sum(P**a, axis=-1, keepdims=True) ** (1.0 / a)
-    n_lo, n_hi = n ** (a - 1.0), n ** (2.0 * a - 1.0)
-    g_obs = (a - 1.0) * (_pow_a2(p_obs, a) * onehot / n_lo - p_obs ** (a - 1.0) * pa1 / n_hi)
-    T = (a - 1.0) * (_pow_a2(P, a) / n_lo - np.sum(pa1, axis=-1, keepdims=True) * pa1 / n_hi)
-    return g_obs, T
+# the gradients are written in n = ||p||_alpha so that alpha = 2 is the spherical rule bit for bit
+def _pseudo_norms(P, a):
+    """P ** (a - 1), and n ** (a - 1) and n ** (2a - 1) for each row's n."""
+    n = row_sum(P**a) ** (1.0 / a)
+    return P ** (a - 1.0), n ** (a - 1.0), n ** (2.0 * a - 1.0)
+
+
+def _pseudo_grad(P, onehot, p_obs, a):
+    pa1, n_lo, n_hi = _pseudo_norms(P, a)
+    return (a - 1.0) * (_pow_a2(p_obs, a) * onehot / n_lo - p_obs ** (a - 1.0) * pa1 / n_hi)
+
+
+def _pseudo_grad_sum(P, a):
+    pa1, n_lo, n_hi = _pseudo_norms(P, a)
+    return (a - 1.0) * (_pow_a2(P, a) / n_lo - row_sum(pa1) * pa1 / n_hi)
 
 
 def _linear_value(P, a):
     return P.copy()
 
 
-def _linear_parts(P, onehot, p_obs, a):
-    return onehot, np.ones_like(P)
+def _linear_grad(P, onehot, p_obs, a):
+    return onehot
+
+
+def _linear_grad_sum(P, a):
+    return np.ones_like(P)
 
 
 @dataclass(frozen=True)
 class RuleRecord:
-    """One scoring rule.  clamped and parts give the training path at each
-    row p = P[b]: S(p, j) with logs clamped at P_MIN, g_obs[b] =
-    dS(p, idx[b])/dp and T[b] = sum_j dS(p, j)/dp."""
+    """One scoring rule.  clamped, grad and grad_sum give the training path
+    at each row p = P[b]: S(p, j) with logs clamped at P_MIN, dS(p,
+    idx[b])/dp, and sum_j dS(p, j)/dp, which only smoothing reads."""
 
     value: Callable  # (P, alpha) -> S(p, j) for every row p of P and every outcome j
     clamped: Callable  # (P, alpha) -> value with logs clamped at P_MIN
-    parts: Callable  # (P, onehot, p_obs, alpha) -> (g_obs, T)
+    grad: Callable  # (P, onehot, p_obs, alpha) -> dS(p, idx[b])/dp per row
+    grad_sum: Callable  # (P, alpha) -> sum_j dS(p, j)/dp per row
     sup: float  # sup over p and i of S(p, i)
     alpha: float | None = 2.0  # the pinned alpha, or None for a free alpha > 1
     proper: bool = True
@@ -107,12 +123,13 @@ class RuleRecord:
 
 # the rule table; Brier and spherical are the alpha = 2 members of their families
 RULES = {
-    "logarithmic": RuleRecord(_log_value, _log_clamped, _log_parts, sup=0.0),
-    "brier": RuleRecord(_power_value, _power_value, _power_parts, sup=1.0),
-    "spherical": RuleRecord(_pseudo_value, _pseudo_value, _pseudo_parts, sup=1.0),
-    "alpha_power": RuleRecord(_power_value, _power_value, _power_parts, sup=1.0, alpha=None),
-    "pseudo_spherical": RuleRecord(_pseudo_value, _pseudo_value, _pseudo_parts, sup=1.0, alpha=None),
-    "linear": RuleRecord(_linear_value, _linear_value, _linear_parts, sup=1.0, proper=False),
+    "logarithmic": RuleRecord(_log_value, _log_clamped, _log_grad, _log_grad_sum, sup=0.0),
+    "brier": RuleRecord(_power_value, _power_value, _power_grad, _power_grad_sum, sup=1.0),
+    "spherical": RuleRecord(_pseudo_value, _pseudo_value, _pseudo_grad, _pseudo_grad_sum, sup=1.0),
+    "alpha_power": RuleRecord(_power_value, _power_value, _power_grad, _power_grad_sum, sup=1.0, alpha=None),
+    "pseudo_spherical": RuleRecord(_pseudo_value, _pseudo_value, _pseudo_grad, _pseudo_grad_sum, sup=1.0,
+                                   alpha=None),
+    "linear": RuleRecord(_linear_value, _linear_value, _linear_grad, _linear_grad_sum, sup=1.0, proper=False),
 }
 KINDS = tuple(RULES)
 
@@ -125,6 +142,7 @@ class ScoreRule:
     alpha: float = 2.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in RULES:
             raise ParameterDomainError(f"unknown scoring rule {self.kind!r}, expected one of {KINDS}")
         pinned = RULES[self.kind].alpha
@@ -142,6 +160,7 @@ class SmoothingConfig:
     mask_enhanced: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 <= self.eps <= 1.0:
             raise ParameterDomainError(f"eps must lie in [0, 1], got {self.eps}")
         if self.mask_enhanced and self.eps == 0.0:
@@ -180,11 +199,11 @@ def smoothed_score_matrix(rule: ScoreRule, cfg: SmoothingConfig, P: np.ndarray) 
     S = score_matrix(rule, P)
     eps, m = cfg.eps, P.shape[-1]
     if eps > 0.0:
-        tail = (eps / m) * S.sum(axis=-1, keepdims=True)
+        tail = (eps / m) * row_sum(S)
         S = (1.0 - eps) * S + tail if eps < 1.0 else np.broadcast_to(tail, S.shape)
     if cfg.mask_enhanced:
         with np.errstate(divide="ignore"):
-            S = S + (eps / m) * np.where(P < eps / m, np.log(P), 0.0).sum(axis=-1, keepdims=True)
+            S = S + (eps / m) * row_sum(np.where(P < eps / m, np.log(P), 0.0))
     return S
 
 
@@ -192,7 +211,7 @@ def expectation(S: np.ndarray, q: np.ndarray) -> np.ndarray:
     """sum_j q_j S[..., j] for every row of S, with q_j * (-inf) read as -inf
     for q_j > 0 and as 0 for q_j = 0."""
     with np.errstate(invalid="ignore"):
-        return np.where(q > 0, S * q, 0.0).sum(axis=-1)
+        return row_sum(np.where(q > 0, S * q, 0.0))[..., 0]
 
 
 def score(rule: ScoreRule, p, i: int) -> float:
@@ -259,21 +278,19 @@ def token_losses_and_grads(
     onehot[rows, idx] = 1.0
     record = RULES[rule.kind]
     s = record.clamped(P, rule.alpha)
-    g_obs, T = record.parts(P, onehot, P[rows, idx][:, None], rule.alpha)
-
     values = s[rows, idx]
-    grads_p = g_obs
+    grads_p = record.grad(P, onehot, P[rows, idx][:, None], rule.alpha)
     if eps > 0.0:
-        values = (1.0 - eps) * values + (eps / m) * s.sum(axis=1)
-        grads_p = (1.0 - eps) * g_obs + (eps / m) * T
+        values = (1.0 - eps) * values + (eps / m) * row_sum(s)[:, 0]
+        grads_p = (1.0 - eps) * grads_p + (eps / m) * record.grad_sum(P, rule.alpha)
     if cfg.mask_enhanced:
         mask = (P < eps / m) if mask_override is None else mask_override
         pt = np.maximum(P, P_MIN)
-        values = values + (eps / m) * np.sum(np.where(mask, np.log(pt), 0.0), axis=1)
+        values = values + (eps / m) * row_sum(np.where(mask, np.log(pt), 0.0))[:, 0]
         grads_p = grads_p + (eps / m) * mask * (P >= P_MIN) / pt
 
     # chain through softmax: dL/dz_k = -p_k (v_k - sum_j p_j v_j)
-    inner = np.sum(P * grads_p, axis=1, keepdims=True)
+    inner = row_sum(P * grads_p)
     dZ = -P * (grads_p - inner)
     return -values, dZ
 

@@ -1,8 +1,9 @@
 """Probability-simplex numerics.
 
-Normalization maps (softmax and alpha-entmax), Tsallis entropies, and
-distribution smoothing.  All functions take and return 1-D float arrays;
-probability vectors live on the m-simplex with m >= 2.
+Normalization maps (softmax and alpha-entmax), Tsallis entropies,
+distribution smoothing, and the reductions over the outcome axis that the
+batched paths share.  The scalar functions take and return 1-D float
+arrays; probability vectors live on the m-simplex with m >= 2.
 """
 
 import numpy as np
@@ -12,6 +13,49 @@ from .errors import ConvergenceError, InvalidInputError, ParameterDomainError
 SUM_TOL = 1e-9
 ENTMAX_BISECT_TOL = 1e-10
 ENTMAX_BISECT_ITERS = 200
+
+# numpy's pairwise sum adds a block of fewer than 8 values one by one, left to
+# right, so a row that narrow sums in column order: numpy's own, not a setting
+PAIRWISE_BLOCK = 8
+# below this many rows one ufunc call per column costs more than numpy's
+# per-row reduction (measured at m = 2..7: max breaks even near 50 rows, sum near 150)
+SWEEP_MIN_ROWS = 128
+
+
+def _sweeps(A: np.ndarray) -> bool:
+    """Whether A's rows are reduced by a sweep over its columns."""
+    return A.ndim == 2 and 0 < A.shape[1] < PAIRWISE_BLOCK and A.shape[0] >= SWEEP_MIN_ROWS
+
+
+def row_max(A: np.ndarray) -> np.ndarray:
+    """A.max(axis=-1, keepdims=True) of a float array, bit for bit but for
+    the sign of a NaN result, which numpy itself picks by memory layout.  A
+    max is exact in any order, so a narrow (N, m) matrix is swept column by
+    column into one (N,) buffer: one np.maximum per column instead of
+    numpy's one reduction loop per row."""
+    if not _sweeps(A):
+        return A.max(axis=-1, keepdims=True)
+    cols = A.T
+    out = cols[0].copy()
+    for col in cols[1:]:
+        np.maximum(out, col, out=out)
+    return out[:, None]
+
+
+def row_sum(A: np.ndarray) -> np.ndarray:
+    """A.sum(axis=-1, keepdims=True) of a float array, bit for bit but for
+    the sign and payload of a NaN result, which numpy itself picks by memory
+    layout.  numpy sums a row narrower than PAIRWISE_BLOCK left to right
+    from its starting value +0.0 (so a row of -0.0 sums to +0.0); a narrow
+    (N, m) matrix is summed in that order column by column into one (N,)
+    buffer, and wider rows take numpy's pairwise sum."""
+    if not _sweeps(A):
+        return A.sum(axis=-1, keepdims=True)
+    cols = A.T
+    out = cols[0] + 0.0
+    for col in cols[1:]:
+        np.add(out, col, out=out)
+    return out[:, None]
 
 
 def check_prob_vector(p, tol: float = SUM_TOL) -> np.ndarray:
@@ -51,8 +95,10 @@ def softmax(z) -> np.ndarray:
 
 def softmax_rows(Z: np.ndarray) -> np.ndarray:
     """Row-wise softmax for a (B, m) logit matrix."""
-    e = np.exp(Z - Z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = Z - row_max(Z)
+    np.exp(e, out=e)
+    e /= row_sum(e)
+    return e
 
 
 def _sparsemax(z: np.ndarray) -> np.ndarray:

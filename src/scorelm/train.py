@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .checkpoint import Checkpoint, save_checkpoint
 from .data import make_batches, make_seq_batches
+from .documents import check_field_types
 from .errors import ConfigurationError, InvalidInputError
 from .model import (
     PAD_ID,
@@ -42,6 +43,9 @@ class TrainConfig:
     lr_decay: bool = False  # linear decay to 0 between warmup_steps and steps
 
     def __post_init__(self):
+        check_field_types(self)
+        if self.seed < 0:
+            raise ConfigurationError(f"TrainConfig field 'seed' must be >= 0, got {self.seed}")
         if self.steps < 0:
             raise ConfigurationError(f"steps must be >= 0, got {self.steps}")
         if not 0 < self.learning_rate < np.inf:
@@ -211,8 +215,7 @@ def evaluate_scores(params: Parameters, contexts: np.ndarray, targets: np.ndarra
     """Mean held-out score per SCORE_FIELDS rule, keyed by its metrics field,
     and ppl = exp(-score_log) (log clamped so perplexity stays finite).
     One forward and one softmax serve every rule; no gradient is formed."""
-    _, _, Z = _forward_batch(params, contexts)
-    P = softmax_rows(Z)
+    P = softmax_rows(_forward_batch(params, contexts)[2])  # no input or hidden layer is kept while scoring
     scores = {field: float(observed_scores(rule, P, targets).mean()) for field, rule in SCORE_FIELDS.items()}
     scores["ppl"] = float(np.exp(-scores["score_log"]))
     return scores

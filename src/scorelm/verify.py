@@ -27,7 +27,7 @@ from .scores import (
     smoothed_score_matrix,
     token_losses_and_grads,
 )
-from .simplex import smooth_distribution, softmax
+from .simplex import row_sum, smooth_distribution, softmax
 
 GRID_POINT_LIMIT = 10**6
 _TIE_TOL = 1e-12
@@ -54,7 +54,7 @@ def _cell_certificate(grid: np.ndarray, E: np.ndarray, target: np.ndarray) -> di
     """Is the expected score maximized exactly in the cell(s) nearest target?"""
     finite_max = E.max()
     arg_set = np.flatnonzero(E >= finite_max - _TIE_TOL)
-    d2 = np.sum((grid - target) ** 2, axis=1)
+    d2 = row_sum((grid - target) ** 2)[:, 0]
     near_set = np.flatnonzero(d2 <= d2.min() + _TIE_TOL)
     outside = np.setdiff1d(np.arange(grid.shape[0]), near_set, assume_unique=False)
     margin = float(finite_max - E[outside].max()) if outside.size else float("inf")

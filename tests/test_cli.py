@@ -648,6 +648,27 @@ class TestPairsRecords:
         assert captured.err == "error: line 12: record must be a JSON object\n" and captured.out == ""
 
 
+class TestNotUtf8Data:
+    @pytest.mark.parametrize("command", ["train", "eval", "generate"])
+    @pytest.mark.parametrize("name, body, where", [
+        ("pairs.jsonl", b'{"source": "ab", "target": "ba"}\r\n' * 11 + b'{"source": "a\xffb", "target": "ba"}\n',
+         "line 12 is not UTF-8 (byte 0xff at byte offset 387)"),
+        ("corpus.txt", b"abcd\rabca\ndcb\xe9a", "line 3 is not UTF-8 (byte 0xe9 at byte offset 13)"),
+    ], ids=["jsonl", "corpus"])
+    def test_refused_by_path_and_position(self, workdir, tmp_path, capsys, command, name, body, where):
+        data = tmp_path / name
+        data.write_bytes(body)
+        if command == "train":
+            argv = ["train", "--config", str(workdir / "config.json"), "--data", str(data), "--steps", "2",
+                    "--out", str(tmp_path / "c.json"), "--metrics", str(tmp_path / "m.jsonl")]
+        else:
+            argv = [command, "--ckpt", train_checkpoint(workdir, "utf8"), "--data", str(data)]
+            capsys.readouterr()
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {data}: {where}\n" and captured.out == ""
+
+
 class TestCheckpointHeaderProbes:
     @pytest.fixture(scope="class")
     def document(self, workdir):

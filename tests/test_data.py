@@ -190,6 +190,16 @@ class TestLoadPairs:
         with pytest.raises(InvalidInputError, match="^line 3: record must be a JSON object$"):
             load_pairs(f)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_not_utf8_refused_by_line_and_file_offset(self, tmp_path, newline):
+        # 3000 lines put the bad byte far beyond the first buffer the text decoder fills
+        head = ('{"source": "ab", "target": "ba"}' + newline).encode() * 3000 + b'{"source": "a'
+        f = tmp_path / "latin1.jsonl"
+        f.write_bytes(head + b'\xe9", "target": "b"}\n')
+        with pytest.raises(InvalidInputError) as info:
+            load_pairs(f)
+        assert str(info.value) == f"{f}: line 3001 is not UTF-8 (byte 0xe9 at byte offset {len(head)})"
+
 
 def reference_load_pairs(path):
     """The per-line reader that load_pairs replaced: text-mode iteration and

@@ -2,13 +2,17 @@
 formulas they replaced, the alpha = 2 identities, property tests over
 random simplex points, and the training path at its numerical edges."""
 
+import dataclasses
+import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from scorelm import simplex
 from scorelm.decode import normalized_objective_vector
 from scorelm.model import ModelConfig, _forward_batch, init_params, loss_and_grads
 from scorelm.scores import (
@@ -83,10 +87,16 @@ def ref_grad_parts(rule, P, idx):
     return onehot, np.ones_like(P)  # linear
 
 
+def ref_softmax_rows(Z):
+    """softmax_rows on numpy's own reductions."""
+    e = np.exp(Z - Z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def ref_token_losses_and_grads(rule, cfg, Z, idx):
     B, m = Z.shape
     rows = np.arange(B)
-    P = softmax_rows(Z)
+    P = ref_softmax_rows(Z)
     eps = cfg.eps
     s = np.log(np.maximum(P, P_MIN)) if rule.kind == "logarithmic" else ref_score_matrix(rule, P)
     g_obs, T = ref_grad_parts(rule, P, idx)
@@ -177,9 +187,11 @@ class TestTableShape:
 
     def test_alpha2_members_share_their_family_record(self):
         assert RULES["brier"].value is RULES["alpha_power"].value
-        assert RULES["brier"].parts is RULES["alpha_power"].parts
+        assert RULES["brier"].grad is RULES["alpha_power"].grad
+        assert RULES["brier"].grad_sum is RULES["alpha_power"].grad_sum
         assert RULES["spherical"].value is RULES["pseudo_spherical"].value
-        assert RULES["spherical"].parts is RULES["pseudo_spherical"].parts
+        assert RULES["spherical"].grad is RULES["pseudo_spherical"].grad
+        assert RULES["spherical"].grad_sum is RULES["pseudo_spherical"].grad_sum
 
 
 class TestParityWithExplicitFormulas:
@@ -210,7 +222,7 @@ class TestParityWithExplicitFormulas:
             onehot = np.zeros_like(P)
             onehot[rows, idx] = 1.0
             p_obs = P[rows, idx][:, None]
-            g_obs, T = RULES[rule.kind].parts(P, onehot, p_obs, alpha)
+            g_obs, T = RULES[rule.kind].grad(P, onehot, p_obs, alpha), RULES[rule.kind].grad_sum(P, alpha)
             ref_g, ref_T = ref_grad_parts(rule, P, idx)
             assert np.array_equal(RULES[rule.kind].clamped(P, alpha), ref_score_matrix(rule, P))
             pa1 = P ** (alpha - 1.0)
@@ -525,3 +537,65 @@ def test_evaluate_scores_equal_the_gradient_path_bitwise(seed, n, V, scale):
     got, want = evaluate_scores(params, contexts, targets), ref_evaluate_scores(params, contexts, targets)
     assert list(got) == [*SCORE_FIELDS, "ppl"]
     assert {k: np.float64(v).tobytes() for k, v in got.items()} == {k: np.float64(v).tobytes() for k, v in want.items()}
+
+
+# ---------------------------------------------------------------------------
+# Reductions over the outcome axis: the column sweeps against numpy's own
+# reductions, on both sides of PAIRWISE_BLOCK and SWEEP_MIN_ROWS.
+# ---------------------------------------------------------------------------
+
+PROPER_RULES = [r for r in ALL_RULES if RULES[r.kind].proper]
+
+
+def numpy_reductions():
+    """row_sum and row_max as numpy's reductions: no batch reaches the sweep."""
+    return mock.patch.object(simplex, "SWEEP_MIN_ROWS", sys.maxsize)
+
+
+def outcome_batches(m, seed):
+    """(params, contexts, targets) over a vocabulary of m with 300, 150 and 7
+    positions, at weight scales 1, 20 (many probabilities inside the clamp) and 5."""
+    for n, scale in ((300, 1.0), (150, 20.0), (7, 5.0)):
+        params = init_params(ModelConfig(vocab_size=m, context=2, embed_dim=4, hidden_dim=8, seed=seed + n))
+        params.flat *= scale
+        gen = np.random.default_rng(seed + n)
+        yield params, gen.integers(0, m, size=(n, 2)), gen.integers(0, m, size=n)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=["eps0", "eps0.1", "eps0.1-mask"])
+@pytest.mark.parametrize("rule", PROPER_RULES, ids=lambda r: f"{r.kind}-{r.alpha}")
+def test_loss_and_grads_equal_numpy_reductions_bitwise(rule, cfg):
+    for m in range(2, 13):
+        for params, contexts, targets in outcome_batches(m, seed=m):
+            loss, grads = loss_and_grads(params, contexts, targets, rule, cfg)
+            with numpy_reductions():
+                ref_loss, ref_grads = loss_and_grads(params, contexts, targets, rule, cfg)
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            assert grads.flat.tobytes() == ref_grads.flat.tobytes()
+
+
+def test_evaluate_scores_equal_numpy_reductions_bitwise():
+    for m in range(2, 13):
+        for params, contexts, targets in outcome_batches(m, seed=100 + m):
+            got = evaluate_scores(params, contexts, targets)
+            with numpy_reductions():
+                want = evaluate_scores(params, contexts, targets)
+            assert {k: np.float64(v).tobytes() for k, v in got.items()} == \
+                {k: np.float64(v).tobytes() for k, v in want.items()}
+
+
+class GradSumFormed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_unsmoothed_path_never_forms_the_gradient_sum(kind, monkeypatch):
+    def refuse(P, a):
+        raise GradSumFormed
+
+    monkeypatch.setitem(RULES, kind, dataclasses.replace(RULES[kind], grad_sum=refuse))
+    rule = ScoreRule(kind, 1.5 if RULES[kind].alpha is None else RULES[kind].alpha)
+    Z, idx = next(random_batches(9))
+    token_losses_and_grads(rule, NO_SMOOTHING, Z, idx)
+    with pytest.raises(GradSumFormed):  # smoothing reads it
+        token_losses_and_grads(rule, SmoothingConfig(0.1), Z, idx)

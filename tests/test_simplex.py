@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorelm.errors import ConvergenceError, InvalidInputError, ParameterDomainError
 from scorelm.simplex import (
+    SWEEP_MIN_ROWS,
     check_prob_vector,
     entmax,
+    row_max,
+    row_sum,
     smooth_distribution,
     softmax,
     tsallis_entropy,
@@ -160,3 +165,61 @@ class TestSmoothDistribution:
             qe = smooth_distribution(q, eps)
             check_prob_vector(qe)
             assert qe.min() >= eps / m - 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Reductions over the outcome axis: numpy's, bit for bit.
+# ---------------------------------------------------------------------------
+
+SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e-310, 1e308, -1e308]
+
+
+@st.composite
+def outcome_matrices(draw):
+    """(N, m) float64 matrices for N = 0..300 and m = 1..16 in C, Fortran or
+    strided layout, or one 1-D row: magnitudes over 40 decades, and a share
+    of the entries replaced by +-0, +-inf, NaN of either sign, subnormals or
+    +-1e308, whose sums overflow."""
+    m, n = draw(st.integers(1, 16)), draw(st.integers(0, 300))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = gen.normal(size=(n, m)) * 10.0 ** gen.integers(-20, 21, size=(n, m))
+    special = gen.random((n, m)) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    A[special] = gen.choice(SPECIALS, size=int(special.sum()))
+    layout = draw(st.sampled_from(["C", "F", "strided", "1-D"]))
+    if layout == "F":
+        return np.asfortranarray(A)
+    if layout == "strided":
+        return np.repeat(A, 2, axis=0)[::2]
+    return A[0] if layout == "1-D" and n else A
+
+
+def assert_numpy_bits(got, want):
+    """got is want bit for bit, but for the sign and payload of a NaN: numpy
+    itself returns -NaN or NaN for the same row in C and Fortran layout."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(A=outcome_matrices())
+def test_row_reductions_are_numpy_bit_for_bit(A):
+    with np.errstate(all="ignore"):
+        assert_numpy_bits(row_sum(A), A.sum(axis=-1, keepdims=True))
+        if A.shape[-1]:
+            assert_numpy_bits(row_max(A), A.max(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("row, total", [
+    ([-0.0, -0.0, -0.0], 0.0),   # numpy's sum starts from +0.0
+    ([1.0, 1e16, -1e16], 0.0),   # left to right: 1 is lost against 1e16
+    ([-1e16, 1e16, 1.0], 1.0),
+    ([1e308, 1e308, -1e308], np.inf),
+])
+def test_row_sum_runs_left_to_right_from_zero(row, total):
+    A = np.tile(row, (SWEEP_MIN_ROWS, 1))
+    for rows in (A, A[:1]):  # swept, and numpy's own loop
+        with np.errstate(over="ignore"):
+            got = row_sum(rows)
+        assert got.tobytes() == np.full((rows.shape[0], 1), total).tobytes()

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scorelm.data import MarkovSpec, build_vocab, encode_pair, encode_pairs, make_seq_batches, synth_markov
+from scorelm.decode import BeamConfig
 from scorelm.errors import ConfigurationError, InvalidInputError
 from scorelm.model import ModelConfig, PackedSeqs, TokenSeq, _gather_positions, init_params, zero_grads
 from scorelm.scores import ScoreRule, SmoothingConfig
@@ -397,3 +398,41 @@ class TestFinetune:
         _, records = finetune(base, quick_cfg("brier", steps=50), corpus)
         # step numbering continues from the base
         assert records[0].step == base.step + 50
+
+
+class TestLibraryConfigTypes:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SmoothingConfig(0.1, "no"), "SmoothingConfig field 'mask_enhanced' must be a boolean, got 'no'"),
+        (lambda: SmoothingConfig(True), "SmoothingConfig field 'eps' must be a number, got True"),
+        (lambda: ModelConfig(6, True, 8, 16), "ModelConfig field 'context' must be an integer, got True"),
+        (lambda: ModelConfig(6, 1, 8, 16.0), "ModelConfig field 'hidden_dim' must be an integer, got 16.0"),
+        (lambda: ModelConfig(6, np.bool_(True), 8, 16), "ModelConfig field 'context' must be an integer, got True"),
+        (lambda: TrainConfig(ScoreRule("brier"), steps=3.5), "TrainConfig field 'steps' must be an integer, got 3.5"),
+        (lambda: TrainConfig(ScoreRule("brier"), lr_decay="no"),
+         "TrainConfig field 'lr_decay' must be a boolean, got 'no'"),
+        (lambda: TrainConfig(ScoreRule("brier"), learning_rate="0.1"),
+         "TrainConfig field 'learning_rate' must be a number, got '0.1'"),
+        (lambda: TrainConfig("brier"), "TrainConfig field 'rule' must be a ScoreRule, got 'brier'"),
+        (lambda: ScoreRule(b"brier"), "ScoreRule field 'kind' must be a string, got b'brier'"),
+        (lambda: ModelConfig(6, 1, 8, 16, seed=-1), "ModelConfig field 'seed' must lie in [0, 2**64), got -1"),
+        (lambda: ModelConfig(6, 1, 8, 16, seed=2**64 + 1),
+         "ModelConfig field 'seed' must lie in [0, 2**64), got 18446744073709551617"),
+        (lambda: TrainConfig(ScoreRule("brier"), seed=-1), "TrainConfig field 'seed' must be >= 0, got -1"),
+        (lambda: BeamConfig(beam_size=2.0), "BeamConfig field 'beam_size' must be an integer, got 2.0"),
+    ], ids=["mask-string", "eps-bool", "context-bool", "hidden-float", "context-numpy-bool", "steps-float",
+            "lr_decay-string", "learning_rate-string", "rule-string", "kind-bytes", "model-seed-negative",
+            "model-seed-2**64+1", "train-seed-negative", "beam-float"])
+    def test_refused_by_field(self, build, message):
+        with pytest.raises(ConfigurationError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_numpy_scalars_are_stored_as_python_scalars(self):
+        cfg = ModelConfig(np.int64(6), np.int32(1), 8, 16, seed=np.uint64(2**64 - 1))
+        assert cfg == ModelConfig(6, 1, 8, 16, seed=2**64 - 1) and type(cfg.seed) is int
+        assert init_params(cfg).flat.tobytes() == init_params(ModelConfig(6, 1, 8, 16, seed=2**64 - 1)).flat.tobytes()
+        smoothing = SmoothingConfig(np.float32(0.5), np.bool_(True))
+        assert (type(smoothing.eps), type(smoothing.mask_enhanced)) == (float, bool)
+
+    def test_integers_taken_for_number_fields(self):
+        assert SmoothingConfig(1).eps == 1 and ScoreRule("alpha_power", 3).alpha == 3
