@@ -50,10 +50,8 @@ from .scores import (
     SmoothingConfig,
     entmax_power_equivalence_gap,
     expected_score,
-    loss_gradient_logits,
     score,
     smoothed_score,
-    token_loss,
 )
 from .simplex import entmax, smooth_distribution, softmax, tsallis_entropy
 from .train import MetricsRecord, TrainConfig, adam_step, finetune, relative_change, split_data, train

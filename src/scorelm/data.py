@@ -3,6 +3,7 @@ Markov corpora with known ground-truth conditionals."""
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,21 +36,38 @@ class Vocab:
         """Every symbol in id order, pad/EOS included."""
         return [self.id_to_symbol[i] for i in range(self.size)]
 
+    @cached_property
+    def _code_ids(self) -> np.ndarray:
+        """The id of each one-character symbol at its code point, -1 at every
+        other code point up to one past the largest: a code point beyond the
+        table reads that last -1 when clipped to it."""
+        chars = {ord(s): i for s, i in self.symbol_to_id.items() if len(s) == 1}
+        table = np.full(max(chars, default=-1) + 2, -1, dtype=np.int64)
+        table[list(chars)] = list(chars.values())
+        return table
+
+
+def _code_points(text: str) -> np.ndarray:
+    """The code points of text, one per character (a lone surrogate is one too)."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
 
 def build_vocab(text: str) -> Vocab:
     """One id per distinct character, sorted by code point, after pad/EOS."""
     if not text:
         raise InvalidInputError("cannot build a vocabulary from empty text")
-    return Vocab.from_symbols([PAD_SYMBOL, EOS_SYMBOL] + sorted(set(text)))
+    present = np.flatnonzero(np.bincount(_code_points(text)))
+    return Vocab.from_symbols([PAD_SYMBOL, EOS_SYMBOL] + [chr(c) for c in present.tolist()])
 
 
 def encode(vocab: Vocab, text: str) -> TokenSeq:
-    """Character ids for text; every position unmasked."""
-    try:
-        ids = [vocab.symbol_to_id[ch] for ch in text]
-    except KeyError as exc:
-        raise InvalidInputError(f"character {exc.args[0]!r} not in vocabulary") from None
-    return TokenSeq(np.asarray(ids, dtype=np.int64))
+    """Character ids for text; every position unmasked.  The first character
+    of text not in the vocabulary is refused by name."""
+    ids = vocab._code_ids.take(_code_points(text), mode="clip")
+    if ids.size and ids.min() < 0:
+        ch = text[int(np.argmax(ids < 0))]
+        raise InvalidInputError(f"character {ch!r} not in vocabulary")
+    return TokenSeq(ids)
 
 
 def decode(vocab: Vocab, tokens) -> str:

@@ -222,26 +222,27 @@ def _gather_positions(seqs, K: int):
 
 
 def loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray,
-                   rule: ScoreRule, cfg: SmoothingConfig):
+                   rule: ScoreRule, cfg: SmoothingConfig, *, loss: bool = True):
     """Mean loss over N positions and its exact analytic gradient.
 
     contexts (N, K) and targets (N,) are index arrays whose ids the caller
     has already checked against the vocabulary: training checks its data
     once at ingest, backward checks each batch.  Positions are reduced in
     row order, so results are bitwise reproducible.  Returns (loss, grads)
-    with grads shaped like params.
+    with grads shaped like params; with loss=False the loss is not formed
+    and is None.
     """
     N = targets.size
     if N == 0:
         warnings.warn("loss over an all-masked batch is 0", stacklevel=2)
-        return 0.0, zero_grads(params)
+        return (0.0 if loss else None), zero_grads(params)
     K = contexts.shape[1]
     d = params.embed.shape[1]
 
     X, H, Z = _forward_batch(params, contexts)
-    losses, dZ = token_losses_and_grads(rule, cfg, Z, targets)
-    loss = float(losses.sum()) / N
-    dZ = dZ / N
+    losses, dZ = token_losses_and_grads(rule, cfg, Z, targets, losses=loss)
+    mean = None if losses is None else float(losses.sum()) / N
+    dZ /= N
 
     grads = zero_grads(params)
     grads.w_out[:] = H.T @ dZ
@@ -252,7 +253,7 @@ def loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray
     grads.b_hidden[:] = dA.sum(axis=0)
     dX = (dA @ params.w_hidden.T).reshape(N, K, d)
     grads.embed[:] = _scatter_rows(contexts, dX, params.embed.shape[0])
-    return loss, grads
+    return mean, grads
 
 
 def _scatter_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:

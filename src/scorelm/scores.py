@@ -15,10 +15,12 @@ Score evaluation keeps extended-real semantics: -inf is a first-class value
 (logarithmic score of a zero-probability outcome), never an exception.  The
 training path (token_losses_and_grads, and observed_scores for held-out
 evaluation) instead clamps log arguments at P_MIN so losses and gradients
-stay finite.
+stay finite.  It forms what its caller reads: the score and its gradient at
+each row's observed outcome, the scores and gradients of every outcome only
+where smoothing sums them, and the losses only when they are asked for.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -40,17 +42,25 @@ def _log_clamped(P, a):
     return np.log(np.maximum(P, P_MIN))
 
 
+def _log_observed(P, p_obs, a):
+    return _log_clamped(p_obs, a)
+
+
 def _log_grad_sum(P, a):
     act = (P >= P_MIN).astype(np.float64)  # clamp is flat below P_MIN
     return act / np.maximum(P, P_MIN)
 
 
-def _log_grad(P, onehot, p_obs, a):
-    return onehot * _log_grad_sum(P, a)
+def _log_grad(P, p_obs, a):
+    return 1.0, _log_grad_sum(p_obs, a), None
 
 
 def _power_value(P, a):
     return a * P ** (a - 1.0) - (a - 1.0) * row_sum(P**a)
+
+
+def _power_observed(P, p_obs, a):
+    return a * p_obs ** (a - 1.0) - (a - 1.0) * row_sum(P**a)
 
 
 def _pow_a2(P, a):
@@ -64,8 +74,8 @@ def _pow_a2(P, a):
     return np.power(floored, a - 2.0, out=floored)
 
 
-def _power_grad(P, onehot, p_obs, a):
-    return a * (a - 1.0) * (_pow_a2(p_obs, a) * onehot - P ** (a - 1.0))
+def _power_grad(P, p_obs, a):
+    return a * (a - 1.0), _pow_a2(p_obs, a), P ** (a - 1.0)
 
 
 def _power_grad_sum(P, a):
@@ -77,6 +87,11 @@ def _pseudo_value(P, a):
     return P ** (a - 1.0) / qa ** ((a - 1.0) / a)
 
 
+def _pseudo_observed(P, p_obs, a):
+    qa = row_sum(P**a)
+    return p_obs ** (a - 1.0) / qa ** ((a - 1.0) / a)
+
+
 # the gradients are written in n = ||p||_alpha so that alpha = 2 is the spherical rule bit for bit
 def _pseudo_norms(P, a):
     """P ** (a - 1), and n ** (a - 1) and n ** (2a - 1) for each row's n."""
@@ -84,9 +99,9 @@ def _pseudo_norms(P, a):
     return P ** (a - 1.0), n ** (a - 1.0), n ** (2.0 * a - 1.0)
 
 
-def _pseudo_grad(P, onehot, p_obs, a):
+def _pseudo_grad(P, p_obs, a):
     pa1, n_lo, n_hi = _pseudo_norms(P, a)
-    return (a - 1.0) * (_pow_a2(p_obs, a) * onehot / n_lo - p_obs ** (a - 1.0) * pa1 / n_hi)
+    return a - 1.0, _pow_a2(p_obs, a) / n_lo, p_obs ** (a - 1.0) * pa1 / n_hi
 
 
 def _pseudo_grad_sum(P, a):
@@ -98,8 +113,12 @@ def _linear_value(P, a):
     return P.copy()
 
 
-def _linear_grad(P, onehot, p_obs, a):
-    return onehot
+def _linear_observed(P, p_obs, a):
+    return p_obs.copy()
+
+
+def _linear_grad(P, p_obs, a):
+    return 1.0, np.ones_like(p_obs), None
 
 
 def _linear_grad_sum(P, a):
@@ -108,28 +127,40 @@ def _linear_grad_sum(P, a):
 
 @dataclass(frozen=True)
 class RuleRecord:
-    """One scoring rule.  clamped, grad and grad_sum give the training path
-    at each row p = P[b]: S(p, j) with logs clamped at P_MIN, dS(p,
-    idx[b])/dp, and sum_j dS(p, j)/dp, which only smoothing reads."""
+    """One scoring rule.  value is the extended-real S; the other columns
+    give the training path at each row p = P[b], whose observed outcome is
+    idx[b] and p_obs the (B, 1) column of P[b, idx[b]]: clamped is S(p, j)
+    with logs clamped at P_MIN for every outcome j, which only smoothing
+    sums; observed is that value at idx[b] alone; grad is dS(p, idx[b])/dp
+    as parts (k, x, W) with dS/dp = k (x onehot(idx[b]) - W), W None
+    standing for 0; grad_sum is sum_j dS(p, j)/dp, which only smoothing
+    reads."""
 
     value: Callable  # (P, alpha) -> S(p, j) for every row p of P and every outcome j
     clamped: Callable  # (P, alpha) -> value with logs clamped at P_MIN
-    grad: Callable  # (P, onehot, p_obs, alpha) -> dS(p, idx[b])/dp per row
+    observed: Callable  # (P, p_obs, alpha) -> (B, 1) clamped S(p, idx[b])
+    grad: Callable  # (P, p_obs, alpha) -> (k, x, W): a scalar, a (B, 1) column, (B, m) or None
     grad_sum: Callable  # (P, alpha) -> sum_j dS(p, j)/dp per row
     sup: float  # sup over p and i of S(p, i)
     alpha: float | None = 2.0  # the pinned alpha, or None for a free alpha > 1
     proper: bool = True
 
 
+_LOG = RuleRecord(_log_value, _log_clamped, _log_observed, _log_grad, _log_grad_sum, sup=0.0)
+_POWER = RuleRecord(_power_value, _power_value, _power_observed, _power_grad, _power_grad_sum, sup=1.0, alpha=None)
+_PSEUDO = RuleRecord(_pseudo_value, _pseudo_value, _pseudo_observed, _pseudo_grad, _pseudo_grad_sum, sup=1.0,
+                     alpha=None)
+_LINEAR = RuleRecord(_linear_value, _linear_value, _linear_observed, _linear_grad, _linear_grad_sum, sup=1.0,
+                     proper=False)
+
 # the rule table; Brier and spherical are the alpha = 2 members of their families
 RULES = {
-    "logarithmic": RuleRecord(_log_value, _log_clamped, _log_grad, _log_grad_sum, sup=0.0),
-    "brier": RuleRecord(_power_value, _power_value, _power_grad, _power_grad_sum, sup=1.0),
-    "spherical": RuleRecord(_pseudo_value, _pseudo_value, _pseudo_grad, _pseudo_grad_sum, sup=1.0),
-    "alpha_power": RuleRecord(_power_value, _power_value, _power_grad, _power_grad_sum, sup=1.0, alpha=None),
-    "pseudo_spherical": RuleRecord(_pseudo_value, _pseudo_value, _pseudo_grad, _pseudo_grad_sum, sup=1.0,
-                                   alpha=None),
-    "linear": RuleRecord(_linear_value, _linear_value, _linear_grad, _linear_grad_sum, sup=1.0, proper=False),
+    "logarithmic": _LOG,
+    "brier": replace(_POWER, alpha=2.0),
+    "spherical": replace(_PSEUDO, alpha=2.0),
+    "alpha_power": _POWER,
+    "pseudo_spherical": _PSEUDO,
+    "linear": _LINEAR,
 }
 KINDS = tuple(RULES)
 
@@ -249,8 +280,10 @@ def smoothed_score(rule: ScoreRule, cfg: SmoothingConfig, p, i: int) -> float:
 def observed_scores(rule: ScoreRule, P: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Per-row training-path scores S(P[b], idx[b]) with logs clamped at
     P_MIN, the values token_losses_and_grads negates at eps = 0, with no
-    gradient formed.  P is (B, m) softmax rows, idx is (B,)."""
-    return RULES[rule.kind].clamped(P, rule.alpha)[np.arange(P.shape[0]), idx]
+    gradient and no score of an unobserved outcome formed.  P is (B, m)
+    softmax rows, idx is (B,)."""
+    p_obs = P[np.arange(P.shape[0]), idx][:, None]
+    return RULES[rule.kind].observed(P, p_obs, rule.alpha)[:, 0]
 
 
 def token_losses_and_grads(
@@ -259,11 +292,14 @@ def token_losses_and_grads(
     Z: np.ndarray,
     idx: np.ndarray,
     mask_override: np.ndarray | None = None,
+    *,
+    losses: bool = True,
 ):
     """Per-row training losses -S_variant(softmax(z), idx) and their exact
     gradients with respect to the logits.
 
-    Z is (B, m), idx is (B,).  Returns (losses (B,), dZ (B, m)).
+    Z is (B, m), idx is (B,).  Returns (losses (B,), dZ (B, m)); with
+    losses=False the losses are not formed and None stands in their place.
     mask_override pins the under-smooth mask (used by finite-difference
     checks, where the mask must not move with the perturbed logits).
     """
@@ -272,46 +308,43 @@ def token_losses_and_grads(
     B, m = Z.shape
     rows = np.arange(B)
     P = softmax_rows(Z)
-    eps = cfg.eps
-
-    onehot = np.zeros_like(P)
-    onehot[rows, idx] = 1.0
+    p_obs = P[rows, idx][:, None]
+    eps, a = cfg.eps, rule.alpha
     record = RULES[rule.kind]
-    s = record.clamped(P, rule.alpha)
-    values = s[rows, idx]
-    grads_p = record.grad(P, onehot, P[rows, idx][:, None], rule.alpha)
+
+    # dS(p, idx)/dp = k (x onehot - W), written column by column: 0.0 - W keeps
+    # the sign of a zero entry of W, as x * 0 - W did (x is finite and >= 0)
+    k, x, W = record.grad(P, p_obs, a)
+    if W is None:
+        grads_p = np.zeros_like(P)
+        grads_p[rows, idx] = (k * x)[:, 0]
+    else:
+        on = k * (x - W[rows, idx][:, None])
+        grads_p = np.subtract(0.0, W)
+        grads_p *= k
+        grads_p[rows, idx] = on[:, 0]
     if eps > 0.0:
-        values = (1.0 - eps) * values + (eps / m) * row_sum(s)[:, 0]
-        grads_p = (1.0 - eps) * grads_p + (eps / m) * record.grad_sum(P, rule.alpha)
+        grads_p *= 1.0 - eps
+        grads_p += (eps / m) * record.grad_sum(P, a)
+    values = None
+    if losses and eps > 0.0:  # smoothing sums the score of every outcome
+        s = record.clamped(P, a)
+        values = (1.0 - eps) * s[rows, idx] + (eps / m) * row_sum(s)[:, 0]
+    elif losses:
+        values = record.observed(P, p_obs, a)[:, 0]
     if cfg.mask_enhanced:
         mask = (P < eps / m) if mask_override is None else mask_override
         pt = np.maximum(P, P_MIN)
-        values = values + (eps / m) * row_sum(np.where(mask, np.log(pt), 0.0))[:, 0]
-        grads_p = grads_p + (eps / m) * mask * (P >= P_MIN) / pt
+        if losses:
+            values = values + (eps / m) * row_sum(np.where(mask, np.log(pt), 0.0))[:, 0]
+        grads_p += (eps / m) * mask * (P >= P_MIN) / pt
 
-    # chain through softmax: dL/dz_k = -p_k (v_k - sum_j p_j v_j)
+    # chain through softmax: dL/dz_k = -p_k (v_k - sum_j p_j v_j), as -(p_k (v_k - sum_j p_j v_j))
     inner = row_sum(P * grads_p)
-    dZ = -P * (grads_p - inner)
-    return -values, dZ
-
-
-def token_loss(rule: ScoreRule, cfg: SmoothingConfig, z, i: int) -> float:
-    """Training loss -S_variant(softmax(z), i) with clamped logs."""
-    z = check_logits(z)
-    i = _check_index(i, z.size)
-    losses, _ = token_losses_and_grads(rule, cfg, z[None, :], np.array([i]))
-    return float(losses[0])
-
-
-def loss_gradient_logits(rule: ScoreRule, cfg: SmoothingConfig, z, i: int) -> np.ndarray:
-    """Exact gradient of token_loss with respect to the logits.
-
-    For the logarithmic rule with eps = 0 this is softmax(z) - e_i.
-    """
-    z = check_logits(z)
-    i = _check_index(i, z.size)
-    _, dZ = token_losses_and_grads(rule, cfg, z[None, :], np.array([i]))
-    return dZ[0]
+    dZ = np.subtract(grads_p, inner, out=grads_p)
+    dZ *= P
+    np.negative(dZ, out=dZ)
+    return (None if values is None else -values), dZ
 
 
 def entmax_power_equivalence_gap(z, x: int, alpha: float):

@@ -240,9 +240,10 @@ def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint
     records = []
     for step in range(1, cfg.steps + 1):
         contexts, targets = next(stream)
-        loss, grads = loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing)
+        recorded = step % cfg.eval_every == 0 or step == cfg.steps
+        loss, grads = loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing, loss=recorded)
         params, state = adam_step(params, grads, state, step, cfg)
-        if step % cfg.eval_every == 0 or step == cfg.steps:
+        if recorded:
             scores = evaluate_scores(params, eval_ctx, eval_tgt)
             records.append(_make_record(start_step + step, loss, scores, ref_scores))
 

@@ -174,7 +174,7 @@ def grad_check(rule: ScoreRule, cfg: SmoothingConfig, m: int, trials: int, h: fl
         mask = None
         if cfg.mask_enhanced:
             mask = (softmax(z) < cfg.eps / m)[None, :]
-        _, dZ = token_losses_and_grads(rule, cfg, z[None, :], np.array([i]), mask_override=mask)
+        _, dZ = token_losses_and_grads(rule, cfg, z[None, :], np.array([i]), mask_override=mask, losses=False)
         analytic = dZ[0]
         # row k of block j is z + c_j h e_k for c = (1, -1, 2, -2), all 4m scored in one call
         shifted = np.concatenate([z + steps, z - steps, z + 2.0 * steps, z - 2.0 * steps])

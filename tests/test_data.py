@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scorelm.data import (
+    EOS_SYMBOL,
+    PAD_SYMBOL,
     MarkovSpec,
+    Vocab,
     build_vocab,
     decode,
     encode,
@@ -48,6 +52,30 @@ class TestEncodeDecode:
         v = build_vocab("ab")
         with pytest.raises(InvalidInputError, match="'x'"):
             encode(v, "ax")
+
+    def test_lone_surrogate_from_a_json_escape(self):
+        text = json.loads('"a\\ud800b"')
+        assert len(text) == 3 and text[1] == "\ud800"
+        v = build_vocab(text)
+        assert v.symbols == [PAD_SYMBOL, EOS_SYMBOL, "a", "b", "\ud800"]
+        assert encode(v, text).tokens.tolist() == [2, 4, 3]
+        assert decode(v, encode(v, text).tokens) == text
+        with pytest.raises(InvalidInputError, match=re.escape(f"character {chr(0xDFFF)!r} not in vocabulary")):
+            encode(v, "ab" + json.loads('"\\udfff"'))
+
+    def test_astral_plane_character(self):
+        v = build_vocab("b\U0001F600a")
+        assert v.symbols == [PAD_SYMBOL, EOS_SYMBOL, "a", "b", "\U0001F600"]
+        assert encode(v, "\U0001F600ab\U0001F600").tokens.tolist() == [4, 2, 3, 4]
+        with pytest.raises(InvalidInputError, match=re.escape(f"character {chr(0x1F601)!r} not in vocabulary")):
+            encode(v, "a\U0001F601")
+
+    def test_empty_text(self):
+        for v in (build_vocab("ab"), Vocab.from_symbols([PAD_SYMBOL, EOS_SYMBOL])):
+            tokens = encode(v, "").tokens
+            assert tokens.dtype == np.int64 and tokens.shape == (0,)
+        with pytest.raises(InvalidInputError, match="'a'"):
+            encode(Vocab.from_symbols([PAD_SYMBOL, EOS_SYMBOL]), "a")
 
     def test_decode_skips_reserved(self):
         v = build_vocab("ab")
@@ -116,6 +144,11 @@ PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
 
 class TestEncodeAgainstReference:
+    @PROPERTY_SETTINGS
+    @given(text=texts.filter(bool))
+    def test_build_vocab(self, text):
+        assert build_vocab(text).symbols == [PAD_SYMBOL, EOS_SYMBOL, *sorted(set(text))]
+
     @PROPERTY_SETTINGS
     @given(vocab_text=texts.filter(bool), text=texts)
     def test_encode(self, vocab_text, text):

@@ -185,13 +185,10 @@ class TestTableShape:
             "logarithmic": 0.0, "brier": 1.0, "spherical": 1.0, "alpha_power": 1.0, "pseudo_spherical": 1.0}
         assert [k for k, r in RULES.items() if not r.proper] == ["linear"]
 
-    def test_alpha2_members_share_their_family_record(self):
-        assert RULES["brier"].value is RULES["alpha_power"].value
-        assert RULES["brier"].grad is RULES["alpha_power"].grad
-        assert RULES["brier"].grad_sum is RULES["alpha_power"].grad_sum
-        assert RULES["spherical"].value is RULES["pseudo_spherical"].value
-        assert RULES["spherical"].grad is RULES["pseudo_spherical"].grad
-        assert RULES["spherical"].grad_sum is RULES["pseudo_spherical"].grad_sum
+    @pytest.mark.parametrize("kind, family", [("brier", "alpha_power"), ("spherical", "pseudo_spherical")])
+    def test_alpha2_members_share_their_family_record(self, kind, family):
+        for column in ("value", "clamped", "observed", "grad", "grad_sum"):
+            assert getattr(RULES[kind], column) is getattr(RULES[family], column)
 
 
 class TestParityWithExplicitFormulas:
@@ -199,7 +196,7 @@ class TestParityWithExplicitFormulas:
     def test_score_matrix_bitwise(self, rule):
         for Z, _ in random_batches(1):
             P = softmax_rows(Z)
-            assert np.array_equal(score_matrix(rule, P), ref_score_matrix(rule, P))
+            assert score_matrix(rule, P).tobytes() == ref_score_matrix(rule, P).tobytes()
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["eps0", "eps0.1", "eps0.1-mask"])
     @pytest.mark.parametrize("rule", [r for r in ALL_RULES if r.kind != "pseudo_spherical"],
@@ -208,7 +205,7 @@ class TestParityWithExplicitFormulas:
         for Z, idx in random_batches(2):
             losses, dZ = token_losses_and_grads(rule, cfg, Z, idx)
             ref_losses, ref_dZ = ref_token_losses_and_grads(rule, cfg, Z, idx)
-            assert np.array_equal(losses, ref_losses) and np.array_equal(dZ, ref_dZ)
+            assert losses.tobytes() == ref_losses.tobytes() and dZ.tobytes() == ref_dZ.tobytes()
 
     @pytest.mark.parametrize("alpha", [1.5, 2.5])
     def test_pseudo_spherical_parts_close(self, alpha):
@@ -222,7 +219,8 @@ class TestParityWithExplicitFormulas:
             onehot = np.zeros_like(P)
             onehot[rows, idx] = 1.0
             p_obs = P[rows, idx][:, None]
-            g_obs, T = RULES[rule.kind].grad(P, onehot, p_obs, alpha), RULES[rule.kind].grad_sum(P, alpha)
+            k, x, W = RULES[rule.kind].grad(P, p_obs, alpha)
+            g_obs, T = k * (x * onehot - W), RULES[rule.kind].grad_sum(P, alpha)
             ref_g, ref_T = ref_grad_parts(rule, P, idx)
             assert np.array_equal(RULES[rule.kind].clamped(P, alpha), ref_score_matrix(rule, P))
             pa1 = P ** (alpha - 1.0)
@@ -239,7 +237,7 @@ class TestParityWithExplicitFormulas:
         gen = np.random.default_rng(4)
         for k in range(600):
             p = gen.dirichlet(np.full(int(gen.integers(2, 40)), (0.05, 1.0, 5.0)[k % 3]))
-            assert np.array_equal(normalized_objective_vector(rule, p), ref_objective(rule, p))
+            assert normalized_objective_vector(rule, p).tobytes() == ref_objective(rule, p).tobytes()
 
 
 def random_simplex_rows(seed, count=40):
@@ -485,6 +483,52 @@ def test_mean_loss_independent_of_batching(rule, cfg, seed, n, data):
 
 
 # ---------------------------------------------------------------------------
+# Byte-level parity with the explicit formulas at the training path's edges.
+# ---------------------------------------------------------------------------
+
+# the reference floors no probability at P_TINY, so for alpha < 2 it is the
+# training path only where every probability is normal: those rules get no gap
+PARITY_RULES = [r for r in ALL_RULES if r.kind != "pseudo_spherical"]
+EDGE_CONFIGS = [NO_SMOOTHING, SmoothingConfig(0.1), SmoothingConfig(0.1, mask_enhanced=True),
+                SmoothingConfig(1.0), SmoothingConfig(1.0, mask_enhanced=True)]
+
+
+@st.composite
+def edge_batches(draw, gaps=True):
+    """(Z, idx): B = 1..40 rows over m = 2..12 outcomes with logits in +-10.
+    With gaps, some entries lie 745-800 below the rest of their row, past the
+    gap where a probability underflows to 0 (one entry of each row stays);
+    and some rows' observed outcome lies 28-60 below the largest other logit
+    of its row, inside the P_MIN clamp (e^-28 < 1e-12)."""
+    B, m = draw(st.integers(1, 40)), draw(st.integers(2, 12))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Z = gen.uniform(-10.0, 10.0, (B, m))
+    idx = gen.integers(0, m, B)
+    rows = np.arange(B)
+    inside = gen.random(B) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    others = Z.copy()
+    others[rows, idx] = -np.inf
+    Z[inside, idx[inside]] = others[inside].max(axis=1) - gen.uniform(28.0, 60.0, int(inside.sum()))
+    if gaps:
+        far = gen.random((B, m)) < draw(st.sampled_from([0.3, 0.7]))
+        far[rows, gen.integers(0, m, B)] = False
+        Z[far] -= gen.uniform(745.0, 800.0, int(far.sum()))
+    return Z, idx
+
+
+@PROPERTY_SETTINGS
+@given(rule=st.sampled_from(PARITY_RULES), cfg=st.sampled_from(EDGE_CONFIGS), data=st.data())
+def test_token_losses_and_grads_bitwise_at_the_edges(rule, cfg, data):
+    Z, idx = data.draw(edge_batches(gaps=rule.alpha >= 2.0))
+    losses, dZ = token_losses_and_grads(rule, cfg, Z, idx)
+    with np.errstate(divide="ignore"):
+        ref_losses, ref_dZ = ref_token_losses_and_grads(rule, cfg, Z, idx)
+    assert losses.tobytes() == ref_losses.tobytes()
+    assert dZ.tobytes() == ref_dZ.tobytes()
+    assert token_losses_and_grads(rule, cfg, Z, idx, losses=False)[1].tobytes() == dZ.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Held-out scores read from the rule table against the gradient path they
 # replaced: the negated per-row training losses at eps = 0.
 # ---------------------------------------------------------------------------
@@ -512,15 +556,19 @@ def test_observed_scores_equal_the_gradient_path_bitwise(rule, batch):
     Z, idx, inside = batch
     P = softmax_rows(Z)
     assert (P[inside, idx[inside]] < P_MIN).all()
-    want = -token_losses_and_grads(rule, NO_SMOOTHING, Z, idx)[0]
-    assert observed_scores(rule, P, idx).tobytes() == want.tobytes()
+    got = observed_scores(rule, P, idx)
+    assert got.tobytes() == (-token_losses_and_grads(rule, NO_SMOOTHING, Z, idx)[0]).tobytes()
+    # the observed column is the clamped score matrix read at the observed outcome
+    assert got.tobytes() == RULES[rule.kind].clamped(P, rule.alpha)[np.arange(P.shape[0]), idx].tobytes()
 
 
 def ref_evaluate_scores(params, contexts, targets):
-    """evaluate_scores as it was written on the gradient path."""
+    """evaluate_scores as it was written on the gradient path, with the
+    losses of the explicit formulas."""
     _, _, Z = _forward_batch(params, contexts)
-    scores = {field: float(-token_losses_and_grads(rule, NO_SMOOTHING, Z, targets)[0].mean())
-              for field, rule in SCORE_FIELDS.items()}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = {field: float(-ref_token_losses_and_grads(rule, NO_SMOOTHING, Z, targets)[0].mean())
+                  for field, rule in SCORE_FIELDS.items()}
     scores["ppl"] = float(np.exp(-scores["score_log"]))
     return scores
 
@@ -584,18 +632,45 @@ def test_evaluate_scores_equal_numpy_reductions_bitwise():
                 {k: np.float64(v).tobytes() for k, v in want.items()}
 
 
-class GradSumFormed(Exception):
+class ColumnRead(Exception):
     pass
+
+
+def refusing(kind, *columns):
+    """RULES[kind] with each named column raising ColumnRead when called."""
+    def refuse(*args):
+        raise ColumnRead
+    return dataclasses.replace(RULES[kind], **{column: refuse for column in columns})
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_unsmoothed_path_never_forms_the_gradient_sum(kind, monkeypatch):
-    def refuse(P, a):
-        raise GradSumFormed
-
-    monkeypatch.setitem(RULES, kind, dataclasses.replace(RULES[kind], grad_sum=refuse))
+    monkeypatch.setitem(RULES, kind, refusing(kind, "grad_sum"))
     rule = ScoreRule(kind, 1.5 if RULES[kind].alpha is None else RULES[kind].alpha)
     Z, idx = next(random_batches(9))
     token_losses_and_grads(rule, NO_SMOOTHING, Z, idx)
-    with pytest.raises(GradSumFormed):  # smoothing reads it
+    with pytest.raises(ColumnRead):  # smoothing reads it
+        token_losses_and_grads(rule, SmoothingConfig(0.1), Z, idx)
+
+
+@pytest.mark.parametrize("cfg", EDGE_CONFIGS, ids=lambda c: f"eps{c.eps}{'-mask' if c.mask_enhanced else ''}")
+@pytest.mark.parametrize("kind", KINDS)
+def test_losses_off_form_no_score(kind, cfg, monkeypatch):
+    rule = ScoreRule(kind, 1.5 if RULES[kind].alpha is None else RULES[kind].alpha)
+    Z, idx = next(random_batches(10))
+    want = token_losses_and_grads(rule, cfg, Z, idx)[1]
+    monkeypatch.setitem(RULES, kind, refusing(kind, "value", "clamped", "observed"))
+    losses, dZ = token_losses_and_grads(rule, cfg, Z, idx, losses=False)
+    assert losses is None and dZ.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_unsmoothed_loss_forms_only_the_observed_scores(kind, monkeypatch):
+    rule = ScoreRule(kind, 1.5 if RULES[kind].alpha is None else RULES[kind].alpha)
+    Z, idx = next(random_batches(11))
+    P = softmax_rows(Z)
+    monkeypatch.setitem(RULES, kind, refusing(kind, "value", "clamped"))
+    token_losses_and_grads(rule, NO_SMOOTHING, Z, idx)
+    observed_scores(rule, P, idx)
+    with pytest.raises(ColumnRead):  # smoothing sums the scores of every outcome
         token_losses_and_grads(rule, SmoothingConfig(0.1), Z, idx)

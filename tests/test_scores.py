@@ -10,11 +10,10 @@ from scorelm.scores import (
     SmoothingConfig,
     entmax_power_equivalence_gap,
     expected_score,
-    loss_gradient_logits,
     score,
     score_vector,
     smoothed_score,
-    token_loss,
+    token_losses_and_grads,
 )
 from scorelm.simplex import smooth_distribution, softmax
 
@@ -30,13 +29,23 @@ ALL_RULES = [
 ]
 
 
+def row_loss(rule, cfg, z, i):
+    """The training loss of one logit row z at observed outcome i."""
+    return float(token_losses_and_grads(rule, cfg, np.asarray(z, dtype=float)[None, :], [i])[0][0])
+
+
+def row_gradient(rule, cfg, z, i):
+    """The logit gradient of row_loss."""
+    return token_losses_and_grads(rule, cfg, np.asarray(z, dtype=float)[None, :], [i], losses=False)[1][0]
+
+
 def fd_gradient(rule, cfg, z, i, h=1e-5):
     g = np.zeros_like(z)
     for k in range(z.size):
         zp, zm = z.copy(), z.copy()
         zp[k] += h
         zm[k] -= h
-        g[k] = (token_loss(rule, cfg, zp, i) - token_loss(rule, cfg, zm, i)) / (2 * h)
+        g[k] = (row_loss(rule, cfg, zp, i) - row_loss(rule, cfg, zm, i)) / (2 * h)
     return g
 
 
@@ -233,11 +242,11 @@ class TestMaskedLogSmoothedScore:
 
 class TestLossGradients:
     def test_logarithmic_closed_form(self):
-        g = loss_gradient_logits(ScoreRule("logarithmic"), NO_SMOOTHING, np.zeros(4), 2)
+        g = row_gradient(ScoreRule("logarithmic"), NO_SMOOTHING, np.zeros(4), 2)
         assert np.allclose(g, [0.25, 0.25, -0.75, 0.25], atol=1e-12)
         gen = np.random.default_rng(5)
         z = gen.normal(size=7)
-        g = loss_gradient_logits(ScoreRule("logarithmic"), NO_SMOOTHING, z, 3)
+        g = row_gradient(ScoreRule("logarithmic"), NO_SMOOTHING, z, 3)
         e = np.zeros(7)
         e[3] = 1.0
         assert np.allclose(g, softmax(z) - e, atol=1e-12)
@@ -245,7 +254,7 @@ class TestLossGradients:
     def test_brier_stationary_at_saturation(self):
         z = np.zeros(5)
         z[1] = 40.0
-        g = loss_gradient_logits(ScoreRule("brier"), NO_SMOOTHING, z, 1)
+        g = row_gradient(ScoreRule("brier"), NO_SMOOTHING, z, 1)
         assert np.abs(g).max() < 1e-8
 
     def test_saturated_logits_no_nan(self):
@@ -253,14 +262,12 @@ class TestLossGradients:
         z[0] = 30.0
         for rule in ALL_RULES:
             for cfg in (NO_SMOOTHING, SmoothingConfig(0.1)):
-                g = loss_gradient_logits(rule, cfg, z, 0)
+                g = row_gradient(rule, cfg, z, 0)
                 assert np.isfinite(g).all()
 
     @pytest.mark.parametrize("kind", ["alpha_power", "pseudo_spherical"])
     def test_underflowed_probability_gives_finite_gradient(self, kind):
         # p_1 = e^-800 underflows to 0; P ** (alpha - 2) there made 0 * inf = nan in the softmax chain
-        from scorelm.scores import token_losses_and_grads
-
         rule, cfg = ScoreRule(kind, 1.5), SmoothingConfig(0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -277,7 +284,7 @@ class TestLossGradients:
         for _ in range(10):
             z = gen.normal(size=8)
             i = int(gen.integers(8))
-            an = loss_gradient_logits(rule, cfg, z, i)
+            an = row_gradient(rule, cfg, z, i)
             f = fd_gradient(rule, cfg, z, i)
             sel = np.abs(an) > 1e-8
             assert np.abs((f[sel] - an[sel]) / an[sel]).max() < 1e-4
@@ -290,7 +297,7 @@ class TestLossGradients:
         for m in (2, 8):
             z = gen.normal(size=m)
             i = int(gen.integers(m))
-            an = loss_gradient_logits(rule, cfg, z, i)
+            an = row_gradient(rule, cfg, z, i)
             f = fd_gradient(rule, cfg, z, i)
             sel = np.abs(an) > 1e-8
             if sel.any():
@@ -298,8 +305,6 @@ class TestLossGradients:
 
     def test_masked_variant_fd_with_frozen_mask(self):
         # indicator is stop-gradient: freeze the mask at the center point
-        from scorelm.scores import token_losses_and_grads
-
         gen = np.random.default_rng(7)
         rule = ScoreRule("brier")
         cfg = SmoothingConfig(0.3, mask_enhanced=True)

@@ -14,6 +14,7 @@ from scorelm.data import MarkovSpec, build_vocab, encode_pair, encode_pairs, mak
 from scorelm.decode import BeamConfig
 from scorelm.errors import ConfigurationError, InvalidInputError
 from scorelm.model import ModelConfig, PackedSeqs, TokenSeq, _gather_positions, init_params, zero_grads
+from scorelm import scores
 from scorelm.scores import ScoreRule, SmoothingConfig
 from scorelm.train import (
     AdamState,
@@ -225,6 +226,39 @@ class TestTrain:
     def test_eval_cadence(self, corpus):
         _, records = train(quick_cfg(steps=250), MODEL_CFG, corpus)
         assert [r.step for r in records] == [50, 100, 150, 200, 250]
+
+    @pytest.mark.parametrize("rule, smoothing", [
+        (ScoreRule("logarithmic"), SmoothingConfig()),
+        (ScoreRule("alpha_power", 1.5), SmoothingConfig()),
+        (ScoreRule("brier"), SmoothingConfig(0.1, mask_enhanced=True)),
+    ], ids=["log", "alpha_power-1.5", "brier-eps0.1-mask"])
+    def test_recording_does_not_steer_training(self, corpus, rule, smoothing):
+        # the loss is formed only at recorded steps; the parameters must not notice
+        steps = 30
+        runs = [train(TrainConfig(rule=rule, smoothing=smoothing, steps=steps, batch_size=64, eval_every=every,
+                                  seed=3), MODEL_CFG, corpus) for every in (1, steps)]
+        (every_step, every_step_records), (last_step, last_step_records) = runs
+        assert every_step.params.flat.tobytes() == last_step.params.flat.tobytes()
+        assert len(every_step_records) == steps and len(last_step_records) == 1
+        assert every_step_records[-1].to_json() == last_step_records[0].to_json()
+
+    @pytest.mark.parametrize("eps, column", [(0.0, "observed"), (0.1, "clamped")])
+    @pytest.mark.parametrize("every, formed", [(5, 1), (2, 3), (1, 5)])
+    def test_training_loss_formed_only_at_recorded_steps(self, corpus, monkeypatch, eps, column, every, formed):
+        # alpha_power scores no held-out field, so every call of its record comes from the training loss
+        calls = []
+        record = scores.RULES["alpha_power"]
+        real = getattr(record, column)
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return real(*args)
+
+        monkeypatch.setitem(scores.RULES, "alpha_power", dataclasses.replace(record, **{column: counted}))
+        cfg = TrainConfig(rule=ScoreRule("alpha_power", 1.5), smoothing=SmoothingConfig(eps), steps=5,
+                          batch_size=64, eval_every=every, seed=3)
+        train(cfg, MODEL_CFG, corpus)
+        assert calls == [(64, MODEL_CFG.vocab_size)] * formed
 
 
 class TestHeldoutPositions:
