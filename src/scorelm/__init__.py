@@ -21,7 +21,7 @@ from .data import (
     make_batches,
     synth_markov,
 )
-from .decode import BeamConfig, Hypothesis, beam_search, exhaustive_search, greedy, normalized_objective
+from .decode import BeamConfig, beam_search, exhaustive_search, greedy
 from .errors import (
     CheckpointError,
     CheckpointFormatError,

@@ -8,7 +8,8 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidInputError
+from .documents import check_field_types
+from .errors import ConfigurationError, InvalidInputError
 from .model import EOS_ID, N_RESERVED, PAD_ID, PackedSeqs, TokenSeq
 from .simplex import check_prob_vector
 
@@ -84,18 +85,15 @@ def decode(vocab: Vocab, tokens) -> str:
 
 
 def encode_pair(vocab: Vocab, source: str, target: str) -> TokenSeq:
-    """source + EOS + target + EOS, loss-masked over the source and its EOS."""
-    src, tgt = encode(vocab, source).tokens, encode(vocab, target).tokens
-    tokens = np.concatenate([src, [EOS_ID], tgt, [EOS_ID]])
-    mask = np.zeros(tokens.size, dtype=bool)
-    mask[src.size + 1 :] = True
-    return TokenSeq(tokens, mask)
+    """The one record of encode_pairs(vocab, [(source, target)])."""
+    record = encode_pairs(vocab, [(source, target)])
+    return TokenSeq(record.tokens, record.loss_mask)
 
 
 def encode_pairs(vocab: Vocab, pairs) -> PackedSeqs:
-    """The records encode_pair(vocab, s, t) for s, t in pairs, packed: the
-    text of every record encoded in one call, an EOS inserted after each
-    source and each target, and the mask set over every target and its EOS."""
+    """The records source + EOS + target + EOS of pairs, packed, each
+    loss-masked over its source and that EOS: the text of every record is
+    encoded in one call and an EOS inserted after each source and target."""
     lengths = np.fromiter((len(part) for s, t in pairs for part in (s, t)), dtype=np.int64, count=2 * len(pairs))
     ids = encode(vocab, "".join(s + t for s, t in pairs)).tokens
     tokens = np.insert(ids, np.cumsum(lengths), EOS_ID)
@@ -205,6 +203,11 @@ class MarkovSpec:
     def __post_init__(self):
         T = np.asarray(self.transition, dtype=np.float64)
         init = np.asarray(self.initial, dtype=np.float64)
+        object.__setattr__(self, "transition", T)
+        object.__setattr__(self, "initial", init)
+        check_field_types(self)
+        if self.seed < 0:
+            raise ConfigurationError(f"MarkovSpec field 'seed' must be >= 0, got {self.seed}")
         if T.shape != (self.states, self.states):
             raise InvalidInputError(f"transition matrix must be ({self.states}, {self.states}), got {T.shape}")
         for r, row in enumerate(T):
@@ -216,8 +219,6 @@ class MarkovSpec:
             raise InvalidInputError(f"initial distribution must have one entry per state ({self.states}), "
                                     f"got shape {init.shape}")
         check_prob_vector(init)
-        object.__setattr__(self, "transition", T)
-        object.__setattr__(self, "initial", init)
 
     def state_ids(self) -> np.ndarray:
         """Token ids of the states: reserved ids first, states from 2."""

@@ -41,8 +41,9 @@ class BeamConfig:
         for name in ("beam_size", "max_len"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.length_penalty < 0:
-            raise ConfigurationError(f"length_penalty must be >= 0, got {self.length_penalty}")
+        if not 0 <= self.length_penalty < np.inf:
+            raise ConfigurationError(f"BeamConfig field 'length_penalty' must be finite and non-negative, "
+                                     f"got {self.length_penalty}")
         _check_objective(self.objective)
 
 
@@ -59,13 +60,6 @@ def normalized_objective_vector(rule: ScoreRule, p: np.ndarray) -> np.ndarray:
     """Sign-normalized per-token objective S(p, j) - sup S for every candidate token j."""
     _check_objective(rule)
     return score_matrix(rule, p) - RULES[rule.kind].sup
-
-
-def normalized_objective(rule: ScoreRule, p, i: int) -> float:
-    p = np.asarray(p, dtype=np.float64)
-    if not 0 <= int(i) < p.size:
-        raise InvalidInputError(f"token index {i} out of range for m={p.size}")
-    return float(normalized_objective_vector(rule, p)[int(i)])
 
 
 def _candidate_ids(V: int) -> np.ndarray:

@@ -145,6 +145,20 @@ class PackedSeqs:
     def __len__(self):
         return int(self.offsets.size - 1)
 
+    def windows(self, K: int):
+        """(windows, rows): the records laid in one stream, each behind K
+        PAD_IDs, as the (N, K + 1) sliding window view of that stream, and
+        the window row of every unmasked token, record after record.  Row
+        rows[j] holds the K tokens before the j-th unmasked token, padded as
+        context_window pads them, and then that token."""
+        stream = np.insert(self.tokens, np.repeat(self.offsets[:-1], K), PAD_ID)
+        rows = np.flatnonzero(self.loss_mask)
+        # token t of record r lies at t + K (r + 1) in the stream, so its window starts at t + K r
+        rows += K * (np.searchsorted(self.offsets, rows, side="right") - 1)
+        if stream.size <= K:  # no token at all, and too few for one window
+            return np.zeros((0, K + 1), dtype=np.int64), rows
+        return sliding_window_view(stream, K + 1), rows
+
 
 def init_params(cfg: ModelConfig) -> Parameters:
     """Deterministic initialization from cfg.seed via splitmix64.
@@ -205,22 +219,6 @@ def context_window(tokens: np.ndarray, t: int, K: int) -> np.ndarray:
     return window
 
 
-def _gather_positions(seqs, K: int):
-    """Stack every unmasked position of every sequence into (contexts, targets).
-
-    Each sequence is laid behind K PAD_IDs, so the K tokens before position t
-    are always the row of a sliding window view ending just before t,
-    left-padded exactly as context_window pads them.
-    """
-    if not any(len(seq) for seq in seqs):  # no position at all, and too few tokens for one window
-        return np.zeros((0, K), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    pad, no_loss = np.full(K, PAD_ID, dtype=np.int64), np.zeros(K, dtype=bool)
-    tokens = np.concatenate([part for seq in seqs for part in (pad, seq.tokens)])
-    mask = np.concatenate([part for seq in seqs for part in (no_loss, seq.loss_mask)])
-    rows = sliding_window_view(tokens, K + 1)[np.flatnonzero(mask) - K]
-    return rows[:, :-1], rows[:, -1]
-
-
 def loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray,
                    rule: ScoreRule, cfg: SmoothingConfig, *, loss: bool = True):
     """Mean loss over N positions and its exact analytic gradient.
@@ -269,14 +267,15 @@ def backward(params: Parameters, batch, rule: ScoreRule, cfg: SmoothingConfig):
     """Batch loss (per-token mean over all unmasked positions) and its exact
     analytic gradient, for a list of TokenSeq.
 
-    Checks every id of the batch, gathers its unmasked positions into index
-    arrays and hands them to loss_and_grads.  Returns (loss, grads) with
-    grads shaped like params.
+    Packs the batch, checks every id, gathers its unmasked positions into
+    index arrays and hands them to loss_and_grads.  Returns (loss, grads)
+    with grads shaped like params.
     """
     if not batch:
         raise InvalidInputError("batch is empty")
+    records = PackedSeqs.pack(batch)
     V, d = params.embed.shape
-    for seq in batch:
-        _check_ids(seq.tokens, V)
-    contexts, targets = _gather_positions(batch, params.w_hidden.shape[0] // d)
-    return loss_and_grads(params, contexts, targets, rule, cfg)
+    _check_ids(records.tokens, V)
+    windows, rows = records.windows(params.w_hidden.shape[0] // d)
+    picked = windows[rows]
+    return loss_and_grads(params, picked[:, :-1], picked[:, -1], rule, cfg)

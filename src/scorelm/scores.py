@@ -33,17 +33,13 @@ P_MIN = 1e-12  # log clamp used only in the training path
 P_TINY = np.finfo(np.float64).tiny  # floor of P in P ** (alpha - 2) for alpha < 2 (training path)
 
 
-def _log_value(P, a):
+def _log_value(P, p, a):
     with np.errstate(divide="ignore"):
-        return np.log(P)
+        return np.log(p)
 
 
-def _log_clamped(P, a):
-    return np.log(np.maximum(P, P_MIN))
-
-
-def _log_observed(P, p_obs, a):
-    return _log_clamped(p_obs, a)
+def _log_clamped(P, p, a):
+    return np.log(np.maximum(p, P_MIN))
 
 
 def _log_grad_sum(P, a):
@@ -55,12 +51,8 @@ def _log_grad(P, p_obs, a):
     return 1.0, _log_grad_sum(p_obs, a), None
 
 
-def _power_value(P, a):
-    return a * P ** (a - 1.0) - (a - 1.0) * row_sum(P**a)
-
-
-def _power_observed(P, p_obs, a):
-    return a * p_obs ** (a - 1.0) - (a - 1.0) * row_sum(P**a)
+def _power_value(P, p, a):
+    return a * p ** (a - 1.0) - (a - 1.0) * row_sum(P**a)
 
 
 def _pow_a2(P, a):
@@ -82,14 +74,9 @@ def _power_grad_sum(P, a):
     return a * (a - 1.0) * (_pow_a2(P, a) - P.shape[-1] * P ** (a - 1.0))
 
 
-def _pseudo_value(P, a):
+def _pseudo_value(P, p, a):
     qa = row_sum(P**a)
-    return P ** (a - 1.0) / qa ** ((a - 1.0) / a)
-
-
-def _pseudo_observed(P, p_obs, a):
-    qa = row_sum(P**a)
-    return p_obs ** (a - 1.0) / qa ** ((a - 1.0) / a)
+    return p ** (a - 1.0) / qa ** ((a - 1.0) / a)
 
 
 # the gradients are written in n = ||p||_alpha so that alpha = 2 is the spherical rule bit for bit
@@ -109,12 +96,8 @@ def _pseudo_grad_sum(P, a):
     return (a - 1.0) * (_pow_a2(P, a) / n_lo - row_sum(pa1) * pa1 / n_hi)
 
 
-def _linear_value(P, a):
-    return P.copy()
-
-
-def _linear_observed(P, p_obs, a):
-    return p_obs.copy()
+def _linear_value(P, p, a):
+    return p.copy()
 
 
 def _linear_grad(P, p_obs, a):
@@ -127,18 +110,17 @@ def _linear_grad_sum(P, a):
 
 @dataclass(frozen=True)
 class RuleRecord:
-    """One scoring rule.  value is the extended-real S; the other columns
-    give the training path at each row p = P[b], whose observed outcome is
-    idx[b] and p_obs the (B, 1) column of P[b, idx[b]]: clamped is S(p, j)
-    with logs clamped at P_MIN for every outcome j, which only smoothing
-    sums; observed is that value at idx[b] alone; grad is dS(p, idx[b])/dp
+    """One scoring rule.  value and clamped give S(p, i) for row p = P[b]
+    at the outcomes whose probabilities p holds: p is P itself for every
+    outcome, or the (B, 1) column p_obs of P[b, idx[b]] for the observed
+    outcome idx[b] alone.  value is the extended-real S; clamped is the
+    training path's, with logs clamped at P_MIN.  grad is dS(p, idx[b])/dp
     as parts (k, x, W) with dS/dp = k (x onehot(idx[b]) - W), W None
     standing for 0; grad_sum is sum_j dS(p, j)/dp, which only smoothing
     reads."""
 
-    value: Callable  # (P, alpha) -> S(p, j) for every row p of P and every outcome j
-    clamped: Callable  # (P, alpha) -> value with logs clamped at P_MIN
-    observed: Callable  # (P, p_obs, alpha) -> (B, 1) clamped S(p, idx[b])
+    value: Callable  # (P, p, alpha) -> S(P[b], i) at each probability p[b, i] of row P[b]
+    clamped: Callable  # (P, p, alpha) -> value with logs clamped at P_MIN
     grad: Callable  # (P, p_obs, alpha) -> (k, x, W): a scalar, a (B, 1) column, (B, m) or None
     grad_sum: Callable  # (P, alpha) -> sum_j dS(p, j)/dp per row
     sup: float  # sup over p and i of S(p, i)
@@ -146,12 +128,10 @@ class RuleRecord:
     proper: bool = True
 
 
-_LOG = RuleRecord(_log_value, _log_clamped, _log_observed, _log_grad, _log_grad_sum, sup=0.0)
-_POWER = RuleRecord(_power_value, _power_value, _power_observed, _power_grad, _power_grad_sum, sup=1.0, alpha=None)
-_PSEUDO = RuleRecord(_pseudo_value, _pseudo_value, _pseudo_observed, _pseudo_grad, _pseudo_grad_sum, sup=1.0,
-                     alpha=None)
-_LINEAR = RuleRecord(_linear_value, _linear_value, _linear_observed, _linear_grad, _linear_grad_sum, sup=1.0,
-                     proper=False)
+_LOG = RuleRecord(_log_value, _log_clamped, _log_grad, _log_grad_sum, sup=0.0)
+_POWER = RuleRecord(_power_value, _power_value, _power_grad, _power_grad_sum, sup=1.0, alpha=None)
+_PSEUDO = RuleRecord(_pseudo_value, _pseudo_value, _pseudo_grad, _pseudo_grad_sum, sup=1.0, alpha=None)
+_LINEAR = RuleRecord(_linear_value, _linear_value, _linear_grad, _linear_grad_sum, sup=1.0, proper=False)
 
 # the rule table; Brier and spherical are the alpha = 2 members of their families
 RULES = {
@@ -213,7 +193,7 @@ def score_matrix(rule: ScoreRule, P: np.ndarray) -> np.ndarray:
 
     Rows are assumed to be valid probability vectors (may contain zeros).
     """
-    return RULES[rule.kind].value(P, rule.alpha)
+    return RULES[rule.kind].value(P, P, rule.alpha)
 
 
 def score_vector(rule: ScoreRule, p: np.ndarray) -> np.ndarray:
@@ -283,7 +263,7 @@ def observed_scores(rule: ScoreRule, P: np.ndarray, idx: np.ndarray) -> np.ndarr
     gradient and no score of an unobserved outcome formed.  P is (B, m)
     softmax rows, idx is (B,)."""
     p_obs = P[np.arange(P.shape[0]), idx][:, None]
-    return RULES[rule.kind].observed(P, p_obs, rule.alpha)[:, 0]
+    return RULES[rule.kind].clamped(P, p_obs, rule.alpha)[:, 0]
 
 
 def token_losses_and_grads(
@@ -328,10 +308,10 @@ def token_losses_and_grads(
         grads_p += (eps / m) * record.grad_sum(P, a)
     values = None
     if losses and eps > 0.0:  # smoothing sums the score of every outcome
-        s = record.clamped(P, a)
+        s = record.clamped(P, P, a)
         values = (1.0 - eps) * s[rows, idx] + (eps / m) * row_sum(s)[:, 0]
     elif losses:
-        values = record.observed(P, p_obs, a)[:, 0]
+        values = record.clamped(P, p_obs, a)[:, 0]
     if cfg.mask_enhanced:
         mask = (P < eps / m) if mask_override is None else mask_override
         pt = np.maximum(P, P_MIN)

@@ -13,7 +13,6 @@ from .data import make_batches, make_seq_batches
 from .documents import check_field_types
 from .errors import ConfigurationError, InvalidInputError
 from .model import (
-    PAD_ID,
     ModelConfig,
     PackedSeqs,
     Parameters,
@@ -23,7 +22,7 @@ from .model import (
     init_params,
     loss_and_grads,
 )
-from .scores import NO_SMOOTHING, ScoreRule, SmoothingConfig, observed_scores
+from .scores import NO_SMOOTHING, RULES, ScoreRule, SmoothingConfig
 from .simplex import softmax_rows
 
 HELD_OUT_FRACTION = 0.1
@@ -128,15 +127,10 @@ def relative_change(s_new: float, s_old: float) -> float:
 
 
 def _records_split(records: PackedSeqs, K: int, V: int | None):
-    """split_data for paired records.
-
-    The records lie in one stream, each behind K PAD_IDs, so the K tokens
-    before a position are the row of a sliding window view that ends just
-    before it, padded as context_window pads them; scored holds the stream
-    position of every unmasked token, record after record.  A batch reads
-    the rows of its records' scored positions, in the order that
-    make_seq_batches draws the records; _gather_positions over the same
-    TokenSeqs gives the same arrays.
+    """split_data for paired records, read through records.windows(K): a
+    batch is the window rows of its records' unmasked tokens, in the order
+    that make_seq_batches draws the records, and the held-out part those of
+    the last records.
     """
     n = len(records)
     n_held = n // 10
@@ -144,13 +138,11 @@ def _records_split(records: PackedSeqs, K: int, V: int | None):
         raise InvalidInputError(f"paired data needs at least 10 records for a held-out split, got {n}")
     if V is not None:
         _check_ids(records.tokens, V)
-    stream = np.insert(records.tokens, np.repeat(records.offsets[:-1], K), PAD_ID)
-    scored = np.flatnonzero(records.loss_mask)
-    first = np.searchsorted(scored, records.offsets)  # record i: scored[first[i]:first[i + 1]]
-    scored += K * np.searchsorted(records.offsets, scored, side="right")  # K pads per record up to its own
-    windows = sliding_window_view(stream, K + 1)
+    windows, rows = records.windows(K)
+    # the unmasked tokens before each record boundary: record i's rows are rows[first[i]:first[i + 1]]
+    first = np.concatenate(([0], np.cumsum(records.loss_mask)))[records.offsets]
 
-    held = windows[scored[first[n - n_held] :] - K]
+    held = windows[rows[first[n - n_held] :]]
     if held.shape[0] == 0:
         raise InvalidInputError(f"the {n_held} held-out records have no unmasked position to score")
 
@@ -158,10 +150,10 @@ def _records_split(records: PackedSeqs, K: int, V: int | None):
         for batch in make_seq_batches(range(n - n_held), batch_size, seed):
             sel = np.asarray(batch, dtype=np.int64)  # record ids
             starts, counts = first[sel], first[sel + 1] - first[sel]
-            # batch entry j of record r is scored[starts[r] + j - out[r]], out[r] being r's first batch entry
+            # batch entry j of record r is rows[starts[r] + j - out[r]], out[r] being r's first batch entry
             out = np.cumsum(counts) - counts
-            rows = windows[scored[np.arange(counts.sum()) + np.repeat(starts - out, counts)] - K]
-            yield rows[:, :-1], rows[:, -1]
+            picked = windows[rows[np.arange(counts.sum()) + np.repeat(starts - out, counts)]]
+            yield picked[:, :-1], picked[:, -1]
 
     return batches, (held[:, :-1], held[:, -1])
 
@@ -214,9 +206,12 @@ SCORE_FIELDS = {  # metrics field -> the rule whose mean held-out score it repor
 def evaluate_scores(params: Parameters, contexts: np.ndarray, targets: np.ndarray):
     """Mean held-out score per SCORE_FIELDS rule, keyed by its metrics field,
     and ppl = exp(-score_log) (log clamped so perplexity stays finite).
-    One forward and one softmax serve every rule; no gradient is formed."""
+    One forward, one softmax and one gather of the observed column serve
+    every rule; no gradient is formed."""
     P = softmax_rows(_forward_batch(params, contexts)[2])  # no input or hidden layer is kept while scoring
-    scores = {field: float(observed_scores(rule, P, targets).mean()) for field, rule in SCORE_FIELDS.items()}
+    p_obs = P[np.arange(P.shape[0]), targets][:, None]
+    scores = {field: float(RULES[rule.kind].clamped(P, p_obs, rule.alpha)[:, 0].mean())
+              for field, rule in SCORE_FIELDS.items()}
     scores["ppl"] = float(np.exp(-scores["score_log"]))
     return scores
 

@@ -449,6 +449,16 @@ class TestGenerateGreedyFlags:
         captured = capsys.readouterr()
         assert f"{flag} applies only with --beam" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("penalty", ["nan", "inf", "-inf"])
+    def test_non_finite_length_penalty_exits_1(self, workdir, capsys, penalty):
+        ckpt = train_checkpoint(workdir, "greedy_flags")
+        capsys.readouterr()
+        assert run_command(["generate", "--ckpt", ckpt, "--prompt", "a", "--max-len", "4", "--beam", "4",
+                            f"--length-penalty={penalty}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: BeamConfig field 'length_penalty' must be finite and non-negative, "
+                                f"got {float(penalty)}\n") and captured.out == ""
+
     def test_max_len_zero_rejected(self, workdir, capsys):
         ckpt = train_checkpoint(workdir, "greedy_flags")
         capsys.readouterr()

@@ -20,7 +20,7 @@ from scorelm.data import (
     make_batches,
     synth_markov,
 )
-from scorelm.errors import InvalidInputError
+from scorelm.errors import ConfigurationError, InvalidInputError
 from scorelm.model import EOS_ID, PackedSeqs, TokenSeq
 
 
@@ -402,6 +402,25 @@ class TestSynthMarkov:
         # a longer vector would walk off the transition table, a shorter one never start in the last states
         with pytest.raises(InvalidInputError, match=rf"one entry per state \({states}\), got shape \({len(initial)},"):
             MarkovSpec(states=states, transition=np.full((states, states), 1.0 / states), initial=initial, seed=0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("states", 2.0, "MarkovSpec field 'states' must be an integer, got 2.0"),
+        ("states", True, "MarkovSpec field 'states' must be an integer, got True"),
+        ("seed", 1.0, "MarkovSpec field 'seed' must be an integer, got 1.0"),
+        ("seed", -1, "MarkovSpec field 'seed' must be >= 0, got -1"),
+    ])
+    def test_fields_typed_by_name(self, field, value, message):
+        # a float state count gave float token ids; a negative seed failed only inside synth_markov
+        fields = {"states": 2, "transition": [[0.5, 0.5], [0.5, 0.5]], "initial": [0.5, 0.5], "seed": 0}
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            MarkovSpec(**{**fields, field: value})
+
+    def test_numpy_fields_taken(self):
+        spec = MarkovSpec(states=np.int64(2), transition=np.eye(2), initial=np.array([0.5, 0.5]),
+                          seed=np.uint32(4))
+        assert type(spec.states) is int and type(spec.seed) is int
+        assert spec.state_ids().tolist() == [2, 3] and spec.state_ids().dtype.kind == "i"
+        assert isinstance(spec.transition, np.ndarray) and isinstance(spec.initial, np.ndarray)
 
     def test_conditional_rows_are_distributions(self):
         spec = MarkovSpec(

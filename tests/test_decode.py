@@ -9,7 +9,6 @@ from scorelm.decode import (
     beam_search,
     exhaustive_search,
     greedy,
-    normalized_objective,
     normalized_objective_vector,
 )
 from scorelm.errors import ConfigurationError, InvalidInputError, ParameterDomainError
@@ -86,18 +85,18 @@ class TestNormalizedObjective:
     def test_spherical_perfect_is_zero(self):
         p = np.zeros(4)
         p[1] = 1.0
-        assert normalized_objective(ScoreRule("spherical"), p, 1) == pytest.approx(0.0)
+        assert normalized_objective_vector(ScoreRule("spherical"), p)[1] == pytest.approx(0.0)
 
     def test_brier_uniform(self):
-        assert normalized_objective(ScoreRule("brier"), np.full(4, 0.25), 0) == pytest.approx(-0.75)
+        assert normalized_objective_vector(ScoreRule("brier"), np.full(4, 0.25))[0] == pytest.approx(-0.75)
 
     def test_logarithmic_unchanged(self):
         p = np.array([0.7, 0.3])
-        assert normalized_objective(ScoreRule("logarithmic"), p, 0) == pytest.approx(np.log(0.7))
+        assert normalized_objective_vector(ScoreRule("logarithmic"), p)[0] == pytest.approx(np.log(0.7))
 
     def test_unsupported_rule(self):
         with pytest.raises(ConfigurationError):
-            normalized_objective(ScoreRule("linear"), np.array([0.5, 0.5]), 0)
+            normalized_objective_vector(ScoreRule("linear"), np.array([0.5, 0.5]))
         with pytest.raises(ConfigurationError, match="linear"):
             BeamConfig(objective=ScoreRule("linear"))
 
@@ -158,6 +157,13 @@ class TestBeamSearch:
         with pytest.raises(ConfigurationError, match=f"^{field} must be >= 1, got 0$"):
             BeamConfig(**{field: 0})
 
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf"), -float("inf"), -0.5])
+    def test_length_penalty_finite_and_non_negative(self, penalty):
+        # a NaN or infinite penalty would rank the finished hypotheses by NaN keys
+        with pytest.raises(ConfigurationError, match=f"^BeamConfig field 'length_penalty' must be finite and "
+                                                     f"non-negative, got {penalty}$"):
+            BeamConfig(length_penalty=penalty)
+
     @pytest.mark.parametrize("rule", OBJECTIVES)
     def test_beam1_equals_greedy(self, rule):
         for seed in range(10):
@@ -200,7 +206,7 @@ class TestBeamSearch:
             for t, tok in enumerate(hyp.tokens):
                 seq = np.concatenate([prompt, np.array(hyp.tokens[:t], dtype=np.int64)])
                 p = forward(params, context_window(seq, seq.size, K))
-                raw += normalized_objective(rule, p, tok)
+                raw += normalized_objective_vector(rule, p)[tok]
             assert hyp.raw_score == pytest.approx(raw, abs=1e-9)
             assert hyp.raw_score <= 0.0
 

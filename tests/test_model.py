@@ -8,9 +8,9 @@ from scorelm.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from scorelm.errors import InvalidInputError
 from scorelm.model import (
     ModelConfig,
+    PackedSeqs,
     Parameters,
     TokenSeq,
-    _gather_positions,
     _scatter_rows,
     backward,
     context_window,
@@ -103,38 +103,47 @@ class TestForward:
 
 
 def gather_reference(seqs, K):
-    """Per-position loop over context_window: the reference for _gather_positions."""
+    """Per-position loop over context_window: the reference for PackedSeqs.windows."""
     rows = [(context_window(s.tokens, int(t), K), s.tokens[t]) for s in seqs for t in np.flatnonzero(s.loss_mask)]
     contexts = np.asarray([c for c, _ in rows], dtype=np.int64).reshape(len(rows), K)
     return contexts, np.asarray([t for _, t in rows], dtype=np.int64)
 
 
-class TestGatherPositions:
-    @pytest.mark.parametrize("K", [1, 3, 6])
+def gathered(seqs, K):
+    """(contexts, targets) of every unmasked position of seqs, read through PackedSeqs.windows."""
+    windows, rows = PackedSeqs.pack(seqs).windows(K)
+    picked = windows[rows]
+    return picked[:, :-1], picked[:, -1]
+
+
+class TestWindows:
+    @pytest.mark.parametrize("K", [1, 3, 6, 14])  # at 14 every window reaches into the pads before its record
     def test_matches_per_position_loop(self, K):
         gen = np.random.default_rng(K)
         for _ in range(20):
             seqs = []
             for _ in range(int(gen.integers(0, 6))):
-                n = int(gen.integers(1, 12))  # shorter and longer than K
+                n = int(gen.integers(0, 12))  # empty, shorter and longer than K
                 mask = gen.random(n) < gen.choice([0.0, 0.5, 1.0])  # all-masked rows included
                 seqs.append(TokenSeq(gen.integers(0, 9, size=n), loss_mask=mask))
-            contexts, targets = _gather_positions(seqs, K)
+            contexts, targets = gathered(seqs, K)
             want_c, want_t = gather_reference(seqs, K)
-            assert contexts.shape == want_c.shape and np.array_equal(contexts, want_c)
-            assert targets.shape == want_t.shape and np.array_equal(targets, want_t)
+            assert contexts.dtype == want_c.dtype and contexts.shape == want_c.shape
+            assert np.array_equal(contexts, want_c)
+            assert targets.dtype == want_t.dtype and targets.shape == want_t.shape
+            assert np.array_equal(targets, want_t)
 
     def test_empty_and_all_masked(self):
         for seqs in ([], [TokenSeq([2, 3], loss_mask=[False, False])]):
-            contexts, targets = _gather_positions(seqs, 4)
+            contexts, targets = gathered(seqs, 4)
             assert contexts.shape == (0, 4) and targets.shape == (0,)
 
     def test_sequences_without_tokens(self):
         # fewer tokens than one window holds: no position, not a numpy error
         for seqs in ([TokenSeq([])], [TokenSeq([]), TokenSeq([])]):
-            contexts, targets = _gather_positions(seqs, 3)
+            contexts, targets = gathered(seqs, 3)
             assert contexts.shape == (0, 3) and targets.shape == (0,)
-        contexts, targets = _gather_positions([TokenSeq([]), TokenSeq([5])], 3)
+        contexts, targets = gathered([TokenSeq([]), TokenSeq([5])], 3)
         assert contexts.tolist() == [[0, 0, 0]] and targets.tolist() == [5]
 
 

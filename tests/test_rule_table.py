@@ -187,7 +187,7 @@ class TestTableShape:
 
     @pytest.mark.parametrize("kind, family", [("brier", "alpha_power"), ("spherical", "pseudo_spherical")])
     def test_alpha2_members_share_their_family_record(self, kind, family):
-        for column in ("value", "clamped", "observed", "grad", "grad_sum"):
+        for column in ("value", "clamped", "grad", "grad_sum"):
             assert getattr(RULES[kind], column) is getattr(RULES[family], column)
 
 
@@ -222,7 +222,7 @@ class TestParityWithExplicitFormulas:
             k, x, W = RULES[rule.kind].grad(P, p_obs, alpha)
             g_obs, T = k * (x * onehot - W), RULES[rule.kind].grad_sum(P, alpha)
             ref_g, ref_T = ref_grad_parts(rule, P, idx)
-            assert np.array_equal(RULES[rule.kind].clamped(P, alpha), ref_score_matrix(rule, P))
+            assert np.array_equal(RULES[rule.kind].clamped(P, P, alpha), ref_score_matrix(rule, P))
             pa1 = P ** (alpha - 1.0)
             n = np.sum(P**alpha, axis=1, keepdims=True) ** (1.0 / alpha)
             lo, hi = n ** (alpha - 1.0), n ** (2.0 * alpha - 1.0)
@@ -558,8 +558,8 @@ def test_observed_scores_equal_the_gradient_path_bitwise(rule, batch):
     assert (P[inside, idx[inside]] < P_MIN).all()
     got = observed_scores(rule, P, idx)
     assert got.tobytes() == (-token_losses_and_grads(rule, NO_SMOOTHING, Z, idx)[0]).tobytes()
-    # the observed column is the clamped score matrix read at the observed outcome
-    assert got.tobytes() == RULES[rule.kind].clamped(P, rule.alpha)[np.arange(P.shape[0]), idx].tobytes()
+    # the clamped scores at the observed column are the clamped score matrix read at the observed outcome
+    assert got.tobytes() == RULES[rule.kind].clamped(P, P, rule.alpha)[np.arange(P.shape[0]), idx].tobytes()
 
 
 def ref_evaluate_scores(params, contexts, targets):
@@ -643,6 +643,17 @@ def refusing(kind, *columns):
     return dataclasses.replace(RULES[kind], **{column: refuse for column in columns})
 
 
+def refusing_full_scores(kind):
+    """RULES[kind] with value refused, and clamped refused unless p is a (B, 1) column."""
+    clamped = RULES[kind].clamped
+
+    def observed_only(P, p, a):
+        if p.shape != (P.shape[0], 1):
+            raise ColumnRead
+        return clamped(P, p, a)
+    return dataclasses.replace(refusing(kind, "value"), clamped=observed_only)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_unsmoothed_path_never_forms_the_gradient_sum(kind, monkeypatch):
     monkeypatch.setitem(RULES, kind, refusing(kind, "grad_sum"))
@@ -659,7 +670,7 @@ def test_losses_off_form_no_score(kind, cfg, monkeypatch):
     rule = ScoreRule(kind, 1.5 if RULES[kind].alpha is None else RULES[kind].alpha)
     Z, idx = next(random_batches(10))
     want = token_losses_and_grads(rule, cfg, Z, idx)[1]
-    monkeypatch.setitem(RULES, kind, refusing(kind, "value", "clamped", "observed"))
+    monkeypatch.setitem(RULES, kind, refusing(kind, "value", "clamped"))
     losses, dZ = token_losses_and_grads(rule, cfg, Z, idx, losses=False)
     assert losses is None and dZ.tobytes() == want.tobytes()
 
@@ -669,8 +680,24 @@ def test_unsmoothed_loss_forms_only_the_observed_scores(kind, monkeypatch):
     rule = ScoreRule(kind, 1.5 if RULES[kind].alpha is None else RULES[kind].alpha)
     Z, idx = next(random_batches(11))
     P = softmax_rows(Z)
-    monkeypatch.setitem(RULES, kind, refusing(kind, "value", "clamped"))
+    monkeypatch.setitem(RULES, kind, refusing_full_scores(kind))
     token_losses_and_grads(rule, NO_SMOOTHING, Z, idx)
     observed_scores(rule, P, idx)
     with pytest.raises(ColumnRead):  # smoothing sums the scores of every outcome
         token_losses_and_grads(rule, SmoothingConfig(0.1), Z, idx)
+
+
+def test_evaluate_scores_gathers_the_observed_column_once(monkeypatch):
+    # every reported rule scores the one observed column; none forms the score of an unobserved outcome
+    columns = []
+    for rule in SCORE_FIELDS.values():
+        refused = refusing_full_scores(rule.kind)
+
+        def spy(P, p, a, clamped=refused.clamped):
+            columns.append(p)
+            return clamped(P, p, a)
+        monkeypatch.setitem(RULES, rule.kind, dataclasses.replace(refused, clamped=spy))
+    params, contexts, targets = next(outcome_batches(9, seed=3))
+    evaluate_scores(params, contexts, targets)
+    assert len(columns) == len(SCORE_FIELDS) and all(p is columns[0] for p in columns)
+    assert columns[0].shape == (targets.size, 1)

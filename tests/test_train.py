@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scorelm.data import MarkovSpec, build_vocab, encode_pair, encode_pairs, make_seq_batches, synth_markov
 from scorelm.decode import BeamConfig
 from scorelm.errors import ConfigurationError, InvalidInputError
-from scorelm.model import ModelConfig, PackedSeqs, TokenSeq, _gather_positions, init_params, zero_grads
+from scorelm.model import ModelConfig, PackedSeqs, TokenSeq, init_params, zero_grads
 from scorelm import scores
 from scorelm.scores import ScoreRule, SmoothingConfig
 from scorelm.train import (
@@ -25,6 +25,8 @@ from scorelm.train import (
     split_data,
     train,
 )
+
+from test_model import gather_reference
 
 T4 = np.array(
     [[0.70, 0.10, 0.10, 0.10],
@@ -242,23 +244,24 @@ class TestTrain:
         assert len(every_step_records) == steps and len(last_step_records) == 1
         assert every_step_records[-1].to_json() == last_step_records[0].to_json()
 
-    @pytest.mark.parametrize("eps, column", [(0.0, "observed"), (0.1, "clamped")])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
     @pytest.mark.parametrize("every, formed", [(5, 1), (2, 3), (1, 5)])
-    def test_training_loss_formed_only_at_recorded_steps(self, corpus, monkeypatch, eps, column, every, formed):
-        # alpha_power scores no held-out field, so every call of its record comes from the training loss
+    def test_training_loss_formed_only_at_recorded_steps(self, corpus, monkeypatch, eps, every, formed):
+        # alpha_power scores no held-out field, so every call of its record comes from the training loss:
+        # the observed column alone at eps = 0, every outcome under smoothing
         calls = []
         record = scores.RULES["alpha_power"]
-        real = getattr(record, column)
 
-        def counted(*args):
-            calls.append(args[0].shape)
-            return real(*args)
+        def counted(P, p, a):
+            calls.append((P.shape, p.shape))
+            return record.clamped(P, p, a)
 
-        monkeypatch.setitem(scores.RULES, "alpha_power", dataclasses.replace(record, **{column: counted}))
+        monkeypatch.setitem(scores.RULES, "alpha_power", dataclasses.replace(record, clamped=counted))
         cfg = TrainConfig(rule=ScoreRule("alpha_power", 1.5), smoothing=SmoothingConfig(eps), steps=5,
                           batch_size=64, eval_every=every, seed=3)
         train(cfg, MODEL_CFG, corpus)
-        assert calls == [(64, MODEL_CFG.vocab_size)] * formed
+        full = (64, MODEL_CFG.vocab_size)
+        assert calls == [(full, full if eps else (64, 1))] * formed
 
 
 class TestHeldoutPositions:
@@ -318,10 +321,10 @@ def reference_split(seqs, K, batch_size, seed):
     """The per-record split that the packed one replaced: each batch gathered
     from its TokenSeqs, the held-out part from the last 10% of them."""
     n_held = len(seqs) // 10
-    held = _gather_positions(seqs[-n_held:], K)
+    held = gather_reference(seqs[-n_held:], K)
     if held[1].size == 0:
         return f"the {n_held} held-out records have no unmasked position to score"
-    batches = [_gather_positions(b, K) for b in make_seq_batches(seqs[:-n_held], batch_size, seed)]
+    batches = [gather_reference(b, K) for b in make_seq_batches(seqs[:-n_held], batch_size, seed)]
     return batches, held
 
 
