@@ -9,6 +9,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from itertools import zip_longest
 
@@ -222,11 +223,27 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number spelled with an
+    exponent, inf or nan (-1e-3, -inf, -nan) as a value, not as a flag, so
+    it reaches its field check: argparse's own pattern takes only the likes
+    of -5 and -0.5, and with no flag spelled like a negative number that
+    pattern is the one test it makes.  Subparsers are made of the parser's
+    class, so they read values the same way."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(prog="scorelm",
-                                     description="language modeling with strictly proper scoring rules")
+    parser = _Parser(prog="scorelm",
+                     description="language modeling with strictly proper scoring rules")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_train_flags(p):

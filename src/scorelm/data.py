@@ -4,6 +4,7 @@ Markov corpora with known ground-truth conditionals."""
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -94,8 +95,12 @@ def encode_pairs(vocab: Vocab, pairs) -> PackedSeqs:
     """The records source + EOS + target + EOS of pairs, packed, each
     loss-masked over its source and that EOS: the text of every record is
     encoded in one call and an EOS inserted after each source and target."""
-    lengths = np.fromiter((len(part) for s, t in pairs for part in (s, t)), dtype=np.int64, count=2 * len(pairs))
-    ids = encode(vocab, "".join(s + t for s, t in pairs)).tokens
+    parts = np.fromiter(map(len, pairs), dtype=np.int64, count=len(pairs))
+    if np.any(parts != 2):
+        i = int(np.argmax(parts != 2))
+        raise InvalidInputError(f"pair {i} has {parts[i]} parts, not a (source, target) pair")
+    lengths = np.fromiter(map(len, chain.from_iterable(pairs)), dtype=np.int64, count=2 * len(pairs))
+    ids = encode(vocab, "".join(chain.from_iterable(pairs))).tokens
     tokens = np.insert(ids, np.cumsum(lengths), EOS_ID)
     mask = np.repeat(np.arange(lengths.size) % 2 == 1, lengths + 1)  # segments alternate source, target
     offsets = np.zeros(len(pairs) + 1, dtype=np.int64)
@@ -165,20 +170,22 @@ def load_pairs(path):
 def make_batches(tokens, context: int, batch_size: int, seed: int):
     """One epoch of sliding-window next-token examples, shuffled by seed.
 
-    Yields (contexts, targets) index arrays of shapes (B, K) and (B,): row j
-    holds the K tokens before a target position t and the token at t.  Every
-    target position K..L-1 appears exactly once.  Token ids are not checked
-    here; training checks the whole corpus once, at ingest.
+    Yields C-contiguous (contexts, targets) index arrays of shapes (B, K) and
+    (B,): row j holds the K tokens before a target position t and the token
+    at t.  Every target position K..L-1 appears exactly once.  Token ids are
+    not checked here; training checks the whole corpus once, at ingest.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     L = tokens.size
     if L <= context:
         raise InvalidInputError(f"corpus length {L} must exceed the context window {context}")
     order = np.random.default_rng(seed).permutation(np.arange(context, L))
-    windows = sliding_window_view(tokens, context + 1)  # row t - K ends at position t
+    # row t - K holds the K tokens before position t.  Indexing the view copies
+    # only the rows asked for; np.take would first copy a view of K > 1 whole.
+    windows = sliding_window_view(tokens[:-1], context)
     for start in range(0, order.size, batch_size):
-        rows = windows[order[start : start + batch_size] - context]
-        yield rows[:, :-1], rows[:, -1]
+        positions = order[start : start + batch_size]
+        yield windows[positions - context], tokens[positions]
 
 
 def make_seq_batches(seqs, batch_size: int, seed: int):

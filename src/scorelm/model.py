@@ -189,13 +189,14 @@ def _check_ids(ids: np.ndarray, V: int):
 
 def _forward_batch(params: Parameters, contexts: np.ndarray):
     """contexts (N, K) -> (X, H, Z): concatenated inputs, hidden, logits.
-    The hidden layer is built in place in its one (N, h) array."""
+    Each layer is built in place in its one array."""
     N, K = contexts.shape
-    X = params.embed[contexts].reshape(N, K * params.embed.shape[1])
+    X = np.take(params.embed, contexts, axis=0).reshape(N, K * params.embed.shape[1])
     H = X @ params.w_hidden
     H += params.b_hidden
     np.tanh(H, out=H)
-    Z = H @ params.w_out + params.b_out
+    Z = H @ params.w_out
+    Z += params.b_out
     return X, H, Z
 
 
@@ -220,7 +221,7 @@ def context_window(tokens: np.ndarray, t: int, K: int) -> np.ndarray:
 
 
 def loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray,
-                   rule: ScoreRule, cfg: SmoothingConfig, *, loss: bool = True):
+                   rule: ScoreRule, cfg: SmoothingConfig, *, loss: bool = True, grads: Parameters | None = None):
     """Mean loss over N positions and its exact analytic gradient.
 
     contexts (N, K) and targets (N,) are index arrays whose ids the caller
@@ -228,12 +229,16 @@ def loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray
     once at ingest, backward checks each batch.  Positions are reduced in
     row order, so results are bitwise reproducible.  Returns (loss, grads)
     with grads shaped like params; with loss=False the loss is not formed
-    and is None.
+    and is None.  grads, when given, is the buffer the gradient is written
+    into (a training run reuses one); the bytes are the same either way.
     """
+    if grads is None:
+        grads = zero_grads(params)
     N = targets.size
     if N == 0:
         warnings.warn("loss over an all-masked batch is 0", stacklevel=2)
-        return (0.0 if loss else None), zero_grads(params)
+        grads.flat[:] = 0.0
+        return (0.0 if loss else None), grads
     K = contexts.shape[1]
     d = params.embed.shape[1]
 
@@ -242,13 +247,13 @@ def loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray
     mean = None if losses is None else float(losses.sum()) / N
     dZ /= N
 
-    grads = zero_grads(params)
-    grads.w_out[:] = H.T @ dZ
-    grads.b_out[:] = dZ.sum(axis=0)
-    dH = dZ @ params.w_out.T
-    dA = dH * (1.0 - H * H)
-    grads.w_hidden[:] = X.T @ dA
-    grads.b_hidden[:] = dA.sum(axis=0)
+    np.matmul(H.T, dZ, out=grads.w_out)
+    np.sum(dZ, axis=0, out=grads.b_out)
+    dA = dZ @ params.w_out.T  # dH, then dH (1 - H H) in place
+    H *= H
+    dA *= np.subtract(1.0, H, out=H)
+    np.matmul(X.T, dA, out=grads.w_hidden)
+    np.sum(dA, axis=0, out=grads.b_hidden)
     dX = (dA @ params.w_hidden.T).reshape(N, K, d)
     grads.embed[:] = _scatter_rows(contexts, dX, params.embed.shape[0])
     return mean, grads

@@ -13,11 +13,12 @@ outcome i is observed.  Implemented rules:
 
 Score evaluation keeps extended-real semantics: -inf is a first-class value
 (logarithmic score of a zero-probability outcome), never an exception.  The
-training path (token_losses_and_grads, and observed_scores for held-out
-evaluation) instead clamps log arguments at P_MIN so losses and gradients
-stay finite.  It forms what its caller reads: the score and its gradient at
-each row's observed outcome, the scores and gradients of every outcome only
-where smoothing sums them, and the losses only when they are asked for.
+training path (token_losses_and_grads, and each rule's clamped column,
+which held-out evaluation reads) instead clamps log arguments at P_MIN so
+losses and gradients stay finite.  It forms what its caller reads: the
+score and its gradient at each row's observed outcome, the scores and
+gradients of every outcome only where smoothing sums them, and the losses
+only when they are asked for.
 """
 
 from dataclasses import dataclass, replace
@@ -255,15 +256,6 @@ def smoothed_score(rule: ScoreRule, cfg: SmoothingConfig, p, i: int) -> float:
 # indicator and the under-smooth mask are constants of the forward pass, so
 # the analytic gradient is the exact gradient of the implemented loss.
 # ---------------------------------------------------------------------------
-
-
-def observed_scores(rule: ScoreRule, P: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Per-row training-path scores S(P[b], idx[b]) with logs clamped at
-    P_MIN, the values token_losses_and_grads negates at eps = 0, with no
-    gradient and no score of an unobserved outcome formed.  P is (B, m)
-    softmax rows, idx is (B,)."""
-    p_obs = P[np.arange(P.shape[0]), idx][:, None]
-    return RULES[rule.kind].clamped(P, p_obs, rule.alpha)[:, 0]
 
 
 def token_losses_and_grads(

@@ -21,6 +21,7 @@ from .model import (
     _forward_batch,
     init_params,
     loss_and_grads,
+    zero_grads,
 )
 from .scores import NO_SMOOTHING, RULES, ScoreRule, SmoothingConfig
 from .simplex import softmax_rows
@@ -142,8 +143,13 @@ def _records_split(records: PackedSeqs, K: int, V: int | None):
     # the unmasked tokens before each record boundary: record i's rows are rows[first[i]:first[i + 1]]
     first = np.concatenate(([0], np.cumsum(records.loss_mask)))[records.offsets]
 
-    held = windows[rows[first[n - n_held] :]]
-    if held.shape[0] == 0:
+    contexts, targets = windows[:, :-1], windows[:, -1]
+
+    def gather(picked):  # the C-contiguous (contexts, targets) of the window rows picked
+        return contexts[picked], targets[picked]
+
+    held = gather(rows[first[n - n_held] :])
+    if held[1].size == 0:
         raise InvalidInputError(f"the {n_held} held-out records have no unmasked position to score")
 
     def batches(batch_size, seed):
@@ -152,10 +158,9 @@ def _records_split(records: PackedSeqs, K: int, V: int | None):
             starts, counts = first[sel], first[sel + 1] - first[sel]
             # batch entry j of record r is rows[starts[r] + j - out[r]], out[r] being r's first batch entry
             out = np.cumsum(counts) - counts
-            picked = windows[rows[np.arange(counts.sum()) + np.repeat(starts - out, counts)]]
-            yield picked[:, :-1], picked[:, -1]
+            yield gather(rows[np.arange(counts.sum()) + np.repeat(starts - out, counts)])
 
-    return batches, (held[:, :-1], held[:, -1])
+    return batches, held
 
 
 def split_data(data, K: int, V: int | None = None):
@@ -231,12 +236,13 @@ def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint
     ref_scores = evaluate_scores(params, eval_ctx, eval_tgt)
 
     state = AdamState.fresh(params)
+    grads = zero_grads(params)  # every step writes its gradient here
     stream = chain.from_iterable(batches(cfg.batch_size, cfg.seed + epoch) for epoch in count())
     records = []
     for step in range(1, cfg.steps + 1):
         contexts, targets = next(stream)
         recorded = step % cfg.eval_every == 0 or step == cfg.steps
-        loss, grads = loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing, loss=recorded)
+        loss, _ = loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing, loss=recorded, grads=grads)
         params, state = adam_step(params, grads, state, step, cfg)
         if recorded:
             scores = evaluate_scores(params, eval_ctx, eval_tgt)

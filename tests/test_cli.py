@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from scorelm.checkpoint import load_checkpoint
-from scorelm.cli import run_command
+from scorelm.cli import _build_parser, run_command
 from scorelm.scores import ScoreRule
 
 from checkpoint_docs import v1_document
@@ -449,12 +449,14 @@ class TestGenerateGreedyFlags:
         captured = capsys.readouterr()
         assert f"{flag} applies only with --beam" in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("penalty", ["nan", "inf", "-inf"])
-    def test_non_finite_length_penalty_exits_1(self, workdir, capsys, penalty):
+    @pytest.mark.parametrize("spelled", ["joined", "apart"])
+    @pytest.mark.parametrize("penalty", ["nan", "inf", "-inf", "-nan", "-Infinity"])
+    def test_non_finite_length_penalty_exits_1(self, workdir, capsys, penalty, spelled):
         ckpt = train_checkpoint(workdir, "greedy_flags")
         capsys.readouterr()
+        flag = [f"--length-penalty={penalty}"] if spelled == "joined" else ["--length-penalty", penalty]
         assert run_command(["generate", "--ckpt", ckpt, "--prompt", "a", "--max-len", "4", "--beam", "4",
-                            f"--length-penalty={penalty}"]) == 1
+                            *flag]) == 1
         captured = capsys.readouterr()
         assert captured.err == (f"error: BeamConfig field 'length_penalty' must be finite and non-negative, "
                                 f"got {float(penalty)}\n") and captured.out == ""
@@ -466,6 +468,54 @@ class TestGenerateGreedyFlags:
                             "--prompt", "a", "--max-len", "0"]) == 1
         captured = capsys.readouterr()
         assert "max_len must be >= 1, got 0" in captured.err and captured.out == ""
+
+
+class TestNegativeFloatFlags:
+    """A negative float spelled with an exponent, inf or nan is a flag's
+    value, as -5 and -0.5 are, so it reaches its field check."""
+
+    REQUIRED = {"train": ["--config", "c.json"], "finetune": ["--config", "c.json", "--base", "b.json"],
+                "generate": ["--ckpt", "c.json"]}
+    FLAGS = [("train", "--alpha", "alpha"), ("train", "--eps", "eps"),
+             ("train", "--learning-rate", "learning_rate"), ("finetune", "--alpha", "alpha"),
+             ("finetune", "--eps", "eps"), ("finetune", "--learning-rate", "learning_rate"),
+             ("generate", "--length-penalty", "length_penalty")]
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E+3", "-2.5e-300", "-.5e1", "-5.", "-5", "-0.5", "-inf",
+                                       "-Infinity", "-nan"])
+    @pytest.mark.parametrize("command, flag, dest", FLAGS)
+    def test_every_float_flag_takes_the_value(self, command, flag, dest, value):
+        args = _build_parser().parse_args([command, *self.REQUIRED[command], flag, value])
+        assert np.float64(getattr(args, dest)).tobytes() == np.float64(float(value)).tobytes()
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--learning-rate", "-1e-3"], "learning_rate"),
+        (["--learning-rate", "-inf"], "learning_rate"),
+        (["--rule", "alpha_power", "--alpha", "-1e-3"], "alpha"),
+        (["--rule", "pseudo_spherical", "--alpha", "-inf"], "alpha"),
+        (["--eps", "-1e-3"], "eps"),
+        (["--eps", "-nan"], "eps"),
+    ])
+    def test_train_exits_1_naming_the_field(self, workdir, capsys, flags, field):
+        assert run_command(["train", "--config", str(workdir / "config.json"), "--out", str(workdir / "neg.json"),
+                            "--metrics", str(workdir / "neg.jsonl"), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and field in captured.err and captured.out == ""
+        assert not (workdir / "neg.json").exists()
+
+    @pytest.mark.parametrize("penalty", ["-1e-3", "-inf"])
+    def test_generate_exits_1_naming_the_field(self, workdir, capsys, penalty):
+        ckpt = train_checkpoint(workdir, "greedy_flags")
+        capsys.readouterr()
+        assert run_command(["generate", "--ckpt", ckpt, "--prompt", "a", "--beam", "4",
+                            "--length-penalty", penalty]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: BeamConfig field 'length_penalty' must be finite and non-negative, "
+                                f"got {float(penalty)}\n") and captured.out == ""
+
+    def test_int_flags_still_refuse_a_float(self, capsys):
+        assert run_command(["train", "--config", "c.json", "--steps", "-1e3"]) == 2
+        assert "invalid int value: '-1e3'" in capsys.readouterr().err
 
 
 class TestEvalReproducesTraining:

@@ -2,6 +2,7 @@ import json
 import re
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,6 +192,15 @@ class TestEncodeAgainstReference:
         assert [s.loss_mask.tolist() for s in seqs] == [[False, True], [False, False, True], [False, True, True]]
         assert unpack(encode_pairs(v, [])) == []
 
+    @pytest.mark.parametrize("pairs, i, parts", [
+        ([("ab", "c", "d"), ("a",)], 0, 3),  # as many parts as two pairs hold
+        ([("a", "b"), ("a",)], 1, 1),
+        ([("a", "b"), ()], 1, 0),
+    ])
+    def test_pair_of_other_than_two_parts_refused(self, pairs, i, parts):
+        with pytest.raises(InvalidInputError, match=rf"^pair {i} has {parts} parts, not a \(source, target\) pair$"):
+            encode_pairs(build_vocab("abcd"), pairs)
+
 
 class TestLoadPairs:
     def test_round_trip(self, tmp_path):
@@ -369,6 +379,22 @@ class TestMakeBatches:
     def test_too_short_corpus(self):
         with pytest.raises(InvalidInputError):
             list(make_batches(np.array([2, 3]), context=2, batch_size=1, seed=0))
+
+    @pytest.mark.parametrize("L, K, B", [(2, 1, 1), (30, 1, 512), (200, 1, 64), (200, 4, 7), (57, 9, 10)])
+    def test_contiguous_arrays_equal_the_window_rows(self, L, K, B):
+        # the rows of the (K + 1)-window view at the shuffled target positions, split into context and target
+        tokens = np.random.default_rng(L).integers(0, 9, L)
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(np.arange(K, L))
+            rows = sliding_window_view(tokens, K + 1)[order - K]
+            batches = list(make_batches(tokens, K, B, seed))
+            assert len(batches) == -(-(L - K) // B)
+            for start, (contexts, targets) in zip(range(0, L - K, B), batches):
+                assert contexts.flags.c_contiguous and targets.flags.c_contiguous
+                assert contexts.dtype == targets.dtype == np.int64
+                assert contexts.shape == (min(B, L - K - start), K)
+                assert np.array_equal(contexts, rows[start : start + B, :-1])
+                assert np.array_equal(targets, rows[start : start + B, -1])
 
 
 class TestSynthMarkov:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +218,89 @@ class TestPositionLoss:
             z_up[i] += 0.5
             base, up = token_losses_and_grads(rule, NO_SMOOTHING, np.stack([z, z_up]), [i, i])[0]
             assert up < base
+
+
+def ref_loss_and_grads(params, contexts, targets, rule, cfg, *, loss=True):
+    """loss_and_grads as written before it took a gradient buffer: each
+    gradient formed in a temporary and copied into a fresh Parameters."""
+    N = targets.size
+    if N == 0:
+        warnings.warn("loss over an all-masked batch is 0", stacklevel=2)
+        return (0.0 if loss else None), zero_grads(params)
+    K = contexts.shape[1]
+    d = params.embed.shape[1]
+    X = params.embed[contexts].reshape(N, K * d)
+    H = X @ params.w_hidden
+    H += params.b_hidden
+    np.tanh(H, out=H)
+    Z = H @ params.w_out + params.b_out
+    losses, dZ = token_losses_and_grads(rule, cfg, Z, targets, losses=loss)
+    mean = None if losses is None else float(losses.sum()) / N
+    dZ /= N
+    grads = zero_grads(params)
+    grads.w_out[:] = H.T @ dZ
+    grads.b_out[:] = dZ.sum(axis=0)
+    dH = dZ @ params.w_out.T
+    dA = dH * (1.0 - H * H)
+    grads.w_hidden[:] = X.T @ dA
+    grads.b_hidden[:] = dA.sum(axis=0)
+    dX = (dA @ params.w_hidden.T).reshape(N, K, d)
+    grads.embed[:] = _scatter_rows(contexts, dX, params.embed.shape[0])
+    return mean, grads
+
+
+PROPER_RULES = [r for r in RULES if r.kind != "linear"] + [ScoreRule("alpha_power", 3.0),
+                                                          ScoreRule("pseudo_spherical", 1.5)]
+SMOOTHINGS = [NO_SMOOTHING, SmoothingConfig(0.1), SmoothingConfig(0.1, mask_enhanced=True)]
+
+
+@st.composite
+def buffer_cases(draw):
+    """(params, batches): a model of any small shape, its weights scaled up
+    to put probabilities inside the clamp, and (contexts, targets, loss) of
+    512, then 287, then 0 rows, the contexts contiguous or a window view."""
+    V, K, d, h = draw(st.integers(2, 12)), draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 20))
+    seed = draw(st.integers(0, 2**32 - 1))
+    params = init_params(ModelConfig(vocab_size=V, context=K, embed_dim=d, hidden_dim=h, seed=seed))
+    params.flat *= draw(st.sampled_from([1.0, 5.0, 20.0]))
+    gen = np.random.default_rng(seed)
+    batches = []
+    for n in (512, 287, 0):
+        rows = gen.integers(0, V, (n, K + 1))
+        contexts = rows[:, :-1] if draw(st.booleans()) else np.ascontiguousarray(rows[:, :-1])
+        batches.append((contexts, rows[:, -1], draw(st.booleans())))
+    return params, batches
+
+
+class TestGradientBuffer:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(case=buffer_cases())
+    @pytest.mark.parametrize("cfg", SMOOTHINGS, ids=["eps0", "eps0.1", "eps0.1-mask"])
+    @pytest.mark.parametrize("rule", PROPER_RULES, ids=lambda r: f"{r.kind}-{r.alpha}")
+    def test_reused_buffer_equals_the_fresh_gradients_bitwise(self, rule, cfg, case):
+        params, batches = case
+        grads = zero_grads(params)
+        grads.flat[:] = np.nan  # every byte must be written
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the all-masked batch warns in both
+            for contexts, targets, loss in batches:
+                got_loss, got = loss_and_grads(params, contexts, targets, rule, cfg, loss=loss, grads=grads)
+                want_loss, want = ref_loss_and_grads(params, contexts, targets, rule, cfg, loss=loss)
+                assert got is grads
+                assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+                assert grads.flat.tobytes() == want.flat.tobytes()
+                fresh_loss, fresh = loss_and_grads(params, contexts, targets, rule, cfg, loss=loss)
+                assert fresh is not grads and fresh.flat.tobytes() == want.flat.tobytes()
+                assert np.float64(fresh_loss).tobytes() == np.float64(want_loss).tobytes()
+
+    def test_all_masked_batch_zeroes_the_buffer_and_warns(self):
+        params = init_params(ModelConfig(vocab_size=5, context=2, embed_dim=3, hidden_dim=4, seed=1))
+        grads = zero_grads(params)
+        grads.flat[:] = np.nan
+        with pytest.warns(UserWarning, match="all-masked"):
+            loss, got = loss_and_grads(params, np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64),
+                                       ScoreRule("brier"), NO_SMOOTHING, grads=grads)
+        assert loss == 0.0 and got is grads and grads.flat.tobytes() == np.zeros_like(grads.flat).tobytes()
 
 
 @st.composite

@@ -23,7 +23,6 @@ from scorelm.scores import (
     ScoreRule,
     SmoothingConfig,
     expected_score,
-    observed_scores,
     score_matrix,
     smoothed_score,
     smoothed_score_matrix,
@@ -556,7 +555,7 @@ def test_observed_scores_equal_the_gradient_path_bitwise(rule, batch):
     Z, idx, inside = batch
     P = softmax_rows(Z)
     assert (P[inside, idx[inside]] < P_MIN).all()
-    got = observed_scores(rule, P, idx)
+    got = RULES[rule.kind].clamped(P, P[np.arange(P.shape[0]), idx][:, None], rule.alpha)[:, 0]
     assert got.tobytes() == (-token_losses_and_grads(rule, NO_SMOOTHING, Z, idx)[0]).tobytes()
     # the clamped scores at the observed column are the clamped score matrix read at the observed outcome
     assert got.tobytes() == RULES[rule.kind].clamped(P, P, rule.alpha)[np.arange(P.shape[0]), idx].tobytes()
@@ -679,10 +678,8 @@ def test_losses_off_form_no_score(kind, cfg, monkeypatch):
 def test_unsmoothed_loss_forms_only_the_observed_scores(kind, monkeypatch):
     rule = ScoreRule(kind, 1.5 if RULES[kind].alpha is None else RULES[kind].alpha)
     Z, idx = next(random_batches(11))
-    P = softmax_rows(Z)
     monkeypatch.setitem(RULES, kind, refusing_full_scores(kind))
     token_losses_and_grads(rule, NO_SMOOTHING, Z, idx)
-    observed_scores(rule, P, idx)
     with pytest.raises(ColumnRead):  # smoothing sums the scores of every outcome
         token_losses_and_grads(rule, SmoothingConfig(0.1), Z, idx)
 

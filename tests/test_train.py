@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scorelm.data import MarkovSpec, build_vocab, encode_pair, encode_pairs, make_seq_batches, synth_markov
 from scorelm.decode import BeamConfig
 from scorelm.errors import ConfigurationError, InvalidInputError
-from scorelm.model import ModelConfig, PackedSeqs, TokenSeq, init_params, zero_grads
+from scorelm.model import ModelConfig, PackedSeqs, Parameters, TokenSeq, init_params, zero_grads
 from scorelm import scores
 from scorelm.scores import ScoreRule, SmoothingConfig
 from scorelm.train import (
@@ -264,6 +264,27 @@ class TestTrain:
         assert calls == [(full, full if eps else (64, 1))] * formed
 
 
+    @pytest.mark.parametrize("paired", [False, True], ids=["corpus", "paired"])
+    def test_gradient_buffer_built_once_per_run(self, corpus, monkeypatch, paired):
+        # every Parameters is laid out by _view: the initial parameters and one gradient buffer, whatever the steps
+        data = corpus
+        if paired:
+            data = encode_pairs(build_vocab("abcd"), [("ab" * (i % 3 + 1), "cd" * (i % 4 + 1)) for i in range(30)])
+        laid_out = []
+        view = Parameters._view
+
+        def counted(params, flat, shapes):
+            laid_out.append(flat.size)
+            return view(params, flat, shapes)
+
+        monkeypatch.setattr(Parameters, "_view", counted)
+        for steps in (1, 4, 40):
+            laid_out.clear()
+            train(TrainConfig(rule=ScoreRule("brier"), steps=steps, batch_size=8, eval_every=20, seed=3),
+                  MODEL_CFG, data)
+            assert len(laid_out) == 2, steps
+
+
 class TestHeldoutPositions:
     def test_corpus_tail_with_full_history(self):
         tokens = np.arange(100) % 4 + 2
@@ -364,7 +385,29 @@ class TestPackedSplit:
             got = list(batches(batch_size, seed))
             assert len(got) == len(want[0])
             assert all(same_arrays(g, w) for g, w in zip(got, want[0]))
+            assert all(a.flags.c_contiguous for batch in got for a in batch)
             assert same_arrays(held, want[1])
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["corpus", "paired"])
+    def test_a_batch_allocates_its_own_rows_only(self, paired):
+        # indexed out of the window view: no copy of the view, which holds every position of the data
+        K, B = 4, 64
+        gen = np.random.default_rng(5)
+        if paired:
+            pairs = [("".join(gen.choice(list("abcd"), 20)), "".join(gen.choice(list("abcd"), 30))) for _ in range(2000)]
+            data = encode_pairs(build_vocab("abcd"), pairs)
+        else:
+            data = gen.integers(2, 6, 100_000)
+        batches = split_data(data, K)[0](B, 0)
+        next(batches)  # the epoch's shuffled order is drawn with the first batch
+        tracemalloc.start()
+        try:
+            contexts, targets = next(batches)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert contexts.flags.c_contiguous and targets.flags.c_contiguous
+        assert peak < 4 * (contexts.nbytes + targets.nbytes) + 4096
 
     def test_batches_drawn_through_make_seq_batches_at_call_time(self, monkeypatch):
         train_mod = importlib.import_module("scorelm.train")  # the package's `train` is the function
