@@ -15,7 +15,6 @@ from .data import (
     build_vocab,
     decode,
     encode,
-    encode_pair,
     encode_pairs,
     load_pairs,
     make_batches,
@@ -39,7 +38,6 @@ from .model import (
     PackedSeqs,
     Parameters,
     TokenSeq,
-    backward,
     forward,
     init_params,
     loss_and_grads,

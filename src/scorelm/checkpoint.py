@@ -5,15 +5,13 @@ Format v2 holds the header (model, rule, smoothing, step), the symbol table
 one base64 string of params.flat as little-endian float64.  The tensors lie
 in param_shapes order, so the config fixes the layout; a change of order or
 dtype bumps the version.  Raw bytes round-trip every double bit for bit.
-Format v1 stored each tensor as nested decimal arrays and no symbol table;
-it still loads, with symbols None.
 """
 
 import base64
 import binascii
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -24,7 +22,7 @@ from .model import ModelConfig, Parameters, param_shapes
 from .scores import ScoreRule, SmoothingConfig
 
 FORMAT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
+_CONFIGS = {"model": ModelConfig, "rule": ScoreRule, "smoothing": SmoothingConfig}  # header section -> dataclass
 
 
 @dataclass
@@ -37,6 +35,9 @@ class Checkpoint:
     symbols: list | None = None  # the vocabulary in id order, reserved symbols included
 
     def __post_init__(self):
+        for (name, tensor), (_, shape) in zip(self.params.named(), param_shapes(self.model)):
+            if tensor.shape != shape:
+                raise CheckpointShapeError(f"tensor {name!r} has shape {tensor.shape}, config implies {shape}")
         if self.symbols is not None:
             self.symbols = _checked_symbols(self.symbols, self.model.vocab_size)
 
@@ -57,22 +58,8 @@ def save_checkpoint(path, ckpt: Checkpoint):
         fh.write(json.dumps(ckpt.to_document()) + "\n")
 
 
-def _v1_flat(raw, shapes) -> np.ndarray:
-    """The nested decimal tensors of a v1 document, concatenated in layout order."""
-    tensors = []
-    for name, shape in shapes:
-        try:
-            tensor = np.asarray(raw[name], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointFormatError(f"tensor {name!r} is missing or not numeric: {exc}") from None
-        if tensor.shape != shape:
-            raise CheckpointShapeError(f"tensor {name!r} has shape {tensor.shape}, config implies {shape}")
-        tensors.append(tensor.ravel())
-    return np.concatenate(tensors)
-
-
-def _v2_flat(payload, shapes) -> np.ndarray:
-    """The base64 parameter payload of a v2 document, its length checked against shapes."""
+def _payload_flat(payload, shapes) -> np.ndarray:
+    """The base64 parameter payload, its length checked against shapes."""
     try:
         raw = base64.b64decode(payload, validate=True)
     except binascii.Error as exc:
@@ -100,34 +87,30 @@ def _checked_symbols(symbols, vocab_size: int) -> list:
 
 def _header(doc):
     """(model, rule, smoothing, step, params field, symbols) of a document,
-    each key read by its JSON type; the version was checked first."""
-    v2 = doc["v"] == 2
+    each key read by its JSON type; a config section takes exactly the
+    fields of its dataclass, all of them, as save_checkpoint writes them."""
     top = read_fields(doc, "checkpoint", CheckpointFormatError, v=(int, REQUIRED), model=(object, REQUIRED),
                       rule=(object, REQUIRED), smoothing=(object, REQUIRED), step=(int, REQUIRED),
-                      params=(str if v2 else object, REQUIRED), **({"symbols": (object, REQUIRED)} if v2 else {}))
+                      params=(str, REQUIRED), symbols=(object, REQUIRED))
     if top["step"] < 0:
         raise CheckpointFormatError(f"checkpoint key 'step' must be >= 0, got {top['step']}")
-    model = read_fields(top["model"], "checkpoint model", CheckpointFormatError, vocab_size=(int, REQUIRED),
-                        context=(int, REQUIRED), embed_dim=(int, REQUIRED), hidden_dim=(int, REQUIRED),
-                        seed=(int, 0))
-    rule = read_fields(top["rule"], "checkpoint rule", CheckpointFormatError, kind=(str, REQUIRED),
-                       alpha=(float, 2.0))
-    smoothing = read_fields(top["smoothing"], "checkpoint smoothing", CheckpointFormatError, eps=(float, 0.0),
-                            mask_enhanced=(bool, False))
+    sections = {key: read_fields(top[key], f"checkpoint {key}", CheckpointFormatError,
+                                 **{f.name: (f.type, REQUIRED) for f in fields(cls)})
+                for key, cls in _CONFIGS.items()}
     try:
-        configs = ModelConfig(**model), ScoreRule(**rule), SmoothingConfig(**smoothing)
+        configs = [cls(**sections[key]) for key, cls in _CONFIGS.items()]
     except ValueError as exc:
         raise CheckpointFormatError(f"malformed checkpoint fields: {exc}") from None
-    return (*configs, top["step"], top["params"], top.get("symbols"))
+    return (*configs, top["step"], top["params"], top["symbols"])
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parse and validate a checkpoint document (format v2, or v1 with symbols None).
+    """Parse and validate a format-v2 checkpoint document.
 
     The header is read by type: a key of the wrong JSON type, a missing or
     unknown key and a negative step are CheckpointFormatErrors that name the
-    key.  Raises CheckpointVersionError / CheckpointShapeError /
-    CheckpointFormatError for the three failure classes.
+    key.  A document of another version, v1 included, is a
+    CheckpointVersionError; any other fault a CheckpointFormatError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -139,16 +122,15 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointFormatError("checkpoint document lacks a version field")
     if type(doc["v"]) in (bool, float):  # would compare equal to a version: true == 1, 2.0 == 2
         raise CheckpointFormatError(f"checkpoint key 'v' must be an integer, got {doc['v']!r}")
-    if doc["v"] not in READABLE_VERSIONS:
+    if doc["v"] != FORMAT_VERSION:
+        retired = (" (version 1 is retired: load_checkpoint + save_checkpoint in an earlier scorelm, up to commit "
+                   "c5ad5b8, converts the file)") if doc["v"] == 1 else ""
         raise CheckpointVersionError(
-            f"unsupported checkpoint version {doc['v']!r}; supported versions: {', '.join(map(str, READABLE_VERSIONS))}"
-        )
+            f"unsupported checkpoint version {doc['v']!r}{retired}; supported versions: {FORMAT_VERSION}")
     model, rule, smoothing, step, payload, symbols = _header(doc)
     shapes = param_shapes(model)
-    flat = _v2_flat(payload, shapes) if doc["v"] == 2 else _v1_flat(payload, shapes)
-
     params = Parameters.zeros(shapes)
-    params.flat[:] = flat
+    params.flat[:] = _payload_flat(payload, shapes)
     if not np.all(np.isfinite(params.flat)):
         name = next(name for name, t in params.named() if not np.all(np.isfinite(t)))
         raise CheckpointFormatError(f"tensor {name!r} contains non-finite values")

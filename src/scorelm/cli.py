@@ -105,7 +105,7 @@ def _model_config(section, vocab: Vocab) -> ModelConfig:
 
 def _check_vocab(vocab: Vocab, ckpt) -> None:
     """vocab, rebuilt from --data, must be the checkpoint's symbol table; a
-    checkpoint without one (format v1, a library run) can only be size-checked."""
+    checkpoint without one (a library run with symbols=None) can only be size-checked."""
     if ckpt.symbols is None:
         if vocab.size != ckpt.model.vocab_size:
             raise ConfigurationError(f"data vocabulary size {vocab.size} != checkpoint vocab_size {ckpt.model.vocab_size}")
@@ -124,7 +124,7 @@ def _checkpoint_vocab(args, ckpt) -> Vocab:
         _check_vocab(vocab, ckpt)
         return vocab
     if ckpt.symbols is None:
-        raise ConfigurationError(f"checkpoint {args.ckpt} has no symbol table (format v1 or a library run): "
+        raise ConfigurationError(f"checkpoint {args.ckpt} has no symbol table (a library run): "
                                  "pass --data to rebuild its vocabulary")
     return Vocab.from_symbols(ckpt.symbols)
 
@@ -193,22 +193,24 @@ def _cmd_verify(args) -> int:
 
 def _cmd_synth(args) -> int:
     if args.spec is not None:
+        if args.states is not None:
+            print("error: --states applies only without --spec (the spec's 'states' key sets it)", file=sys.stderr)
+            return 2
         with open(args.spec, encoding="utf-8") as fh:
             doc = read_fields(json.load(fh), "spec", states=(int, REQUIRED), transition=(list, REQUIRED),
-                              initial=(list, REQUIRED), seed=(int, args.seed))
+                              initial=(list, REQUIRED), seed=(int, 0))
         spec = MarkovSpec(
             states=doc["states"],
             transition=np.asarray(doc["transition"], dtype=np.float64),
             initial=np.asarray(doc["initial"], dtype=np.float64),
-            seed=doc["seed"],
+            seed=doc["seed"] if args.seed is None else args.seed,  # a flag overrides its key
         )
     else:
-        if args.states < 2:
-            raise ConfigurationError(f"--states must be >= 2, got {args.states}")
-        gen = np.random.default_rng(args.seed)
-        T = gen.dirichlet(np.ones(args.states), size=args.states)
-        spec = MarkovSpec(states=args.states, transition=T,
-                          initial=np.full(args.states, 1.0 / args.states), seed=args.seed)
+        states, seed = 4 if args.states is None else args.states, 0 if args.seed is None else args.seed
+        if states < 2:
+            raise ConfigurationError(f"--states must be >= 2, got {states}")
+        T = np.random.default_rng(seed).dirichlet(np.ones(states), size=states)
+        spec = MarkovSpec(states=states, transition=T, initial=np.full(states, 1.0 / states), seed=seed)
     seq, truth = synth_markov(spec, args.length)
     symbols = [chr(ord("a") + s) for s in range(spec.states)]
     text = "".join(symbols[t - N_RESERVED] for t in seq.tokens)
@@ -292,10 +294,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("synth", help="emit a synthetic Markov corpus")
-    p.add_argument("--states", type=int, default=4)
+    p.add_argument("--states", type=int, help="default 4; not with --spec")
     p.add_argument("--length", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--spec", help="JSON file with states/transition/initial")
+    p.add_argument("--seed", type=int, help="default 0; overrides the --spec file's seed")
+    p.add_argument("--spec", help="JSON file with states/transition/initial and an optional seed")
     p.add_argument("--out", required=True)
     p.add_argument("--truth", help="also write the exact conditional table here")
     p.set_defaults(func=_cmd_synth)

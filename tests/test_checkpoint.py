@@ -16,8 +16,6 @@ from scorelm.errors import CheckpointFormatError, CheckpointShapeError, Checkpoi
 from scorelm.model import ModelConfig, Parameters, forward, init_params, param_shapes
 from scorelm.scores import NO_SMOOTHING, RULES, ScoreRule, SmoothingConfig
 
-from checkpoint_docs import v1_document
-
 
 @pytest.fixture
 def ckpt():
@@ -91,18 +89,6 @@ class TestRoundTripProperty:
                 assert fa.read() == fb.read()
         same_checkpoint(loaded, ckpt)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(ckpt=checkpoints())
-    def test_v1_document_loads_bitwise(self, ckpt):
-        # a hand-built v1 document (nested decimal arrays) loads to the same bits, with no symbol table
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "v1.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(v1_document(ckpt), fh)
-            loaded = load_checkpoint(path)
-        ckpt.symbols = None
-        same_checkpoint(loaded, ckpt)
-
 
 class TestFormat:
     def test_v2_document(self, ckpt):
@@ -130,6 +116,16 @@ class TestFormat:
         table = (PAD_SYMBOL, EOS_SYMBOL, "a", "b", "c", "d")
         assert dataclasses.replace(ckpt, symbols=table).symbols == list(table)
 
+    @pytest.mark.parametrize("model, built, message", [
+        ((6, 1, 4, 8), (6, 2, 4, 8), r"'w_hidden' has shape \(8, 8\), config implies \(4, 8\)"),
+        ((6, 2, 4, 8), (6, 2, 2, 12), r"'embed' has shape \(6, 2\), config implies \(6, 4\)"),
+    ], ids=["other-size", "same-size"])
+    def test_constructor_checks_the_tensor_shapes(self, ckpt, tmp_path, model, built, message):
+        # refused when built, so never saved: a same-size payload would load silently reshaped
+        params = init_params(ModelConfig(*built))
+        with pytest.raises(CheckpointShapeError, match=message):
+            dataclasses.replace(ckpt, model=ModelConfig(*model), params=params)
+
 
 def write_doc(tmp_path, doc):
     path = tmp_path / "ckpt.json"
@@ -155,7 +151,17 @@ class TestValidation:
     def test_unsupported_version(self, ckpt, tmp_path, version):
         doc = ckpt.to_document()
         doc["v"] = version
-        with pytest.raises(CheckpointVersionError, match="supported versions: 1, 2"):
+        with pytest.raises(CheckpointVersionError, match="supported versions: 2$"):
+            load_checkpoint(write_doc(tmp_path, doc))
+
+    def test_v1_document_refused(self, ckpt, tmp_path):
+        # format v1: each tensor as nested decimal arrays, no symbol table; no longer read
+        doc = ckpt.to_document()
+        doc["v"] = 1
+        del doc["symbols"]
+        doc["params"] = {name: t.tolist() for name, t in ckpt.params.named()}
+        with pytest.raises(CheckpointVersionError, match=r"version 1 \(version 1 is retired: load_checkpoint \+ "
+                                                         r"save_checkpoint in an earlier scorelm"):
             load_checkpoint(write_doc(tmp_path, doc))
 
     def test_shape_mismatch(self, ckpt, tmp_path):
@@ -239,12 +245,6 @@ class TestHeaderTypes:
         self.probe(ckpt, tmp_path, lambda doc: doc["model"].update(hidden_dim=8.0),
                    "checkpoint model key 'hidden_dim' must be an integer, got 8.0")
 
-    def test_float_v1_model_dimension(self, ckpt, tmp_path):
-        doc = v1_document(ckpt)
-        doc["model"]["embed_dim"] = 4.0
-        with pytest.raises(CheckpointFormatError, match="checkpoint model key 'embed_dim' must be an integer"):
-            load_checkpoint(write_doc(tmp_path, doc))
-
     @pytest.mark.parametrize("step", [1.7, 123.0, "12", True, None])
     def test_step_not_an_integer(self, ckpt, tmp_path, step):
         self.probe(ckpt, tmp_path, lambda doc: doc.update(step=step), "checkpoint key 'step' must be an integer")
@@ -281,6 +281,12 @@ class TestHeaderTypes:
         self.probe(ckpt, tmp_path, lambda doc: (doc if section is None else doc[section]).pop(key),
                    f"missing checkpoint {'' if section is None else section + ' '}key {key!r}")
 
+    @pytest.mark.parametrize("section, key", [(section, f.name) for section, cls in (
+        ("model", ModelConfig), ("rule", ScoreRule), ("smoothing", SmoothingConfig)) for f in dataclasses.fields(cls)])
+    def test_every_config_field_required(self, ckpt, tmp_path, section, key):
+        # save_checkpoint writes every field, so a header without one is refused, defaulted fields included
+        self.probe(ckpt, tmp_path, lambda doc: doc[section].pop(key), f"missing checkpoint {section} key {key!r}")
+
     def test_range_errors_are_format_errors(self, ckpt, tmp_path):
         self.probe(ckpt, tmp_path, lambda doc: doc["model"].update(context=0), "context must be >= 1")
         self.probe(ckpt, tmp_path, lambda doc: doc["rule"].update(kind="log"), "unknown scoring rule 'log'")
@@ -295,28 +301,3 @@ class TestHeaderTypes:
         assert loaded.params.flat.tobytes() == ckpt.params.flat.tobytes()
         save_checkpoint(tmp_path / "again.json", loaded)
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
-
-class TestValidationV1:
-    def test_loads_with_no_symbol_table(self, ckpt, tmp_path):
-        ckpt.symbols = [PAD_SYMBOL, EOS_SYMBOL, "a", "b", "c", "d"]
-        loaded = load_checkpoint(write_doc(tmp_path, v1_document(ckpt)))
-        assert loaded.symbols is None
-        assert loaded.params.flat.tobytes() == ckpt.params.flat.tobytes()
-
-    def test_shape_mismatch(self, ckpt, tmp_path):
-        doc = v1_document(ckpt)
-        doc["params"]["w_out"] = [[0.0] * 6] * 9  # h=8 expected
-        with pytest.raises(CheckpointShapeError, match="w_out"):
-            load_checkpoint(write_doc(tmp_path, doc))
-
-    def test_missing_tensor(self, ckpt, tmp_path):
-        doc = v1_document(ckpt)
-        del doc["params"]["embed"]
-        with pytest.raises(CheckpointFormatError):
-            load_checkpoint(write_doc(tmp_path, doc))
-
-    def test_non_finite_rejected(self, ckpt, tmp_path):
-        doc = v1_document(ckpt)
-        doc["params"]["b_out"][0] = None  # json null -> nan
-        with pytest.raises(CheckpointFormatError, match="'b_out' contains non-finite values"):
-            load_checkpoint(write_doc(tmp_path, doc))

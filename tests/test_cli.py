@@ -5,11 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scorelm.checkpoint import load_checkpoint
+from scorelm.checkpoint import load_checkpoint, save_checkpoint
 from scorelm.cli import _build_parser, run_command
 from scorelm.scores import ScoreRule
 
-from checkpoint_docs import v1_document
 
 BASE_CONFIG = {
     "model": {"context": 1, "embed_dim": 8, "hidden_dim": 16, "seed": 1},
@@ -90,6 +89,39 @@ class TestSynth:
         assert run_command(["synth", "--spec", str(tmp_path / "spec.json"), "--length", "50",
                             "--out", str(tmp_path / "c.txt")]) == 0
         assert set((tmp_path / "c.txt").read_text()) <= set("ab")
+        capsys.readouterr()
+
+    def synth_spec(self, tmp_path, spec, *flags, name="c.txt"):
+        """The corpus that synth --spec writes for spec with flags, or None if the command fails."""
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        argv = ["synth", "--spec", str(tmp_path / "spec.json"), "--length", "200", "--out", str(tmp_path / name)]
+        if run_command(argv + list(flags)) != 0:
+            return None
+        return (tmp_path / name).read_text()
+
+    def test_seed_flag_overrides_the_spec_seed(self, tmp_path, capsys):
+        own = self.synth_spec(tmp_path, self.SPEC)
+        assert self.synth_spec(tmp_path, self.SPEC, "--seed", "1") == own
+        assert self.synth_spec(tmp_path, {**self.SPEC, "seed": 99}, "--seed", "1") == own
+        assert self.synth_spec(tmp_path, self.SPEC, "--seed", "99") == self.synth_spec(tmp_path, {**self.SPEC, "seed": 99})
+        assert self.synth_spec(tmp_path, self.SPEC, "--seed", "99") != own
+        # a spec without a seed and no --seed takes seed 0
+        no_seed = {k: v for k, v in self.SPEC.items() if k != "seed"}
+        assert self.synth_spec(tmp_path, no_seed) == self.synth_spec(tmp_path, {**self.SPEC, "seed": 0})
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("states", ["2", "3"])
+    def test_states_flag_with_spec_refused(self, tmp_path, capsys, states):
+        assert self.synth_spec(tmp_path, self.SPEC, "--states", states, name="refused.txt") is None
+        captured = capsys.readouterr()
+        assert captured.err == "error: --states applies only without --spec (the spec's 'states' key sets it)\n"
+        assert captured.out == "" and not (tmp_path / "refused.txt").exists()
+
+    def test_states_and_seed_defaults(self, tmp_path, capsys):
+        argv = ["synth", "--length", "200", "--out"]
+        assert run_command(argv + [str(tmp_path / "default.txt")]) == 0
+        assert run_command(argv + [str(tmp_path / "explicit.txt"), "--states", "4", "--seed", "0"]) == 0
+        assert (tmp_path / "default.txt").read_bytes() == (tmp_path / "explicit.txt").read_bytes()
         capsys.readouterr()
 
     @pytest.mark.parametrize("key, value", [
@@ -597,12 +629,6 @@ class TestGenerateIngest:
         assert message in capsys.readouterr().err
 
 
-def as_v1(path, out):
-    """Write the checkpoint at path as a format-v1 document (nested decimal tensors, no symbol table)."""
-    out.write_text(json.dumps(v1_document(load_checkpoint(path))))
-    return out
-
-
 class TestSymbolTable:
     @pytest.fixture(scope="class")
     def trained(self, workdir):
@@ -661,34 +687,36 @@ class TestSymbolTable:
         assert without.out == with_data.out and without.err == with_data.err == ""
         assert without.out.strip()
 
-    def test_v1_needs_data(self, trained, workdir, capsys):
-        v1 = as_v1(trained[0], workdir / "sym_v1.json")
-        argv = ["generate", "--ckpt", str(v1), "--prompt", "cab", "--max-len", "12"]
+    @pytest.fixture(scope="class")
+    def library(self, trained, workdir):
+        """The trained checkpoint saved as a library run without a symbol table (symbols=None)."""
+        ckpt = load_checkpoint(trained[0])
+        ckpt.symbols = None
+        path = workdir / "sym_none.json"
+        save_checkpoint(path, ckpt)
+        return path
+
+    def test_library_checkpoint_needs_data(self, library, workdir, capsys):
+        argv = ["generate", "--ckpt", str(library), "--prompt", "cab", "--max-len", "12"]
         assert run_command(argv) == 1
         captured = capsys.readouterr()
-        assert f"checkpoint {v1} has no symbol table" in captured.err and "pass --data" in captured.err
+        assert f"checkpoint {library} has no symbol table" in captured.err and "pass --data" in captured.err
         assert captured.out == ""
         assert run_command(argv + ["--data", str(workdir / "corpus.txt")]) == 0
         assert capsys.readouterr().out.strip()
 
-    def test_v1_is_size_checked(self, trained, workdir, capsys):
-        v1 = as_v1(trained[0], workdir / "sym_v1.json")
+    @pytest.mark.parametrize("command", ["eval", "finetune"])
+    def test_library_checkpoint_is_size_checked(self, library, workdir, capsys, command):
         small = workdir / "abc.txt"
         small.write_text("abcabcab" * 20)
-        assert run_command(["eval", "--ckpt", str(v1), "--data", str(small)]) == 1
-        assert "data vocabulary size 5 != checkpoint vocab_size 6" in capsys.readouterr().err
-
-    def test_library_checkpoint_needs_data(self, trained, workdir, capsys):
-        from scorelm.checkpoint import save_checkpoint
-
-        library = load_checkpoint(trained[0])
-        library.symbols = None
-        path = workdir / "sym_none.json"
-        save_checkpoint(path, library)
-        assert run_command(["generate", "--ckpt", str(path), "--prompt", "a"]) == 1
-        assert "has no symbol table" in capsys.readouterr().err
-        assert run_command(["generate", "--ckpt", str(path), "--prompt", "a", "--data", str(workdir / "corpus.txt")]) == 0
-        capsys.readouterr()
+        argv = {"eval": ["eval", "--ckpt", str(library), "--data", str(small)],
+                "finetune": ["finetune", "--config", str(workdir / "config.json"), "--data", str(small),
+                             "--base", str(library), "--steps", "5", "--out", str(workdir / "sym_small.json"),
+                             "--metrics", str(workdir / "sym_small.jsonl")]}[command]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert "data vocabulary size 5 != checkpoint vocab_size 6" in captured.err and captured.out == ""
+        assert not (workdir / "sym_small.json").exists()
 
 
 class TestPairsRecords:
