@@ -34,12 +34,15 @@ class Checkpoint:
     params: Parameters
     symbols: list | None = None  # the vocabulary in id order, reserved symbols included
 
-    def __post_init__(self):
+    def check(self):
+        """Refuse tensors unfit for the model and a malformed symbol table: when built, and on save."""
         for (name, tensor), (_, shape) in zip(self.params.named(), param_shapes(self.model)):
             if tensor.shape != shape:
                 raise CheckpointShapeError(f"tensor {name!r} has shape {tensor.shape}, config implies {shape}")
         if self.symbols is not None:
             self.symbols = _checked_symbols(self.symbols, self.model.vocab_size)
+
+    __post_init__ = check
 
     def to_document(self) -> dict:
         return {
@@ -54,6 +57,7 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
+    ckpt.check()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(ckpt.to_document()) + "\n")
 

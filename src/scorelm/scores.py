@@ -18,7 +18,8 @@ which held-out evaluation reads) instead clamps log arguments at P_MIN so
 losses and gradients stay finite.  It forms what its caller reads: the
 score and its gradient at each row's observed outcome, the scores and
 gradients of every outcome only where smoothing sums them, and the losses
-only when they are asked for.
+only when they are asked for.  It keeps narrow probability matrices
+outcome-major, as softmax_rows returns them, and hands back dZ row-major.
 """
 
 from dataclasses import dataclass, replace
@@ -52,8 +53,16 @@ def _log_grad(P, p_obs, a):
     return 1.0, _log_grad_sum(p_obs, a), None
 
 
+def _pow(x, e):
+    """x ** e, with the two exact cases taken without a call: x ** 1.0 is x
+    (the very array) and x ** 0.0 is 1.0, for every x."""
+    if e == 1.0:
+        return x
+    return 1.0 if e == 0.0 else x**e
+
+
 def _power_value(P, p, a):
-    return a * p ** (a - 1.0) - (a - 1.0) * row_sum(P**a)
+    return a * _pow(p, a - 1.0) - (a - 1.0) * row_sum(P**a)
 
 
 def _pow_a2(P, a):
@@ -62,34 +71,34 @@ def _pow_a2(P, a):
     by P, so 0 * inf would poison the gradient; at P = 0 the floor gives the
     exact P -> 0 limit of that product, 0.  Normal P is untouched."""
     if a >= 2.0:
-        return P ** (a - 2.0)
+        return _pow(P, a - 2.0)
     floored = np.maximum(P, P_TINY)
     return np.power(floored, a - 2.0, out=floored)
 
 
 def _power_grad(P, p_obs, a):
-    return a * (a - 1.0), _pow_a2(p_obs, a), P ** (a - 1.0)
+    return a * (a - 1.0), _pow_a2(p_obs, a), _pow(P, a - 1.0)
 
 
 def _power_grad_sum(P, a):
-    return a * (a - 1.0) * (_pow_a2(P, a) - P.shape[-1] * P ** (a - 1.0))
+    return a * (a - 1.0) * (_pow_a2(P, a) - P.shape[-1] * _pow(P, a - 1.0))
 
 
 def _pseudo_value(P, p, a):
     qa = row_sum(P**a)
-    return p ** (a - 1.0) / qa ** ((a - 1.0) / a)
+    return _pow(p, a - 1.0) / qa ** ((a - 1.0) / a)
 
 
 # the gradients are written in n = ||p||_alpha so that alpha = 2 is the spherical rule bit for bit
 def _pseudo_norms(P, a):
     """P ** (a - 1), and n ** (a - 1) and n ** (2a - 1) for each row's n."""
     n = row_sum(P**a) ** (1.0 / a)
-    return P ** (a - 1.0), n ** (a - 1.0), n ** (2.0 * a - 1.0)
+    return _pow(P, a - 1.0), _pow(n, a - 1.0), n ** (2.0 * a - 1.0)
 
 
 def _pseudo_grad(P, p_obs, a):
     pa1, n_lo, n_hi = _pseudo_norms(P, a)
-    return a - 1.0, _pow_a2(p_obs, a) / n_lo, p_obs ** (a - 1.0) * pa1 / n_hi
+    return a - 1.0, _pow_a2(p_obs, a) / n_lo, _pow(p_obs, a - 1.0) * pa1 / n_hi
 
 
 def _pseudo_grad_sum(P, a):
@@ -284,20 +293,6 @@ def token_losses_and_grads(
     eps, a = cfg.eps, rule.alpha
     record = RULES[rule.kind]
 
-    # dS(p, idx)/dp = k (x onehot - W), written column by column: 0.0 - W keeps
-    # the sign of a zero entry of W, as x * 0 - W did (x is finite and >= 0)
-    k, x, W = record.grad(P, p_obs, a)
-    if W is None:
-        grads_p = np.zeros_like(P)
-        grads_p[rows, idx] = (k * x)[:, 0]
-    else:
-        on = k * (x - W[rows, idx][:, None])
-        grads_p = np.subtract(0.0, W)
-        grads_p *= k
-        grads_p[rows, idx] = on[:, 0]
-    if eps > 0.0:
-        grads_p *= 1.0 - eps
-        grads_p += (eps / m) * record.grad_sum(P, a)
     values = None
     if losses and eps > 0.0:  # smoothing sums the score of every outcome
         s = record.clamped(P, P, a)
@@ -309,14 +304,37 @@ def token_losses_and_grads(
         pt = np.maximum(P, P_MIN)
         if losses:
             values = values + (eps / m) * row_sum(np.where(mask, np.log(pt), 0.0))[:, 0]
-        grads_p += (eps / m) * mask * (P >= P_MIN) / pt
 
-    # chain through softmax: dL/dz_k = -p_k (v_k - sum_j p_j v_j), as -(p_k (v_k - sum_j p_j v_j))
-    inner = row_sum(P * grads_p)
-    dZ = np.subtract(grads_p, inner, out=grads_p)
-    dZ *= P
-    np.negative(dZ, out=dZ)
-    return (None if values is None else -values), dZ
+    # dS(p, idx)/dp = k (x onehot - W); the chain through softmax is
+    # dL/dz_k = -(p_k (v_k - sum_j p_j v_j)) for v = dS/dp, its negate written row-major
+    k, x, W = record.grad(P, p_obs, a)
+    if W is None and eps == 0.0:
+        # v is k x at idx and 0 elsewhere: the row sum is its one term p_obs k x >= 0 and no
+        # (B, m) matrix v is built; 0.0 - inner keeps the sign of a zero as v_k - inner does
+        g = k * x
+        inner = p_obs * g
+        dZ = np.subtract(0.0, inner) * P
+        dZ[rows, idx] = ((g - inner) * p_obs)[:, 0]
+    else:
+        # v written column by column: 0.0 - W keeps the sign of a zero entry of W,
+        # as x * 0 - W did (x is finite and >= 0)
+        if W is None:
+            grads_p = np.zeros_like(P)
+            grads_p[rows, idx] = (k * x)[:, 0]
+        else:
+            on = k * (x - W[rows, idx][:, None])
+            grads_p = np.subtract(0.0, W)
+            grads_p *= k
+            grads_p[rows, idx] = on[:, 0]
+        if eps > 0.0:
+            grads_p *= 1.0 - eps
+            grads_p += (eps / m) * record.grad_sum(P, a)
+        if cfg.mask_enhanced:
+            grads_p += np.where(mask & (P >= P_MIN), (eps / m) / pt, 0.0)  # (eps / m) * mask * active / pt
+        inner = row_sum(P * grads_p)
+        dZ = np.subtract(grads_p, inner, out=grads_p)
+        dZ *= P
+    return (None if values is None else -values), np.negative(dZ, order="C")
 
 
 def entmax_power_equivalence_gap(z, x: int, alpha: float):

@@ -4,6 +4,9 @@ Normalization maps (softmax and alpha-entmax), Tsallis entropies,
 distribution smoothing, and the reductions over the outcome axis that the
 batched paths share.  The scalar functions take and return 1-D float
 arrays; probability vectors live on the m-simplex with m >= 2.
+
+Layout contract: softmax_rows returns narrow rows (m < PAIRWISE_BLOCK)
+outcome-major, and row_sum and row_max give numpy's bytes in either layout.
 """
 
 import numpy as np
@@ -17,45 +20,24 @@ ENTMAX_BISECT_ITERS = 200
 # numpy's pairwise sum adds a block of fewer than 8 values one by one, left to
 # right, so a row that narrow sums in column order: numpy's own, not a setting
 PAIRWISE_BLOCK = 8
-# below this many rows one ufunc call per column costs more than numpy's
-# per-row reduction (measured at m = 2..7: max breaks even near 50 rows, sum near 150)
-SWEEP_MIN_ROWS = 128
-
-
-def _sweeps(A: np.ndarray) -> bool:
-    """Whether A's rows are reduced by a sweep over its columns."""
-    return A.ndim == 2 and 0 < A.shape[1] < PAIRWISE_BLOCK and A.shape[0] >= SWEEP_MIN_ROWS
 
 
 def row_max(A: np.ndarray) -> np.ndarray:
     """A.max(axis=-1, keepdims=True) of a float array, bit for bit but for
-    the sign of a NaN result, which numpy itself picks by memory layout.  A
-    max is exact in any order, so a narrow (N, m) matrix is swept column by
-    column into one (N,) buffer: one np.maximum per column instead of
-    numpy's one reduction loop per row."""
-    if not _sweeps(A):
-        return A.max(axis=-1, keepdims=True)
-    cols = A.T
-    out = cols[0].copy()
-    for col in cols[1:]:
-        np.maximum(out, col, out=out)
-    return out[:, None]
+    the sign of a NaN result, which numpy itself picks by memory layout.  On
+    an outcome-major matrix numpy's one reduction runs as one np.maximum per
+    column; a max is exact in any order."""
+    return np.maximum.reduce(A, axis=-1, keepdims=True)
 
 
 def row_sum(A: np.ndarray) -> np.ndarray:
     """A.sum(axis=-1, keepdims=True) of a float array, bit for bit but for
     the sign and payload of a NaN result, which numpy itself picks by memory
     layout.  numpy sums a row narrower than PAIRWISE_BLOCK left to right
-    from its starting value +0.0 (so a row of -0.0 sums to +0.0); a narrow
-    (N, m) matrix is summed in that order column by column into one (N,)
-    buffer, and wider rows take numpy's pairwise sum."""
-    if not _sweeps(A):
-        return A.sum(axis=-1, keepdims=True)
-    cols = A.T
-    out = cols[0] + 0.0
-    for col in cols[1:]:
-        np.add(out, col, out=out)
-    return out[:, None]
+    from +0.0 (so a row of -0.0 sums to +0.0), and an outcome-major matrix
+    in that same order, one np.add per column from initial +0.0; wider
+    row-major rows take numpy's pairwise sum."""
+    return np.add.reduce(A, axis=-1, keepdims=True, initial=0.0)
 
 
 def check_prob_vector(p, tol: float = SUM_TOL) -> np.ndarray:
@@ -94,7 +76,11 @@ def softmax(z) -> np.ndarray:
 
 
 def softmax_rows(Z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax for a (B, m) logit matrix."""
+    """Row-wise softmax for a (B, m) logit matrix, outcome-major (Fortran
+    order) for narrow rows, so each row reduction and (B, 1) broadcast runs as
+    m long loops; wider rows stay row-major."""
+    if Z.shape[-1] < PAIRWISE_BLOCK:
+        Z = np.asfortranarray(Z)
     e = Z - row_max(Z)
     np.exp(e, out=e)
     e /= row_sum(e)

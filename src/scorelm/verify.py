@@ -45,9 +45,10 @@ def simplex_grid(m: int, step: float) -> np.ndarray:
         raise ParameterDomainError(f"grid would have {count} points, beyond the {GRID_POINT_LIMIT} bound")
     if m == 2:
         i = np.arange(n + 1)
-        return np.stack([i, n - i], axis=1) / n
-    pts = [(i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i)]
-    return np.asarray(pts, dtype=np.float64) / n
+        pts = np.stack([i, n - i], axis=1)
+    else:
+        pts = [(i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i)]
+    return np.asfortranarray(np.asarray(pts, dtype=np.float64) / n)  # outcome-major, as softmax_rows keeps narrow rows
 
 
 def _cell_certificate(grid: np.ndarray, E: np.ndarray, target: np.ndarray) -> dict:

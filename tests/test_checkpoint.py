@@ -126,6 +126,18 @@ class TestFormat:
         with pytest.raises(CheckpointShapeError, match=message):
             dataclasses.replace(ckpt, model=ModelConfig(*model), params=params)
 
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("params", init_params(ModelConfig(6, 1, 4, 8)), CheckpointShapeError,
+         r"'w_hidden' has shape \(4, 8\), config implies \(8, 8\)"),
+        ("symbols", ["x"], CheckpointFormatError, "symbol table has 1 entries, vocab_size is 6"),
+    ], ids=["params", "symbols"])
+    def test_save_checks_reassigned_fields(self, ckpt, tmp_path, field, value, error, message):
+        # a field assigned after construction is checked again before the file is opened
+        setattr(ckpt, field, value)
+        with pytest.raises(error, match=message):
+            save_checkpoint(tmp_path / "ckpt.json", ckpt)
+        assert not (tmp_path / "ckpt.json").exists()
+
 
 def write_doc(tmp_path, doc):
     path = tmp_path / "ckpt.json"

@@ -2,8 +2,8 @@
 formulas they replaced, the alpha = 2 identities, property tests over
 random simplex points, and the training path at its numerical edges."""
 
+import contextlib
 import dataclasses
-import sys
 import warnings
 from unittest import mock
 
@@ -12,6 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from scorelm import model as model_mod
+from scorelm import scores as scores_mod
 from scorelm import simplex
 from scorelm.decode import normalized_objective_vector
 from scorelm.model import ModelConfig, _forward_batch, init_params, loss_and_grads
@@ -28,7 +30,7 @@ from scorelm.scores import (
     smoothed_score_matrix,
     token_losses_and_grads,
 )
-from scorelm.simplex import softmax_rows
+from scorelm.simplex import PAIRWISE_BLOCK, softmax_rows
 from scorelm.train import SCORE_FIELDS, evaluate_scores
 from scorelm.verify import simplex_grid
 
@@ -78,12 +80,17 @@ def ref_grad_parts(rule, P, idx):
         return c * (p_obs ** (a - 2.0) * onehot - pa1), c * (P ** (a - 2.0) - m * pa1)
     if rule.kind == "pseudo_spherical":
         pa1 = P ** (a - 1.0)
-        qa = np.sum(P**a, axis=-1, keepdims=True)
-        denom = qa ** ((a - 1.0) / a)
-        g_obs = (a - 1.0) * (p_obs ** (a - 2.0) * onehot - p_obs ** (a - 1.0) * pa1 / qa) / denom
-        T = (a - 1.0) * (P ** (a - 2.0) - np.sum(pa1, axis=-1, keepdims=True) * pa1 / qa) / denom
+        lo, hi = ref_pseudo_norms(P, a)
+        g_obs = (a - 1.0) * (p_obs ** (a - 2.0) / lo * onehot - p_obs ** (a - 1.0) * pa1 / hi)
+        T = (a - 1.0) * (P ** (a - 2.0) / lo - np.sum(pa1, axis=-1, keepdims=True) * pa1 / hi)
         return g_obs, T
     return onehot, np.ones_like(P)  # linear
+
+
+def ref_pseudo_norms(P, a):
+    """n ** (a - 1) and n ** (2a - 1) for each row's n = ||p||_a."""
+    n = np.sum(P**a, axis=-1, keepdims=True) ** (1.0 / a)
+    return n ** (a - 1.0), n ** (2.0 * a - 1.0)
 
 
 def ref_softmax_rows(Z):
@@ -198,8 +205,7 @@ class TestParityWithExplicitFormulas:
             assert score_matrix(rule, P).tobytes() == ref_score_matrix(rule, P).tobytes()
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["eps0", "eps0.1", "eps0.1-mask"])
-    @pytest.mark.parametrize("rule", [r for r in ALL_RULES if r.kind != "pseudo_spherical"],
-                             ids=lambda r: f"{r.kind}-{r.alpha}")
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: f"{r.kind}-{r.alpha}")
     def test_token_losses_and_grads_bitwise(self, rule, cfg):
         for Z, idx in random_batches(2):
             losses, dZ = token_losses_and_grads(rule, cfg, Z, idx)
@@ -220,11 +226,13 @@ class TestParityWithExplicitFormulas:
             p_obs = P[rows, idx][:, None]
             k, x, W = RULES[rule.kind].grad(P, p_obs, alpha)
             g_obs, T = k * (x * onehot - W), RULES[rule.kind].grad_sum(P, alpha)
-            ref_g, ref_T = ref_grad_parts(rule, P, idx)
-            assert np.array_equal(RULES[rule.kind].clamped(P, P, alpha), ref_score_matrix(rule, P))
             pa1 = P ** (alpha - 1.0)
-            n = np.sum(P**alpha, axis=1, keepdims=True) ** (1.0 / alpha)
-            lo, hi = n ** (alpha - 1.0), n ** (2.0 * alpha - 1.0)
+            qa = np.sum(P**alpha, axis=-1, keepdims=True)
+            denom = qa ** ((alpha - 1.0) / alpha)
+            ref_g = (alpha - 1.0) * (p_obs ** (alpha - 2.0) * onehot - p_obs ** (alpha - 1.0) * pa1 / qa) / denom
+            ref_T = (alpha - 1.0) * (P ** (alpha - 2.0) - np.sum(pa1, axis=-1, keepdims=True) * pa1 / qa) / denom
+            assert np.array_equal(RULES[rule.kind].clamped(P, P, alpha), ref_score_matrix(rule, P))
+            lo, hi = ref_pseudo_norms(P, alpha)
             g_terms = p_obs ** (alpha - 2.0) * onehot / lo + p_obs ** (alpha - 1.0) * pa1 / hi
             T_terms = P ** (alpha - 2.0) / lo + np.sum(pa1, axis=1, keepdims=True) * pa1 / hi
             assert (np.abs(g_obs - ref_g) <= 1e-13 * g_terms).all()
@@ -487,7 +495,6 @@ def test_mean_loss_independent_of_batching(rule, cfg, seed, n, data):
 
 # the reference floors no probability at P_TINY, so for alpha < 2 it is the
 # training path only where every probability is normal: those rules get no gap
-PARITY_RULES = [r for r in ALL_RULES if r.kind != "pseudo_spherical"]
 EDGE_CONFIGS = [NO_SMOOTHING, SmoothingConfig(0.1), SmoothingConfig(0.1, mask_enhanced=True),
                 SmoothingConfig(1.0), SmoothingConfig(1.0, mask_enhanced=True)]
 
@@ -516,7 +523,7 @@ def edge_batches(draw, gaps=True):
 
 
 @PROPERTY_SETTINGS
-@given(rule=st.sampled_from(PARITY_RULES), cfg=st.sampled_from(EDGE_CONFIGS), data=st.data())
+@given(rule=st.sampled_from(ALL_RULES), cfg=st.sampled_from(EDGE_CONFIGS), data=st.data())
 def test_token_losses_and_grads_bitwise_at_the_edges(rule, cfg, data):
     Z, idx = data.draw(edge_batches(gaps=rule.alpha >= 2.0))
     losses, dZ = token_losses_and_grads(rule, cfg, Z, idx)
@@ -587,16 +594,23 @@ def test_evaluate_scores_equal_the_gradient_path_bitwise(seed, n, V, scale):
 
 
 # ---------------------------------------------------------------------------
-# Reductions over the outcome axis: the column sweeps against numpy's own
-# reductions, on both sides of PAIRWISE_BLOCK and SWEEP_MIN_ROWS.
+# Reductions over the outcome axis: row_sum and row_max in place against
+# numpy's reductions of a row-major copy, on both sides of PAIRWISE_BLOCK.
 # ---------------------------------------------------------------------------
 
 PROPER_RULES = [r for r in ALL_RULES if RULES[r.kind].proper]
 
 
 def numpy_reductions():
-    """row_sum and row_max as numpy's reductions: no batch reaches the sweep."""
-    return mock.patch.object(simplex, "SWEEP_MIN_ROWS", sys.maxsize)
+    """row_sum and row_max, wherever the rule path calls them, as numpy's
+    reductions of a row-major copy."""
+    stack = contextlib.ExitStack()
+    for module in (simplex, scores_mod):
+        stack.enter_context(mock.patch.object(
+            module, "row_sum", lambda A: np.ascontiguousarray(A).sum(axis=-1, keepdims=True)))
+    stack.enter_context(mock.patch.object(
+        simplex, "row_max", lambda A: np.ascontiguousarray(A).max(axis=-1, keepdims=True)))
+    return stack
 
 
 def outcome_batches(m, seed):
@@ -629,6 +643,68 @@ def test_evaluate_scores_equal_numpy_reductions_bitwise():
                 want = evaluate_scores(params, contexts, targets)
             assert {k: np.float64(v).tobytes() for k, v in got.items()} == \
                 {k: np.float64(v).tobytes() for k, v in want.items()}
+
+
+# ---------------------------------------------------------------------------
+# Layout guard: narrow rows are kept outcome-major and dZ comes back
+# row-major, and the training step and held-out scores are, byte for byte,
+# a frozen row-major reference's: softmax on numpy's own reductions and the
+# explicit formulas above.
+# ---------------------------------------------------------------------------
+
+GUARD_WIDTHS = [2, 6, 7, 8, 35]  # both sides of PAIRWISE_BLOCK, the markov and the paired vocabularies
+
+
+def guard_batches(m, gaps):
+    """(params, contexts, targets) over a vocabulary of m at 512 and 287
+    positions, a full and a tail batch.  An output bias puts outcome m - 1
+    32-45 below the rest, so every row observing it lies inside the P_MIN
+    clamp; with gaps another puts outcome 0 800-840 below, so more than 745
+    below every other outcome, where its probability underflows to 0."""
+    gen = np.random.default_rng(m)
+    for n in (512, 287):
+        params = init_params(ModelConfig(vocab_size=m, context=2, embed_dim=4, hidden_dim=8, seed=n + m))
+        params.b_out[-1] -= gen.uniform(32.0, 45.0)
+        if gaps:
+            params.b_out[0] -= gen.uniform(800.0, 840.0)
+        yield params, gen.integers(0, m, size=(n, 2)), gen.integers(0, m, size=n)
+
+
+def row_major_reference():
+    """loss_and_grads with ref_token_losses_and_grads as its rule part."""
+    def reference(rule, cfg, Z, idx, losses=True):
+        with np.errstate(divide="ignore"):
+            return ref_token_losses_and_grads(rule, cfg, Z, idx)
+    return mock.patch.object(model_mod, "token_losses_and_grads", reference)
+
+
+@pytest.mark.parametrize("m", GUARD_WIDTHS)
+@pytest.mark.parametrize("cfg", CONFIGS, ids=["eps0", "eps0.1", "eps0.1-mask"])
+@pytest.mark.parametrize("rule", PROPER_RULES, ids=lambda r: f"{r.kind}-{r.alpha}")
+def test_step_is_the_row_major_reference_bitwise(rule, cfg, m):
+    # the reference floors no probability at P_TINY: rules with alpha < 2 get no underflow gap
+    for params, contexts, targets in guard_batches(m, gaps=rule.alpha >= 2.0):
+        Z = _forward_batch(params, contexts)[2]
+        P = softmax_rows(Z)
+        assert (P.flags.f_contiguous, P.flags.c_contiguous) == ((True, False) if m < PAIRWISE_BLOCK else (False, True))
+        losses, dZ = token_losses_and_grads(rule, cfg, Z, targets)
+        with np.errstate(divide="ignore"):
+            ref_losses, ref_dZ = ref_token_losses_and_grads(rule, cfg, Z, targets)
+        assert dZ.flags.c_contiguous
+        assert losses.tobytes() == ref_losses.tobytes() and dZ.tobytes() == ref_dZ.tobytes()
+        loss, grads = loss_and_grads(params, contexts, targets, rule, cfg)
+        with row_major_reference():
+            ref_loss, ref_grads = loss_and_grads(params, contexts, targets, rule, cfg)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grads.flat.tobytes() == ref_grads.flat.tobytes()
+
+
+@pytest.mark.parametrize("m", GUARD_WIDTHS)
+def test_evaluate_scores_is_the_row_major_reference_bitwise(m):
+    for params, contexts, targets in guard_batches(m, gaps=True):
+        got, want = evaluate_scores(params, contexts, targets), ref_evaluate_scores(params, contexts, targets)
+        assert {k: np.float64(v).tobytes() for k, v in got.items()} == \
+            {k: np.float64(v).tobytes() for k, v in want.items()}
 
 
 class ColumnRead(Exception):

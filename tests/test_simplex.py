@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from scorelm.errors import ConvergenceError, InvalidInputError, ParameterDomainError
 from scorelm.simplex import (
-    SWEEP_MIN_ROWS,
+    PAIRWISE_BLOCK,
     check_prob_vector,
     entmax,
     row_max,
@@ -205,10 +205,13 @@ def assert_numpy_bits(got, want):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(A=outcome_matrices())
 def test_row_reductions_are_numpy_bit_for_bit(A):
+    # and, for rows narrower than PAIRWISE_BLOCK, numpy's of a row-major copy in every layout
+    wants = [A] + ([np.ascontiguousarray(A)] if A.shape[-1] < PAIRWISE_BLOCK else [])
     with np.errstate(all="ignore"):
-        assert_numpy_bits(row_sum(A), A.sum(axis=-1, keepdims=True))
-        if A.shape[-1]:
-            assert_numpy_bits(row_max(A), A.max(axis=-1, keepdims=True))
+        for want in wants:
+            assert_numpy_bits(row_sum(A), want.sum(axis=-1, keepdims=True))
+            if A.shape[-1]:
+                assert_numpy_bits(row_max(A), want.max(axis=-1, keepdims=True))
 
 
 @pytest.mark.parametrize("row, total", [
@@ -218,8 +221,8 @@ def test_row_reductions_are_numpy_bit_for_bit(A):
     ([1e308, 1e308, -1e308], np.inf),
 ])
 def test_row_sum_runs_left_to_right_from_zero(row, total):
-    A = np.tile(row, (SWEEP_MIN_ROWS, 1))
-    for rows in (A, A[:1]):  # swept, and numpy's own loop
+    A = np.tile(row, (300, 1))
+    for rows in (A, np.asfortranarray(A), A[:1]):  # row-major, outcome-major, one row
         with np.errstate(over="ignore"):
-            got = row_sum(rows)
-        assert got.tobytes() == np.full((rows.shape[0], 1), total).tobytes()
+            got, want = row_sum(rows), np.ascontiguousarray(rows).sum(axis=-1, keepdims=True)
+        assert got.tobytes() == want.tobytes() == np.full((rows.shape[0], 1), total).tobytes()
