@@ -212,8 +212,9 @@ def _cmd_synth(args) -> int:
         T = np.random.default_rng(seed).dirichlet(np.ones(states), size=states)
         spec = MarkovSpec(states=states, transition=T, initial=np.full(states, 1.0 / states), seed=seed)
     seq, truth = synth_markov(spec, args.length)
-    symbols = [chr(ord("a") + s) for s in range(spec.states)]
-    text = "".join(symbols[t - N_RESERVED] for t in seq.tokens)
+    codes = np.arange(ord("a"), ord("a") + spec.states, dtype="<u4")  # state s is written as chr(ord("a") + s)
+    symbols = [chr(c) for c in codes.tolist()]
+    text = codes[seq.tokens - N_RESERVED].tobytes().decode("utf-32-le", "surrogatepass")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     if args.truth:

@@ -2,6 +2,7 @@
 Markov corpora with known ground-truth conditionals."""
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -233,12 +234,10 @@ class MarkovSpec:
 
 
 def _choice_cdf(p: np.ndarray) -> np.ndarray:
-    """The table Generator.choice(k, p=p) searches: normalized cumulative sums."""
-    cdf = p.cumsum()
-    return cdf / cdf[-1]
-
-
-_SYNTH_BLOCK = 1 << 16  # draws per block of successor tables: memory stays O(k * block)
+    """The table Generator.choice(k, p=row) searches for each row of p:
+    normalized cumulative sums along the last axis."""
+    cdf = p.cumsum(axis=-1)
+    return cdf / cdf[..., -1:]
 
 
 def synth_markov(spec: MarkovSpec, length: int):
@@ -247,21 +246,54 @@ def synth_markov(spec: MarkovSpec, length: int):
     States are mapped to token ids N_RESERVED..N_RESERVED+k-1, so the
     resulting TokenSeq trains a model with vocab_size k + 2.
 
-    The path is the one a gen.choice(k, p=row) call per step would draw: all
-    uniforms are drawn at once, and each state's successor for every draw is
-    looked up with choice's own arithmetic (a right-sided search of the
-    normalized cumulative row), so only the walk itself is sequential.
+    The path is the one a gen.choice(k, p=row) call per step would draw, each
+    call taking one uniform.  Every row's breakpoints (the normalized
+    cumulative sums choice searches) are merged into one sorted list, and one
+    search finds each draw's cell between two of them.  For every cell some
+    draw hits, a move table holds each state's successor: the number of the
+    state's own breakpoints at or below the cell's lower edge, which is what
+    choice's right-sided search returns.  The table is k x min(k^2, length)
+    at most.
+
+    The n = length - 1 draws are walked in blocks of L = isqrt(n), in two
+    passes of L vectorized lookups each.  Pass 1 follows all k states through
+    every block at once, giving each block's exit state for each entry
+    state; the entry states are then chained from block to block, one step
+    per block.  Pass 2 walks every block from its entry state.  The last
+    block is padded with moves that are never read: they come after the
+    path's end, and no block follows to enter from its exit.
     """
+    if not isinstance(length, (int, np.integer)) or isinstance(length, bool):
+        raise InvalidInputError(f"length must be an integer, got {length!r}")
     if length < 1:
         raise InvalidInputError(f"length must be >= 1, got {length}")
-    u = np.random.default_rng(spec.seed).random(length)
-    cdfs = [_choice_cdf(row) for row in spec.transition]
-    state = int(_choice_cdf(spec.initial).searchsorted(u[0], side="right"))
-    path = [state]
-    for lo in range(1, length, _SYNTH_BLOCK):
-        block = u[lo : lo + _SYNTH_BLOCK]
-        successor = [cdf.searchsorted(block, side="right").tolist() for cdf in cdfs]
-        for t in range(block.size):
-            state = successor[state][t]
-            path.append(state)
-    return TokenSeq(np.asarray(path, dtype=np.int64) + N_RESERVED), spec.transition.copy()
+    k, n = spec.states, int(length) - 1
+    gen = np.random.default_rng(spec.seed)
+    first = int(_choice_cdf(spec.initial).searchsorted(gen.random(), side="right"))
+    if n == 0:
+        return TokenSeq(np.array([first + N_RESERVED])), spec.transition.copy()
+    cdfs = _choice_cdf(spec.transition)
+    edges = np.sort(cdfs, axis=None)  # a repeated breakpoint bounds an empty cell, which no draw hits
+    cells = edges.searchsorted(gen.random(n), side="right")  # edges[c - 1] <= u < edges[c]
+    hit = np.bincount(cells, minlength=edges.size + 1) > 0
+    lower = np.concatenate(([-np.inf], edges))[hit]  # each hit cell's lower edge
+    # state s moves to i on the hit cells from lower.searchsorted(cdfs[s, i - 1]) to lower.searchsorted(cdfs[s, i])
+    runs = np.diff(lower.searchsorted(cdfs, side="left"), axis=1, prepend=0)
+    moves = np.repeat(np.tile(np.arange(k, dtype=np.min_scalar_type(k - 1)), k), runs.ravel()).reshape(k, -1)
+    L = math.isqrt(n)
+    steps = np.zeros((-(-n // L), L), dtype=np.min_scalar_type(lower.size))
+    steps.ravel()[:n] = (np.cumsum(hit, dtype=steps.dtype) - hit)[cells]  # each draw's column: the hit cells before it
+    flat, width = moves.ravel(), np.int64(moves.shape[1])  # offsets are formed in int64: a narrow state times width overflows
+    exits = np.arange(k, dtype=moves.dtype)
+    for j in range(L):
+        exits = flat[np.multiply(exits, width, dtype=np.int64) + steps[:, j, None]]
+    entries, state = [], first
+    for row in exits.tolist():
+        entries.append(state)
+        state = row[state]
+    walk, state = np.empty_like(steps, dtype=moves.dtype), np.array(entries)
+    for j in range(L):
+        state = walk[:, j] = flat[np.multiply(state, width, dtype=np.int64) + steps[:, j]]
+    path = np.concatenate(([first], walk.ravel()[:n]))
+    path += N_RESERVED
+    return TokenSeq(path), spec.transition.copy()

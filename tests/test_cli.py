@@ -7,6 +7,7 @@ import pytest
 
 from scorelm.checkpoint import load_checkpoint, save_checkpoint
 from scorelm.cli import _build_parser, run_command
+from scorelm.data import MarkovSpec, synth_markov
 from scorelm.scores import ScoreRule
 
 
@@ -81,6 +82,18 @@ class TestSynth:
         assert rows.shape == (4, 4)
         assert np.allclose(rows.sum(axis=1), 1.0)
 
+
+    @pytest.mark.parametrize("states", [2, 30, 300])
+    def test_corpus_spells_the_library_path(self, tmp_path, capsys, states):
+        # state s is written as the character chr(ord("a") + s), the truth file's symbols[s]
+        assert run_command(["synth", "--states", str(states), "--length", "3000", "--seed", "8",
+                            "--out", str(tmp_path / "c.txt"), "--truth", str(tmp_path / "t.json")]) == 0
+        truth = json.loads((tmp_path / "t.json").read_text())
+        assert truth["symbols"] == [chr(ord("a") + s) for s in range(states)]
+        spec = MarkovSpec(states=states, transition=truth["transition"], initial=truth["initial"], seed=8)
+        path = synth_markov(spec, 3000)[0].tokens - 2
+        assert (tmp_path / "c.txt").read_text(encoding="utf-8") == "".join(truth["symbols"][s] for s in path)
+        capsys.readouterr()
 
     SPEC = {"states": 2, "transition": [[0.5, 0.5], [0.1, 0.9]], "initial": [0.5, 0.5], "seed": 1}
 

@@ -1,10 +1,11 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scorelm.data import (
@@ -397,6 +398,19 @@ class TestMakeBatches:
                 assert np.array_equal(targets, rows[start : start + B, -1])
 
 
+@st.composite
+def markov_chains(draw):
+    """A chain of 2-20 states whose rows have zero entries, some rows absorbing."""
+    k = draw(st.integers(2, 20))
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    T = np.array(draw(st.lists(st.lists(weight, min_size=k, max_size=k), min_size=k, max_size=k)))
+    absorbing = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k))) | (T.sum(axis=1) == 0)
+    T[absorbing] = np.eye(k)[absorbing]
+    initial = np.array(draw(st.lists(weight, min_size=k, max_size=k))) + np.eye(k)[0]
+    return MarkovSpec(states=k, transition=T / T.sum(axis=1, keepdims=True), initial=initial / initial.sum(),
+                      seed=draw(st.integers(0, 2**32 - 1)))
+
+
 class TestSynthMarkov:
     def test_absorbing_chain_constant(self):
         spec = MarkovSpec(states=3, transition=np.eye(3), initial=[0.0, 1.0, 0.0], seed=0)
@@ -480,12 +494,56 @@ class TestSynthMarkov:
         seq, _ = synth_markov(spec, 3000)
         assert np.array_equal(seq.tokens, self._choice_walk(spec, 3000))
 
-    def test_matches_choice_loop_across_blocks(self, monkeypatch):
-        import scorelm.data as data_mod
+    SPARSE = MarkovSpec(states=3, transition=[[0.2, 0.3, 0.5], [0.0, 0.8, 0.2], [0.4, 0.6, 0.0]],
+                        initial=[1 / 3, 1 / 3, 1 / 3], seed=11)
+    ABSORBING = MarkovSpec(states=4, transition=[[0.1, 0.6, 0.0, 0.3], [0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 1.0, 0.0],
+                                                 [0.25, 0.25, 0.25, 0.25]], initial=[0.5, 0.0, 0.0, 0.5], seed=5)
 
-        monkeypatch.setattr(data_mod, "_SYNTH_BLOCK", 7)
-        spec = MarkovSpec(states=3, transition=[[0.2, 0.3, 0.5], [0.0, 0.8, 0.2], [0.4, 0.6, 0.0]],
-                          initial=[1 / 3, 1 / 3, 1 / 3], seed=11)
-        for length in (1, 2, 7, 8, 50):
-            seq, _ = synth_markov(spec, length)
-            assert np.array_equal(seq.tokens, self._choice_walk(spec, length))
+    @pytest.mark.parametrize("draws", [0, 1, 2, 3, 4, 8, 9, 10, 15, 16, 17, 255, 256, 257, 4096])
+    @pytest.mark.parametrize("chain", ["SPARSE", "ABSORBING"])
+    def test_matches_choice_loop_at_block_boundaries(self, chain, draws):
+        # the walk's blocks are isqrt(draws) long: each count leaves its last block full or holding one draw
+        spec = getattr(self, chain)
+        seq, _ = synth_markov(spec, draws + 1)
+        assert np.array_equal(seq.tokens, self._choice_walk(spec, draws + 1))
+
+    WIDE = MarkovSpec(states=20, transition=np.random.default_rng(0).dirichlet(np.ones(20), size=20),
+                      initial=np.full(20, 0.05), seed=3)  # its 3000 draws hit more than 255 cells
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(spec=markov_chains(), length=st.integers(1, 3000))
+    @example(spec=WIDE, length=3000)
+    def test_matches_choice_loop_on_random_chains(self, spec, length):
+        seq, _ = synth_markov(spec, length)
+        assert np.array_equal(seq.tokens, self._choice_walk(spec, length))
+
+    def test_draw_on_a_breakpoint_moves_above_it(self):
+        # choice's search is right-sided: a uniform equal to a breakpoint picks the outcome after it
+        u = np.random.default_rng(6).random(2)[1]  # the first transition draw of seed 6
+        row = [u, 1 - u]
+        assert row[0] / (row[0] + row[1]) == u  # choice's normalized breakpoint is the draw itself
+        spec = MarkovSpec(states=2, transition=[row, row], initial=[0.5, 0.5], seed=6)
+        seq, _ = synth_markov(spec, 5)
+        assert seq.tokens[1] == 3 and np.array_equal(seq.tokens, self._choice_walk(spec, 5))
+
+    @pytest.mark.parametrize("states, length", [(64, 50_000), (200, 2_000)])
+    def test_memory_is_linear_in_length_and_table(self, states, length):
+        # O(length + k * min(k^2, length)): neither a successor per state and draw, nor one per state and breakpoint
+        spec = MarkovSpec(states=states, transition=np.random.default_rng(1).dirichlet(np.ones(states), size=states),
+                          initial=np.full(states, 1 / states), seed=2)
+        tracemalloc.start()
+        try:
+            synth_markov(spec, length)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("length", [True, 2.0, "10"])
+    def test_length_must_be_an_integer(self, length):
+        with pytest.raises(InvalidInputError, match=f"^length must be an integer, got {re.escape(repr(length))}$"):
+            synth_markov(self.SPARSE, length)
+
+    @pytest.mark.parametrize("length", [np.int64(40), np.uint16(40)])
+    def test_numpy_integer_length_taken(self, length):
+        assert np.array_equal(synth_markov(self.SPARSE, length)[0].tokens, synth_markov(self.SPARSE, 40)[0].tokens)
