@@ -23,7 +23,7 @@ from .model import (
     loss_and_grads,
     zero_grads,
 )
-from .scores import NO_SMOOTHING, RULES, ScoreRule, SmoothingConfig
+from .scores import NO_SMOOTHING, RULES, ScoreRule, SmoothingConfig, flat_entries, observed_index
 from .simplex import softmax_rows
 
 HELD_OUT_FRACTION = 0.1
@@ -208,14 +208,53 @@ SCORE_FIELDS = {  # metrics field -> the rule whose mean held-out score it repor
 }
 
 
-def evaluate_scores(params: Parameters, contexts: np.ndarray, targets: np.ndarray):
+def distinct_pairs(contexts: np.ndarray, targets: np.ndarray):
+    """(C, pair_row, pair_target, position_pair): the distinct contexts C, in
+    the order of their first position, each distinct (context, target)
+    pair's row in C and its target, and each position's pair, so that
+    position n is (C[pair_row[j]], pair_target[j]) at j = position_pair[n].
+    One lexsort groups the positions.  So contexts that are all distinct
+    are C itself, and a single context scored at two or more positions is
+    laid out as two rows of C: numpy forwards one row by a matrix-vector
+    product, which rounds otherwise than the matrix product of many rows."""
+    N = targets.size
+    order = np.lexsort((targets, *contexts.T))
+    ctx, tgt = contexts[order], targets[order]
+    new_ctx = np.ones(N, dtype=bool)
+    np.any(ctx[1:] != ctx[:-1], axis=1, out=new_ctx[1:])
+    new_pair = new_ctx.copy()
+    new_pair[1:] |= tgt[1:] != tgt[:-1]
+    first = np.minimum.reduceat(order, np.flatnonzero(new_ctx))  # each context's first position
+    is_first = np.zeros(N, dtype=bool)
+    is_first[first] = True
+    C = contexts[is_first]
+    if C.shape[0] == 1 and N >= 2:
+        C = np.repeat(C, 2, axis=0)
+    row = (np.cumsum(is_first) - 1)[first]  # each context's row in C
+    position_pair = np.empty(N, dtype=np.int64)
+    position_pair[order] = np.cumsum(new_pair) - 1
+    return C, row[np.cumsum(new_ctx)[new_pair] - 1], tgt[new_pair], position_pair
+
+
+def evaluate_scores(params: Parameters, contexts: np.ndarray, targets: np.ndarray, distinct=None):
     """Mean held-out score per SCORE_FIELDS rule, keyed by its metrics field,
     and ppl = exp(-score_log) (log clamped so perplexity stays finite).
-    One forward, one softmax and one gather of the observed column serve
-    every rule; no gradient is formed."""
-    P = softmax_rows(_forward_batch(params, contexts)[2])  # no input or hidden layer is kept while scoring
-    p_obs = P[np.arange(P.shape[0]), targets][:, None]
-    scores = {field: float(RULES[rule.kind].clamped(P, p_obs, rule.alpha)[:, 0].mean())
+
+    Each distinct context is forwarded once and each distinct (context,
+    target) pair scored once; every rule's mean then runs over the N
+    positions' scores in position order.  So the bytes are those of scoring
+    every position on the logits of that forward.  Those equal the logits of
+    a forward of every position wherever numpy's product rounds a row alike
+    at any row count, as it does when the contexts are all distinct.
+    distinct is distinct_pairs(contexts, targets), which a caller scoring
+    one held-out part many times builds once.  Targets out of the
+    vocabulary are refused; no gradient is formed."""
+    C, pair_row, pair_target, position_pair = distinct_pairs(contexts, targets) if distinct is None else distinct
+    _check_ids(pair_target, params.embed.shape[0])
+    P = softmax_rows(_forward_batch(params, C)[2])  # no input or hidden layer is kept while scoring
+    p_obs = flat_entries(P).take(observed_index(P, pair_row, pair_target))[:, None]
+    P = P.take(pair_row, axis=0)
+    scores = {field: float(RULES[rule.kind].clamped(P, p_obs, rule.alpha)[:, 0].take(position_pair).mean())
               for field, rule in SCORE_FIELDS.items()}
     scores["ppl"] = float(np.exp(-scores["score_log"]))
     return scores
@@ -232,8 +271,9 @@ def _make_record(step, loss, scores, ref):
 
 def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint_path, symbols):
     batches, (eval_ctx, eval_tgt) = split_data(data, model_cfg.context, model_cfg.vocab_size)
+    distinct = distinct_pairs(eval_ctx, eval_tgt)
     # relative-change reference: the model as it stands at loop entry
-    ref_scores = evaluate_scores(params, eval_ctx, eval_tgt)
+    ref_scores = evaluate_scores(params, eval_ctx, eval_tgt, distinct)
 
     state = AdamState.fresh(params)
     grads = zero_grads(params)  # every step writes its gradient here
@@ -245,7 +285,7 @@ def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint
         loss, _ = loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing, loss=recorded, grads=grads)
         params, state = adam_step(params, grads, state, step, cfg)
         if recorded:
-            scores = evaluate_scores(params, eval_ctx, eval_tgt)
+            scores = evaluate_scores(params, eval_ctx, eval_tgt, distinct)
             records.append(_make_record(start_step + step, loss, scores, ref_scores))
 
     ckpt = Checkpoint(

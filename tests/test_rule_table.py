@@ -16,6 +16,7 @@ from scorelm import model as model_mod
 from scorelm import scores as scores_mod
 from scorelm import simplex
 from scorelm.decode import normalized_objective_vector
+from scorelm.errors import InvalidInputError
 from scorelm.model import ModelConfig, _forward_batch, init_params, loss_and_grads
 from scorelm.scores import (
     KINDS,
@@ -31,7 +32,7 @@ from scorelm.scores import (
     token_losses_and_grads,
 )
 from scorelm.simplex import PAIRWISE_BLOCK, softmax_rows
-from scorelm.train import SCORE_FIELDS, evaluate_scores
+from scorelm.train import SCORE_FIELDS, distinct_pairs, evaluate_scores
 from scorelm.verify import simplex_grid
 
 # ---------------------------------------------------------------------------
@@ -568,12 +569,18 @@ def test_observed_scores_equal_the_gradient_path_bitwise(rule, batch):
     assert got.tobytes() == RULES[rule.kind].clamped(P, P, rule.alpha)[np.arange(P.shape[0]), idx].tobytes()
 
 
-def ref_evaluate_scores(params, contexts, targets):
+def score_bytes(scores):
+    return {k: np.float64(v).tobytes() for k, v in scores.items()}
+
+
+def ref_evaluate_scores(params, contexts, targets, Z=None):
     """evaluate_scores as it was written on the gradient path, with the
-    losses of the explicit formulas."""
-    _, _, Z = _forward_batch(params, contexts)
+    losses of the explicit formulas, on the logits Z (by default a forward
+    of every position)."""
+    if Z is None:
+        Z = _forward_batch(params, contexts)[2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = {field: float(-ref_token_losses_and_grads(rule, NO_SMOOTHING, Z, targets)[0].mean())
+        scores = {field: float((-ref_token_losses_and_grads(rule, NO_SMOOTHING, Z, targets)[0]).mean())
                   for field, rule in SCORE_FIELDS.items()}
     scores["ppl"] = float(np.exp(-scores["score_log"]))
     return scores
@@ -590,7 +597,99 @@ def test_evaluate_scores_equal_the_gradient_path_bitwise(seed, n, V, scale):
     contexts, targets = gen.integers(0, V, size=(n, 2)), gen.integers(0, V, size=n)
     got, want = evaluate_scores(params, contexts, targets), ref_evaluate_scores(params, contexts, targets)
     assert list(got) == [*SCORE_FIELDS, "ppl"]
-    assert {k: np.float64(v).tobytes() for k, v in got.items()} == {k: np.float64(v).tobytes() for k, v in want.items()}
+    assert score_bytes(got) == score_bytes(want)
+
+
+def scored_once_logits(params, contexts, targets):
+    """Each position's logits from one forward of its distinct contexts, in
+    the order of their first position, a single context at two or more
+    positions taken as two rows: the forward evaluate_scores makes."""
+    first = {}
+    for row in map(tuple, contexts.tolist()):
+        first.setdefault(row, len(first))
+    C = np.array(list(first), dtype=np.int64).reshape(len(first), contexts.shape[1])
+    if len(first) == 1 and targets.size >= 2:
+        C = np.repeat(C, 2, axis=0)
+    return _forward_batch(params, C)[2][[first[row] for row in map(tuple, contexts.tolist())]]
+
+
+MARKOV_SHAPE = (6, 1, 8, 16)  # (V, K, d, h) of the markov-corpus benchmark
+
+
+@st.composite
+def held_out_sets(draw, shape=None, layouts=("one", "few", "distinct")):
+    """(params, contexts, targets): 1-3000 positions whose contexts are one
+    context (at two or more positions), 2-8 contexts, or all distinct, with
+    V on both sides of PAIRWISE_BLOCK and K in {1, 2, 8} unless shape pins
+    (V, K, d, h).  Weights are scaled by up to 20, and outcome V - 1 may be
+    pushed 32-45 below the rest, so many observed probabilities lie inside
+    the P_MIN clamp."""
+    layout = draw(st.sampled_from(layouts))
+    V, K, d, h = shape or (draw(st.sampled_from([2, 3, 6, 7, 8, 9, 35])), draw(st.sampled_from([1, 2, 8])),
+                           draw(st.sampled_from([1, 4, 8, 32])), draw(st.sampled_from([1, 2, 16, 128])))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2 if layout == "one" else 1, 3000))
+    n_ctx = min({"one": 1, "few": draw(st.integers(2, 8)), "distinct": n}[layout], V**K)
+    codes = gen.choice(V**K, n_ctx, replace=False)
+    distinct = codes[:, None] // V ** np.arange(K) % V
+    contexts = distinct if layout == "distinct" else distinct[gen.integers(0, n_ctx, n)]
+    targets = gen.integers(0, V, contexts.shape[0])
+    params = init_params(ModelConfig(vocab_size=V, context=K, embed_dim=d, hidden_dim=h, seed=int(codes[0])))
+    params.flat *= draw(st.sampled_from([1.0, 5.0, 20.0]))
+    if draw(st.booleans()):
+        params.b_out[-1] -= gen.uniform(32.0, 45.0)
+    return params, contexts, targets
+
+
+HELD_OUT_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@HELD_OUT_SETTINGS
+@given(held=held_out_sets())
+def test_evaluate_scores_score_each_distinct_context_once_bitwise(held):
+    # at any shape: the full-row scores of the logits a forward of each distinct context gives, and
+    # within a few ulps of a forward of every position, whose matrix product may round a row
+    # otherwise at another row count (tolerance fixed from float64 before looking)
+    params, contexts, targets = held
+    got = evaluate_scores(params, contexts, targets)
+    want = ref_evaluate_scores(params, contexts, targets, Z=scored_once_logits(params, contexts, targets))
+    assert score_bytes(got) == score_bytes(want)
+    tol = 1024 * np.finfo(np.float64).eps
+    full = ref_evaluate_scores(params, contexts, targets)
+    assert all(np.isclose(got[k], full[k], rtol=tol, atol=tol) for k in got)
+
+
+@HELD_OUT_SETTINGS
+@given(held=st.one_of(held_out_sets(shape=MARKOV_SHAPE), held_out_sets(layouts=("distinct",))))
+def test_evaluate_scores_are_the_full_row_forward_bitwise(held):
+    # a forward of every position rounds each row as the forward of the distinct contexts does
+    # when those are the positions (all distinct), and at the markov shape, where numpy's product
+    # (OpenBLAS 0.3.31, AVX-512 x86-64) rounds a row alike at 2 rows or more; one row is a
+    # matrix-vector product, which rounds otherwise
+    params, contexts, targets = held
+    want = ref_evaluate_scores(params, contexts, targets)
+    assert score_bytes(evaluate_scores(params, contexts, targets)) == score_bytes(want)
+
+
+def test_distinct_pairs_split_the_positions():
+    contexts = np.array([[3, 1], [0, 2], [3, 1], [0, 2], [3, 1], [5, 5]])
+    targets = np.array([4, 4, 0, 4, 4, 1])
+    C, pair_row, pair_target, position_pair = distinct_pairs(contexts, targets)
+    assert C.tolist() == [[3, 1], [0, 2], [5, 5]]  # in the order of their first position
+    assert pair_row.size == pair_target.size == 4
+    assert (C[pair_row[position_pair]] == contexts).all() and (pair_target[position_pair] == targets).all()
+    C, pair_row, pair_target, position_pair = distinct_pairs(contexts[[0, 2, 4]], targets[[0, 2, 4]])
+    assert C.tolist() == [[3, 1], [3, 1]] and pair_row.tolist() == [0, 0]  # one context, two rows
+    assert pair_target.tolist() == [0, 4] and position_pair.tolist() == [1, 0, 1]
+    assert distinct_pairs(contexts[:1], targets[:1])[0].tolist() == [[3, 1]]  # one position, one row
+
+
+def test_evaluate_scores_refuses_a_target_out_of_the_vocabulary():
+    params, contexts, targets = next(outcome_batches(9, seed=3))
+    for bad in (9, -1):
+        targets[5] = bad
+        with pytest.raises(InvalidInputError, match=f"token id {bad} out of range for vocab size 9"):
+            evaluate_scores(params, contexts, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +740,7 @@ def test_evaluate_scores_equal_numpy_reductions_bitwise():
             got = evaluate_scores(params, contexts, targets)
             with numpy_reductions():
                 want = evaluate_scores(params, contexts, targets)
-            assert {k: np.float64(v).tobytes() for k, v in got.items()} == \
-                {k: np.float64(v).tobytes() for k, v in want.items()}
+            assert score_bytes(got) == score_bytes(want)
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +801,17 @@ def test_step_is_the_row_major_reference_bitwise(rule, cfg, m):
 def test_evaluate_scores_is_the_row_major_reference_bitwise(m):
     for params, contexts, targets in guard_batches(m, gaps=True):
         got, want = evaluate_scores(params, contexts, targets), ref_evaluate_scores(params, contexts, targets)
-        assert {k: np.float64(v).tobytes() for k, v in got.items()} == \
-            {k: np.float64(v).tobytes() for k, v in want.items()}
+        assert score_bytes(got) == score_bytes(want)
+
+
+@pytest.mark.parametrize("m", GUARD_WIDTHS)
+def test_observed_outcome_out_of_range_is_refused(m):
+    # on either layout, as the 2-D indexing it replaced: never another row's entry
+    Z, idx = np.random.default_rng(m).normal(size=(5, m)), np.zeros(5, dtype=np.int64)
+    for bad in (m, m + 3):
+        idx[2] = bad
+        with pytest.raises(IndexError):
+            token_losses_and_grads(ScoreRule("logarithmic"), NO_SMOOTHING, Z, idx)
 
 
 class ColumnRead(Exception):
@@ -760,8 +867,9 @@ def test_unsmoothed_loss_forms_only_the_observed_scores(kind, monkeypatch):
         token_losses_and_grads(rule, SmoothingConfig(0.1), Z, idx)
 
 
-def test_evaluate_scores_gathers_the_observed_column_once(monkeypatch):
-    # every reported rule scores the one observed column; none forms the score of an unobserved outcome
+def test_evaluate_scores_gather_one_observed_column_of_distinct_pairs(monkeypatch):
+    # every reported rule scores the one observed column, one entry per distinct (context, target)
+    # pair; none forms the score of an unobserved outcome
     columns = []
     for rule in SCORE_FIELDS.values():
         refused = refusing_full_scores(rule.kind)
@@ -771,6 +879,8 @@ def test_evaluate_scores_gathers_the_observed_column_once(monkeypatch):
             return clamped(P, p, a)
         monkeypatch.setitem(RULES, rule.kind, dataclasses.replace(refused, clamped=spy))
     params, contexts, targets = next(outcome_batches(9, seed=3))
+    contexts[::2] = contexts[0]  # half the positions share one context
     evaluate_scores(params, contexts, targets)
     assert len(columns) == len(SCORE_FIELDS) and all(p is columns[0] for p in columns)
-    assert columns[0].shape == (targets.size, 1)
+    pairs = {(*row, t) for row, t in zip(contexts.tolist(), targets.tolist())}
+    assert len(pairs) < targets.size and columns[0].shape == (len(pairs), 1)
