@@ -20,8 +20,6 @@ score and its gradient at each row's observed outcome, the scores and
 gradients of every outcome only where smoothing sums them, and the losses
 only when they are asked for.  It keeps narrow probability matrices
 outcome-major, as softmax_rows returns them, and hands back dZ row-major.
-An observed entry A[b, idx[b]] is read and written at one flat index into
-A's memory (observed_index).
 """
 
 from dataclasses import dataclass, replace
@@ -109,7 +107,7 @@ def _pseudo_grad_sum(P, a):
 
 
 def _linear_value(P, p, a):
-    return p.copy(order="K")  # in p's layout, as every other rule's score
+    return p.copy()
 
 
 def _linear_grad(P, p_obs, a):
@@ -269,26 +267,6 @@ def smoothed_score(rule: ScoreRule, cfg: SmoothingConfig, p, i: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def flat_entries(A: np.ndarray) -> np.ndarray:
-    """A's entries as one flat view in memory order: column after column for
-    an outcome-major (Fortran-order) matrix, row after row otherwise."""
-    return A.T.reshape(-1) if A.flags.f_contiguous else A.reshape(-1)
-
-
-def observed_index(A: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The index of each A[rows[b], idx[b]] in flat_entries(A): idx * B + rows
-    outcome-major, rows * m + idx row-major (the two agree when B or m is 1).
-    A matrix built elementwise from P keeps P's layout, so P's index reads
-    them all.  An outcome idx[b] >= m is an IndexError, as in A[rows, idx]:
-    outcome-major it lies past the end, row-major it is checked."""
-    B, m = A.shape
-    if A.flags.f_contiguous:
-        return idx * B + rows
-    if idx.size and not 0 <= idx.min() <= idx.max() < m:  # rows * m + idx would read another row
-        raise IndexError(f"observed outcome out of range [0, {m})")
-    return rows * m + idx
-
-
 def token_losses_and_grads(
     rule: ScoreRule,
     cfg: SmoothingConfig,
@@ -309,16 +287,16 @@ def token_losses_and_grads(
     Z = np.asarray(Z, dtype=np.float64)
     idx = np.asarray(idx, dtype=np.int64)
     B, m = Z.shape
+    rows = np.arange(B)
     P = softmax_rows(Z)
-    at = observed_index(P, np.arange(B), idx)  # every (B, m) matrix below has P's layout
-    p_obs = flat_entries(P).take(at)[:, None]
+    p_obs = P[rows, idx][:, None]
     eps, a = cfg.eps, rule.alpha
     record = RULES[rule.kind]
 
     values = None
     if losses and eps > 0.0:  # smoothing sums the score of every outcome
         s = record.clamped(P, P, a)
-        values = (1.0 - eps) * flat_entries(s).take(at) + (eps / m) * row_sum(s)[:, 0]
+        values = (1.0 - eps) * s[rows, idx] + (eps / m) * row_sum(s)[:, 0]
     elif losses:
         values = record.clamped(P, p_obs, a)[:, 0]
     if cfg.mask_enhanced:
@@ -336,18 +314,18 @@ def token_losses_and_grads(
         g = k * x
         inner = p_obs * g
         dZ = np.subtract(0.0, inner) * P
-        flat_entries(dZ).put(at, (g - inner) * p_obs)
+        dZ[rows, idx] = ((g - inner) * p_obs)[:, 0]
     else:
         # v written column by column: 0.0 - W keeps the sign of a zero entry of W,
         # as x * 0 - W did (x is finite and >= 0)
         if W is None:
             grads_p = np.zeros_like(P)
-            flat_entries(grads_p).put(at, k * x)
+            grads_p[rows, idx] = (k * x)[:, 0]
         else:
-            on = k * (x - flat_entries(W).take(at)[:, None])
+            on = k * (x - W[rows, idx][:, None])
             grads_p = np.subtract(0.0, W)
             grads_p *= k
-            flat_entries(grads_p).put(at, on)
+            grads_p[rows, idx] = on[:, 0]
         if eps > 0.0:
             grads_p *= 1.0 - eps
             grads_p += (eps / m) * record.grad_sum(P, a)

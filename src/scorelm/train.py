@@ -23,7 +23,7 @@ from .model import (
     loss_and_grads,
     zero_grads,
 )
-from .scores import NO_SMOOTHING, RULES, ScoreRule, SmoothingConfig, flat_entries, observed_index
+from .scores import NO_SMOOTHING, RULES, ScoreRule, SmoothingConfig
 from .simplex import softmax_rows
 
 HELD_OUT_FRACTION = 0.1
@@ -213,10 +213,8 @@ def distinct_pairs(contexts: np.ndarray, targets: np.ndarray):
     the order of their first position, each distinct (context, target)
     pair's row in C and its target, and each position's pair, so that
     position n is (C[pair_row[j]], pair_target[j]) at j = position_pair[n].
-    One lexsort groups the positions.  So contexts that are all distinct
-    are C itself, and a single context scored at two or more positions is
-    laid out as two rows of C: numpy forwards one row by a matrix-vector
-    product, which rounds otherwise than the matrix product of many rows."""
+    One lexsort groups the positions; contexts that are all distinct are C
+    itself."""
     N = targets.size
     order = np.lexsort((targets, *contexts.T))
     ctx, tgt = contexts[order], targets[order]
@@ -227,32 +225,44 @@ def distinct_pairs(contexts: np.ndarray, targets: np.ndarray):
     first = np.minimum.reduceat(order, np.flatnonzero(new_ctx))  # each context's first position
     is_first = np.zeros(N, dtype=bool)
     is_first[first] = True
-    C = contexts[is_first]
-    if C.shape[0] == 1 and N >= 2:
-        C = np.repeat(C, 2, axis=0)
     row = (np.cumsum(is_first) - 1)[first]  # each context's row in C
     position_pair = np.empty(N, dtype=np.int64)
     position_pair[order] = np.cumsum(new_pair) - 1
-    return C, row[np.cumsum(new_ctx)[new_pair] - 1], tgt[new_pair], position_pair
+    return contexts[is_first], row[np.cumsum(new_ctx)[new_pair] - 1], tgt[new_pair], position_pair
 
 
-def evaluate_scores(params: Parameters, contexts: np.ndarray, targets: np.ndarray, distinct=None):
+_last_split = None  # (contexts, targets, their distinct_pairs) of the held-out part scored last
+
+
+def _held_out_split(contexts: np.ndarray, targets: np.ndarray):
+    """distinct_pairs(contexts, targets), built again only when the held-out
+    part is not the one scored last: training scores one part at every
+    eval step.  The part is kept as a copy and compared by value, so one
+    changed in place is split again."""
+    global _last_split
+    last = _last_split
+    if last is None or not (np.array_equal(last[0], contexts) and np.array_equal(last[1], targets)):
+        last = _last_split = (contexts.copy(), targets.copy(), distinct_pairs(contexts, targets))
+    return last[2]
+
+
+def evaluate_scores(params: Parameters, contexts: np.ndarray, targets: np.ndarray):
     """Mean held-out score per SCORE_FIELDS rule, keyed by its metrics field,
     and ppl = exp(-score_log) (log clamped so perplexity stays finite).
 
     Each distinct context is forwarded once and each distinct (context,
     target) pair scored once; every rule's mean then runs over the N
-    positions' scores in position order.  So the bytes are those of scoring
-    every position on the logits of that forward.  Those equal the logits of
-    a forward of every position wherever numpy's product rounds a row alike
-    at any row count, as it does when the contexts are all distinct.
-    distinct is distinct_pairs(contexts, targets), which a caller scoring
-    one held-out part many times builds once.  Targets out of the
-    vocabulary are refused; no gradient is formed."""
-    C, pair_row, pair_target, position_pair = distinct_pairs(contexts, targets) if distinct is None else distinct
+    positions' scores in position order.  So a position's score depends
+    only on its pair, and the bytes are those of scoring every position on
+    the logits of the distinct contexts' forward.  A forward of every
+    position gives the same logits when the contexts are all distinct (it
+    is the same product), and at other row counts may round a row in the
+    last bits otherwise.  Targets out of the vocabulary are refused; no
+    gradient is formed."""
+    C, pair_row, pair_target, position_pair = _held_out_split(contexts, targets)
     _check_ids(pair_target, params.embed.shape[0])
     P = softmax_rows(_forward_batch(params, C)[2])  # no input or hidden layer is kept while scoring
-    p_obs = flat_entries(P).take(observed_index(P, pair_row, pair_target))[:, None]
+    p_obs = P[pair_row, pair_target][:, None]
     P = P.take(pair_row, axis=0)
     scores = {field: float(RULES[rule.kind].clamped(P, p_obs, rule.alpha)[:, 0].take(position_pair).mean())
               for field, rule in SCORE_FIELDS.items()}
@@ -271,9 +281,8 @@ def _make_record(step, loss, scores, ref):
 
 def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint_path, symbols):
     batches, (eval_ctx, eval_tgt) = split_data(data, model_cfg.context, model_cfg.vocab_size)
-    distinct = distinct_pairs(eval_ctx, eval_tgt)
     # relative-change reference: the model as it stands at loop entry
-    ref_scores = evaluate_scores(params, eval_ctx, eval_tgt, distinct)
+    ref_scores = evaluate_scores(params, eval_ctx, eval_tgt)
 
     state = AdamState.fresh(params)
     grads = zero_grads(params)  # every step writes its gradient here
@@ -285,7 +294,7 @@ def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint
         loss, _ = loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing, loss=recorded, grads=grads)
         params, state = adam_step(params, grads, state, step, cfg)
         if recorded:
-            scores = evaluate_scores(params, eval_ctx, eval_tgt, distinct)
+            scores = evaluate_scores(params, eval_ctx, eval_tgt)
             records.append(_make_record(start_step + step, loss, scores, ref_scores))
 
     ckpt = Checkpoint(

@@ -229,6 +229,18 @@ class TestTrain:
         _, records = train(quick_cfg(steps=250), MODEL_CFG, corpus)
         assert [r.step for r in records] == [50, 100, 150, 200, 250]
 
+    def test_held_out_part_split_once_per_training_call(self, corpus, monkeypatch):
+        train_mod = importlib.import_module("scorelm.train")  # the package's `train` is the function
+        calls = []
+        split = train_mod.distinct_pairs
+        monkeypatch.setattr(train_mod, "distinct_pairs", lambda c, t: calls.append(t.size) or split(c, t))
+        monkeypatch.setattr(train_mod, "_last_split", None)
+        for _ in range(2):  # the second call scores the same part again
+            _, records = train(quick_cfg(steps=250), MODEL_CFG, corpus)
+            assert len(records) == 5 and len(calls) == 1
+        train(quick_cfg(steps=5), MODEL_CFG, corpus[:-1])  # another held-out part
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("rule, smoothing", [
         (ScoreRule("logarithmic"), SmoothingConfig()),
         (ScoreRule("alpha_power", 1.5), SmoothingConfig()),
