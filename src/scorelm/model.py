@@ -224,19 +224,29 @@ def loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray
                    rule: ScoreRule, cfg: SmoothingConfig, *, loss: bool = True, grads: Parameters | None = None):
     """Mean loss over N positions and its exact analytic gradient.
 
-    contexts (N, K) and targets (N,) are index arrays whose ids the caller
-    has already checked against the vocabulary: training checks its data
-    once at ingest, backward checks each batch.  Positions are reduced in
-    row order, so results are bitwise reproducible.  Returns (loss, grads)
-    with grads shaped like params; with loss=False the loss is not formed
-    and is None.  grads, when given, is the buffer the gradient is written
-    into (a training run reuses one); the bytes are the same either way.
+    contexts (N, K) and targets (N,) are index arrays; an id outside the
+    vocabulary is refused by value (InvalidInputError).  Positions are
+    reduced in row order, so results are bitwise reproducible.  Returns
+    (loss, grads) with grads shaped like params; with loss=False the loss
+    is not formed and is None.  grads, when given, is the buffer the
+    gradient is written into (a training run reuses one); the bytes are the
+    same either way.
     """
+    V = params.embed.shape[0]
+    _check_ids(contexts, V)
+    _check_ids(targets, V)
+    return _loss_and_grads(params, contexts, targets, rule, cfg, loss=loss, grads=grads)
+
+
+def _loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray,
+                    rule: ScoreRule, cfg: SmoothingConfig, *, loss: bool = True, grads: Parameters | None = None):
+    """loss_and_grads over ids the caller has already checked: training
+    checks its data once at ingest, backward checks each batch."""
     if grads is None:
         grads = zero_grads(params)
     N = targets.size
     if N == 0:
-        warnings.warn("loss over an all-masked batch is 0", stacklevel=2)
+        warnings.warn("loss over an all-masked batch is 0", stacklevel=3)
         grads.flat[:] = 0.0
         return (0.0 if loss else None), grads
     K = contexts.shape[1]
@@ -273,7 +283,7 @@ def backward(params: Parameters, batch, rule: ScoreRule, cfg: SmoothingConfig):
     analytic gradient, for a list of TokenSeq.
 
     Packs the batch, checks every id, gathers its unmasked positions into
-    index arrays and hands them to loss_and_grads.  Returns (loss, grads)
+    index arrays and hands them to _loss_and_grads.  Returns (loss, grads)
     with grads shaped like params.
     """
     if not batch:
@@ -283,4 +293,4 @@ def backward(params: Parameters, batch, rule: ScoreRule, cfg: SmoothingConfig):
     _check_ids(records.tokens, V)
     windows, rows = records.windows(params.w_hidden.shape[0] // d)
     picked = windows[rows]
-    return loss_and_grads(params, picked[:, :-1], picked[:, -1], rule, cfg)
+    return _loss_and_grads(params, picked[:, :-1], picked[:, -1], rule, cfg)

@@ -19,8 +19,8 @@ from .model import (
     TokenSeq,
     _check_ids,
     _forward_batch,
+    _loss_and_grads,
     init_params,
-    loss_and_grads,
     zero_grads,
 )
 from .scores import NO_SMOOTHING, RULES, ScoreRule, SmoothingConfig
@@ -291,7 +291,7 @@ def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint
     for step in range(1, cfg.steps + 1):
         contexts, targets = next(stream)
         recorded = step % cfg.eval_every == 0 or step == cfg.steps
-        loss, _ = loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing, loss=recorded, grads=grads)
+        loss, _ = _loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing, loss=recorded, grads=grads)
         params, state = adam_step(params, grads, state, step, cfg)
         if recorded:
             scores = evaluate_scores(params, eval_ctx, eval_tgt)

@@ -1,14 +1,23 @@
+import base64
 import functools
 import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scorelm.checkpoint import load_checkpoint, save_checkpoint
-from scorelm.cli import _build_parser, run_command
+from scorelm.cli import _build_parser, _load_data, run_command
 from scorelm.data import MarkovSpec, synth_markov
+from scorelm.model import ModelConfig, Parameters, param_shapes
 from scorelm.scores import ScoreRule
+from scorelm.train import SCORE_FIELDS, split_data
+from test_data import choice_walk
+from test_rule_table import ref_evaluate_scores, scored_once_logits
 
 
 BASE_CONFIG = {
@@ -29,6 +38,14 @@ def workdir(tmp_path_factory):
     return d
 
 
+def sixty_pairs(path):
+    """60 records of 2-7 letters from abcdef, each target its source reversed."""
+    r = random.Random(1)
+    sources = ["".join(r.choice("abcdef") for _ in range(r.randint(2, 7))) for _ in range(60)]
+    path.write_text("".join(json.dumps({"source": s, "target": s[::-1]}) + "\n" for s in sources))
+    return path
+
+
 class TestUsage:
     def test_unknown_flag_exits_2(self, capsys):
         assert run_command(["train", "--bogus"]) == 2
@@ -37,6 +54,20 @@ class TestUsage:
     def test_unknown_command_exits_2(self, capsys):
         assert run_command(["frobnicate"]) == 2
         capsys.readouterr()
+
+    def test_program_exits_with_the_command_code(self, tmp_path):
+        # main() hands run_command's code to sys.exit: run as a program
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+
+        def program(*argv):
+            return subprocess.run([sys.executable, "-m", "scorelm.cli", *argv], env=env, capture_output=True,
+                                  text=True)
+
+        assert program("verify", "table1").returncode == 0
+        assert program("frobnicate").returncode == 2
+        refused = program("synth", "--states", "1", "--out", str(tmp_path / "F.txt"))
+        assert refused.returncode == 1 and "--states must be >= 2" in refused.stderr
+        assert not (tmp_path / "F.txt").exists()
 
 
 class TestVerifyCommands:
@@ -104,13 +135,12 @@ class TestSynth:
         assert set((tmp_path / "c.txt").read_text()) <= set("ab")
         capsys.readouterr()
 
-    def synth_spec(self, tmp_path, spec, *flags, name="c.txt"):
-        """The corpus that synth --spec writes for spec with flags, or None if the command fails."""
+    def synth_spec(self, tmp_path, spec, *flags):
+        """The corpus that synth --spec writes for spec with flags."""
         (tmp_path / "spec.json").write_text(json.dumps(spec))
-        argv = ["synth", "--spec", str(tmp_path / "spec.json"), "--length", "200", "--out", str(tmp_path / name)]
-        if run_command(argv + list(flags)) != 0:
-            return None
-        return (tmp_path / name).read_text()
+        assert run_command(["synth", "--spec", str(tmp_path / "spec.json"), "--length", "200",
+                            "--out", str(tmp_path / "c.txt"), *flags]) == 0
+        return (tmp_path / "c.txt").read_text()
 
     def test_seed_flag_overrides_the_spec_seed(self, tmp_path, capsys):
         own = self.synth_spec(tmp_path, self.SPEC)
@@ -125,10 +155,32 @@ class TestSynth:
 
     @pytest.mark.parametrize("states", ["2", "3"])
     def test_states_flag_with_spec_refused(self, tmp_path, capsys, states):
-        assert self.synth_spec(tmp_path, self.SPEC, "--states", states, name="refused.txt") is None
+        (tmp_path / "spec.json").write_text(json.dumps(self.SPEC))
+        assert run_command(["synth", "--spec", str(tmp_path / "spec.json"), "--states", states,
+                            "--out", str(tmp_path / "refused.txt")]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: --states applies only without --spec (the spec's 'states' key sets it)\n"
         assert captured.out == "" and not (tmp_path / "refused.txt").exists()
+
+    def test_spec_corpus_is_the_choice_walk(self, tmp_path, capsys):
+        # state 7 is absorbing, and only row 3 enters it: the path walks 17473 steps, then stays in it
+        T = np.random.default_rng(20).dirichlet(np.ones(20), size=20)
+        T[:, 7] = 0.0
+        T[3, 7] = 1e-4
+        T /= T.sum(axis=1, keepdims=True)
+        T[7] = np.eye(20)[7]
+        p = np.full(20, 1 / 19)
+        p[7] = 0.0
+        spec = {"states": 20, "transition": T.tolist(), "initial": p.tolist()}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert run_command(["synth", "--spec", str(tmp_path / "spec.json"), "--length", "50000", "--seed", "9",
+                            "--out", str(tmp_path / "c.txt"), "--truth", str(tmp_path / "t.json")]) == 0
+        capsys.readouterr()
+        path = choice_walk(MarkovSpec(20, spec["transition"], spec["initial"], seed=9), 50000) - 2
+        assert np.flatnonzero(path == 7)[0] == 17473
+        assert (tmp_path / "c.txt").read_text(encoding="utf-8") == "".join(chr(97 + s) for s in path)
+        truth = json.loads((tmp_path / "t.json").read_text())
+        assert (truth["transition"], truth["initial"]) == (spec["transition"], spec["initial"])
 
     def test_states_and_seed_defaults(self, tmp_path, capsys):
         argv = ["synth", "--length", "200", "--out"]
@@ -585,6 +637,35 @@ class TestEvalReproducesTraining:
         assert last["step"] == 30
         assert {k: printed[k] for k in self.FIELDS} == {k: last[k] for k in self.FIELDS}
 
+    @pytest.mark.parametrize("name, model", [
+        ("markov.txt", {"context": 1}),
+        ("one.txt", {"context": 2, "hidden_dim": 64}),
+        ("pairs.jsonl", {"context": 3}),
+    ], ids=["markov-K1", "one-symbol", "pairs"])
+    def test_eval_scores_each_distinct_context_forward(self, tmp_path, capsys, name, model):
+        # a K = 1 chain (4 contexts), one context, and paired records behind K pads
+        data = tmp_path / name
+        if name == "markov.txt":
+            assert run_command(["synth", "--states", "4", "--length", "4000", "--seed", "3", "--out", str(data)]) == 0
+        elif name == "one.txt":
+            data.write_text("a" * 2000)
+        else:
+            sixty_pairs(data)
+        config, ckpt, metrics = tmp_path / "config.json", tmp_path / "ckpt.json", tmp_path / "metrics.jsonl"
+        config.write_text(json.dumps({"data": str(data), "model": model, "train": {"steps": 20, "eval_every": 10}}))
+        assert run_command(["train", "--config", str(config), "--out", str(ckpt), "--metrics", str(metrics)]) == 0
+        capsys.readouterr()
+        assert run_command(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 0
+        got = json.loads(capsys.readouterr().out)
+        params = load_checkpoint(ckpt).params
+        _, (contexts, targets) = split_data(_load_data(data)[1], model["context"])
+        want = ref_evaluate_scores(params, contexts, targets, Z=scored_once_logits(params, contexts, targets))
+        full = ref_evaluate_scores(params, contexts, targets)  # a forward of every position may round otherwise
+        last = json.loads(metrics.read_text().splitlines()[-1])
+        assert {k: got[k] for k in want} == want
+        assert {k: got[k] for k in SCORE_FIELDS} == {k: last[k] for k in SCORE_FIELDS}
+        assert all(np.isclose(got[k], full[k], rtol=1e-12, atol=1e-12) for k in want)
+
 
 class TestGenerateIngest:
     @pytest.fixture(scope="class")
@@ -653,6 +734,17 @@ class TestSymbolTable:
         other.write_text((workdir / "corpus.txt").read_text().translate(str.maketrans("abcd", "wxyz")))
         return ckpt, other
 
+    @pytest.fixture(scope="class")
+    def paired(self, workdir):
+        """A checkpoint trained on sixty_pairs, and those pairs."""
+        pairs = sixty_pairs(workdir / "sym_pairs.jsonl")
+        config, ckpt = workdir / "sym_pairs_config.json", workdir / "sym_pairs_ckpt.json"
+        config.write_text(json.dumps({"data": str(pairs), "model": {"context": 3},
+                                      "train": {"steps": 40, "batch_size": 8, "eval_every": 20}}))
+        assert run_command(["train", "--config", str(config), "--out", str(ckpt),
+                            "--metrics", str(workdir / "sym_pairs_metrics.jsonl")]) == 0
+        return ckpt, pairs
+
     def test_train_stores_the_vocabulary(self, trained, capsys):
         ckpt, _ = trained
         assert load_checkpoint(ckpt).symbols == ["<pad>", "<eos>", "a", "b", "c", "d"]
@@ -689,11 +781,19 @@ class TestSymbolTable:
         assert run_command(["eval", "--ckpt", str(ckpt), "--data", str(small)]) == 1
         assert "at id 5: data has no symbol, checkpoint has 'd'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("search", [["--greedy"], ["--beam", "3"], ["--beam", "2", "--length-penalty", "1"]])
-    def test_generate_without_data_is_the_same(self, trained, workdir, capsys, search):
-        ckpt, _ = trained
-        argv = ["generate", "--ckpt", str(ckpt), "--prompt", "cab", "--max-len", "12", *search]
-        assert run_command(argv + ["--data", str(workdir / "corpus.txt")]) == 0
+    @pytest.mark.parametrize("checkpoint, prompt, search", [
+        ("trained", "cab", ["--greedy"]),
+        ("trained", "cab", ["--beam", "3"]),
+        ("trained", "cab", ["--beam", "2", "--length-penalty", "1"]),
+        ("paired", "abc", ["--beam", "4"]),
+    ], ids=["greedy", "beam3", "beam2-penalty1", "pairs-beam4"])
+    def test_generate_without_data_is_the_same(self, request, workdir, capsys, checkpoint, prompt, search):
+        ckpt, data = request.getfixturevalue(checkpoint)
+        if checkpoint == "trained":
+            data = workdir / "corpus.txt"  # the other fixture file is the wxyz corpus
+        capsys.readouterr()
+        argv = ["generate", "--ckpt", str(ckpt), "--prompt", prompt, "--max-len", "12", *search]
+        assert run_command(argv + ["--data", str(data)]) == 0
         with_data = capsys.readouterr()
         assert run_command(argv) == 0
         without = capsys.readouterr()
@@ -770,6 +870,14 @@ class TestNotUtf8Data:
         assert captured.err == f"error: {data}: {where}\n" and captured.out == ""
 
 
+def as_version_1(doc):
+    """doc as format v1 wrote it: no symbol table, and each tensor a nested list."""
+    params = Parameters.zeros(param_shapes(ModelConfig(**doc["model"])))
+    params.flat[:] = np.frombuffer(base64.b64decode(doc["params"]), dtype="<f8")
+    del doc["symbols"]
+    doc.update(v=1, params={name: t.tolist() for name, t in params.named()})
+
+
 class TestCheckpointHeaderProbes:
     @pytest.fixture(scope="class")
     def document(self, workdir):
@@ -782,7 +890,8 @@ class TestCheckpointHeaderProbes:
         (lambda doc: doc["smoothing"].update(mask_enhanced="no"),
          "checkpoint smoothing key 'mask_enhanced' must be a boolean, got 'no'"),
         (lambda doc: doc.update(v=True), "checkpoint key 'v' must be an integer, got True"),
-    ], ids=["float-hidden-dim", "float-step", "negative-step", "string-flag", "boolean-version"])
+        (as_version_1, "version 1 is retired"),
+    ], ids=["float-hidden-dim", "float-step", "negative-step", "string-flag", "boolean-version", "version-1"])
     def test_generate_exits_1_naming_the_key(self, document, tmp_path, capsys, edit, message):
         doc = json.loads(json.dumps(document))
         edit(doc)

@@ -411,6 +411,15 @@ def markov_chains(draw):
                       seed=draw(st.integers(0, 2**32 - 1)))
 
 
+def choice_walk(spec, length):
+    """Reference sampler: one gen.choice call per step, as token ids."""
+    gen = np.random.default_rng(spec.seed)
+    states = [gen.choice(spec.states, p=spec.initial)]
+    for _ in range(1, length):
+        states.append(gen.choice(spec.states, p=spec.transition[states[-1]]))
+    return np.asarray(states, dtype=np.int64) + 2
+
+
 class TestSynthMarkov:
     def test_absorbing_chain_constant(self):
         spec = MarkovSpec(states=3, transition=np.eye(3), initial=[0.0, 1.0, 0.0], seed=0)
@@ -475,15 +484,6 @@ class TestSynthMarkov:
         for row in truth:
             check_prob_vector(row)
 
-    @staticmethod
-    def _choice_walk(spec, length):
-        """Reference sampler: one gen.choice call per step."""
-        gen = np.random.default_rng(spec.seed)
-        states = [gen.choice(spec.states, p=spec.initial)]
-        for _ in range(1, length):
-            states.append(gen.choice(spec.states, p=spec.transition[states[-1]]))
-        return np.asarray(states, dtype=np.int64) + 2
-
     @pytest.mark.parametrize("seed", [0, 1, 7, 123])
     def test_matches_choice_loop(self, seed):
         gen = np.random.default_rng(100 + seed)
@@ -492,7 +492,7 @@ class TestSynthMarkov:
         T[3] = [0.0, 0.0, 0.0, 0.0, 1.0]
         spec = MarkovSpec(states=5, transition=T, initial=[0.0, 0.3, 0.0, 0.3, 0.4], seed=seed)
         seq, _ = synth_markov(spec, 3000)
-        assert np.array_equal(seq.tokens, self._choice_walk(spec, 3000))
+        assert np.array_equal(seq.tokens, choice_walk(spec, 3000))
 
     SPARSE = MarkovSpec(states=3, transition=[[0.2, 0.3, 0.5], [0.0, 0.8, 0.2], [0.4, 0.6, 0.0]],
                         initial=[1 / 3, 1 / 3, 1 / 3], seed=11)
@@ -505,7 +505,7 @@ class TestSynthMarkov:
         # the walk's blocks are isqrt(draws) long: each count leaves its last block full or holding one draw
         spec = getattr(self, chain)
         seq, _ = synth_markov(spec, draws + 1)
-        assert np.array_equal(seq.tokens, self._choice_walk(spec, draws + 1))
+        assert np.array_equal(seq.tokens, choice_walk(spec, draws + 1))
 
     WIDE = MarkovSpec(states=20, transition=np.random.default_rng(0).dirichlet(np.ones(20), size=20),
                       initial=np.full(20, 0.05), seed=3)  # its 3000 draws hit more than 255 cells
@@ -515,7 +515,7 @@ class TestSynthMarkov:
     @example(spec=WIDE, length=3000)
     def test_matches_choice_loop_on_random_chains(self, spec, length):
         seq, _ = synth_markov(spec, length)
-        assert np.array_equal(seq.tokens, self._choice_walk(spec, length))
+        assert np.array_equal(seq.tokens, choice_walk(spec, length))
 
     def test_draw_on_a_breakpoint_moves_above_it(self):
         # choice's search is right-sided: a uniform equal to a breakpoint picks the outcome after it
@@ -524,7 +524,7 @@ class TestSynthMarkov:
         assert row[0] / (row[0] + row[1]) == u  # choice's normalized breakpoint is the draw itself
         spec = MarkovSpec(states=2, transition=[row, row], initial=[0.5, 0.5], seed=6)
         seq, _ = synth_markov(spec, 5)
-        assert seq.tokens[1] == 3 and np.array_equal(seq.tokens, self._choice_walk(spec, 5))
+        assert seq.tokens[1] == 3 and np.array_equal(seq.tokens, choice_walk(spec, 5))
 
     @pytest.mark.parametrize("states, length", [(64, 50_000), (200, 2_000)])
     def test_memory_is_linear_in_length_and_table(self, states, length):

@@ -302,6 +302,15 @@ class TestGradientBuffer:
                                        ScoreRule("brier"), NO_SMOOTHING, grads=grads)
         assert loss == 0.0 and got is grads and grads.flat.tobytes() == np.zeros_like(grads.flat).tobytes()
 
+    @pytest.mark.parametrize("bad", [-1, -3, 6])
+    @pytest.mark.parametrize("where", ["target", "context"])
+    def test_out_of_range_id_refused_by_value(self, where, bad):
+        params = init_params(ModelConfig(vocab_size=6, context=2, embed_dim=4, hidden_dim=8, seed=1))
+        contexts, targets = np.array([[0, 2], [3, 4], [5, 1]]), np.array([2, 3, 4])
+        (targets if where == "target" else contexts)[1] = bad
+        with pytest.raises(InvalidInputError, match=f"^token id {bad} out of range for vocab size 6$"):
+            loss_and_grads(params, contexts, targets, ScoreRule("brier"), NO_SMOOTHING)
+
 
 @st.composite
 def scatters(draw):
