@@ -19,8 +19,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import rng
 from .documents import check_field_types
 from .errors import ConfigurationError, InvalidInputError
-from .scores import ScoreRule, SmoothingConfig, token_losses_and_grads
-from .simplex import softmax_rows
+from .scores import ScoreRule, SmoothingConfig, _token_losses_and_grads
+from .simplex import column_sum, softmax_rows
 
 PAD_ID = 0
 EOS_ID = 1
@@ -253,17 +253,16 @@ def _loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarra
     d = params.embed.shape[1]
 
     X, H, Z = _forward_batch(params, contexts)
-    losses, dZ = token_losses_and_grads(rule, cfg, Z, targets, losses=loss)
+    losses, dZ = _token_losses_and_grads(rule, cfg, Z, targets, N, losses=loss)  # dZ of the mean
     mean = None if losses is None else float(losses.sum()) / N
-    dZ /= N
 
     np.matmul(H.T, dZ, out=grads.w_out)
-    np.sum(dZ, axis=0, out=grads.b_out)
+    column_sum(dZ, out=grads.b_out)
     dA = dZ @ params.w_out.T  # dH, then dH (1 - H H) in place
     H *= H
     dA *= np.subtract(1.0, H, out=H)
     np.matmul(X.T, dA, out=grads.w_hidden)
-    np.sum(dA, axis=0, out=grads.b_hidden)
+    column_sum(dA, out=grads.b_hidden)
     dX = (dA @ params.w_hidden.T).reshape(N, K, d)
     grads.embed[:] = _scatter_rows(contexts, dX, params.embed.shape[0])
     return mean, grads
@@ -271,10 +270,10 @@ def _loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarra
 
 def _scatter_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """np.add.at(np.zeros((n, d)), ids, rows) for rows shaped ids.shape + (d,),
-    as one bincount over the flat index ids * d + column: it adds in the same
-    order, so the sums are bitwise the same."""
+    as one bincount over the flat index ids * d + column, gathered as rows of
+    arange(n d): it adds in the same order, so the sums are bitwise the same."""
     d = rows.shape[-1]
-    flat = (ids[..., None] * d + np.arange(d)).ravel()
+    flat = np.arange(n * d).reshape(n, d).take(ids, axis=0).ravel()
     return np.bincount(flat, weights=rows.ravel(), minlength=n * d).reshape(n, d)
 
 

@@ -282,21 +282,37 @@ def token_losses_and_grads(
     Z is (B, m), idx is (B,).  Returns (losses (B,), dZ (B, m)); with
     losses=False the losses are not formed and None stands in their place.
     mask_override pins the under-smooth mask (used by finite-difference
-    checks, where the mask must not move with the perturbed logits).
+    checks, where the mask must not move with the perturbed logits).  An
+    observed outcome outside [0, m) raises IndexError.
     """
     Z = np.asarray(Z, dtype=np.float64)
     idx = np.asarray(idx, dtype=np.int64)
-    B, m = Z.shape
-    rows = np.arange(B)
+    if idx.size and not 0 <= idx.min() <= idx.max() < Z.shape[-1]:  # a flat index would read another row
+        raise IndexError(f"observed outcomes {idx.min()}..{idx.max()} out of range for m={Z.shape[-1]}")
+    return _token_losses_and_grads(rule, cfg, Z, idx, 1, mask_override, losses=losses)
+
+
+def _token_losses_and_grads(rule, cfg, Z, idx, n, mask_override=None, *, losses=True):
+    """token_losses_and_grads over checked outcomes, dZ divided by n in its
+    row-major copy (x / -n is -(x / n))."""
+    m = Z.shape[1]
     P = softmax_rows(Z)
-    p_obs = P[rows, idx][:, None]
+    rows, index = np.arange(idx.size), {}
+
+    def entries(A):  # a C- or F-contiguous A's memory as a view, and each row's observed entry's place in it
+        if A.strides not in index:  # one flat index per layout, from A's own strides
+            index[A.strides] = rows * (A.strides[0] // A.itemsize) + idx * (A.strides[1] // A.itemsize)
+        return A.ravel(order="K"), index[A.strides]
+    flat, at = entries(P)
+    p_obs = flat[at][:, None]
     eps, a = cfg.eps, rule.alpha
     record = RULES[rule.kind]
 
     values = None
     if losses and eps > 0.0:  # smoothing sums the score of every outcome
         s = record.clamped(P, P, a)
-        values = (1.0 - eps) * s[rows, idx] + (eps / m) * row_sum(s)[:, 0]
+        flat, at = entries(s)
+        values = (1.0 - eps) * flat[at] + (eps / m) * row_sum(s)[:, 0]
     elif losses:
         values = record.clamped(P, p_obs, a)[:, 0]
     if cfg.mask_enhanced:
@@ -314,18 +330,21 @@ def token_losses_and_grads(
         g = k * x
         inner = p_obs * g
         dZ = np.subtract(0.0, inner) * P
-        dZ[rows, idx] = ((g - inner) * p_obs)[:, 0]
+        flat, at = entries(dZ)
+        flat[at] = ((g - inner) * p_obs)[:, 0]
     else:
         # v written column by column: 0.0 - W keeps the sign of a zero entry of W,
         # as x * 0 - W did (x is finite and >= 0)
         if W is None:
             grads_p = np.zeros_like(P)
-            grads_p[rows, idx] = (k * x)[:, 0]
+            on = k * x
         else:
-            on = k * (x - W[rows, idx][:, None])
+            flat, at = entries(W)
+            on = k * (x - flat[at][:, None])
             grads_p = np.subtract(0.0, W)
             grads_p *= k
-            grads_p[rows, idx] = on[:, 0]
+        flat, at = entries(grads_p)
+        flat[at] = on[:, 0]
         if eps > 0.0:
             grads_p *= 1.0 - eps
             grads_p += (eps / m) * record.grad_sum(P, a)
@@ -334,7 +353,7 @@ def token_losses_and_grads(
         inner = row_sum(P * grads_p)
         dZ = np.subtract(grads_p, inner, out=grads_p)
         dZ *= P
-    return (None if values is None else -values), np.negative(dZ, order="C")
+    return (None if values is None else -values), np.divide(dZ, -n, order="C")
 
 
 def entmax_power_equivalence_gap(z, x: int, alpha: float):

@@ -7,6 +7,8 @@ arrays; probability vectors live on the m-simplex with m >= 2.
 
 Layout contract: softmax_rows returns narrow rows (m < PAIRWISE_BLOCK)
 outcome-major, and row_sum and row_max give numpy's bytes in either layout.
+column_sum gives A.sum(axis=0)'s bytes: one einsum on two or more row-major
+columns, np.sum on one column, where einsum pairs the terms otherwise.
 """
 
 import numpy as np
@@ -38,6 +40,15 @@ def row_sum(A: np.ndarray) -> np.ndarray:
     in that same order, one np.add per column from initial +0.0; wider
     row-major rows take numpy's pairwise sum."""
     return np.add.reduce(A, axis=-1, keepdims=True, initial=0.0)
+
+
+def column_sum(A: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A.sum(axis=0, out=out) of a 2-D float array, bit for bit.  numpy adds
+    the rows in order, a call per row; einsum adds a row-major A's rows in
+    that order in one call, except on one column or another layout."""
+    if A.shape[1] < 2 or not A.flags.c_contiguous:
+        return np.sum(A, axis=0, out=out)
+    return np.einsum("ij->j", A, out=out)
 
 
 def check_prob_vector(p, tol: float = SUM_TOL) -> np.ndarray:

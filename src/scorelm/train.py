@@ -102,7 +102,7 @@ def adam_step(params: Parameters, grads: Parameters, state: AdamState, step_inde
     bc1 = 1.0 - ADAM_BETA1**step_index
     bc2 = 1.0 - ADAM_BETA2**step_index
     g, m, v = grads.flat, state.m, state.v
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         name = next(name for name, t in grads.named() if not np.all(np.isfinite(t)))
         raise FloatingPointError(f"non-finite gradient in tensor {name!r} at step {step_index}")
     a, b = state.scratch
@@ -257,9 +257,10 @@ def evaluate_scores(params: Parameters, contexts: np.ndarray, targets: np.ndarra
     the logits of the distinct contexts' forward.  A forward of every
     position gives the same logits when the contexts are all distinct (it
     is the same product), and at other row counts may round a row in the
-    last bits otherwise.  Targets out of the vocabulary are refused; no
-    gradient is formed."""
+    last bits otherwise.  Context and target ids out of the vocabulary are
+    refused by value; no gradient is formed."""
     C, pair_row, pair_target, position_pair = _held_out_split(contexts, targets)
+    _check_ids(C, params.embed.shape[0])
     _check_ids(pair_target, params.embed.shape[0])
     P = softmax_rows(_forward_batch(params, C)[2])  # no input or hidden layer is kept while scoring
     p_obs = P[pair_row, pair_target][:, None]

@@ -786,7 +786,8 @@ class TestSymbolTable:
         ("trained", "cab", ["--beam", "3"]),
         ("trained", "cab", ["--beam", "2", "--length-penalty", "1"]),
         ("paired", "abc", ["--beam", "4"]),
-    ], ids=["greedy", "beam3", "beam2-penalty1", "pairs-beam4"])
+        ("paired", "abc", ["--greedy"]),
+    ], ids=["greedy", "beam3", "beam2-penalty1", "pairs-beam4", "pairs-greedy"])
     def test_generate_without_data_is_the_same(self, request, workdir, capsys, checkpoint, prompt, search):
         ckpt, data = request.getfixturevalue(checkpoint)
         if checkpoint == "trained":

@@ -220,9 +220,12 @@ class TestPositionLoss:
             assert up < base
 
 
-def ref_loss_and_grads(params, contexts, targets, rule, cfg, *, loss=True):
+def ref_loss_and_grads(params, contexts, targets, rule, cfg, *, loss=True, rule_part=token_losses_and_grads):
     """loss_and_grads as written before it took a gradient buffer: each
-    gradient formed in a temporary and copied into a fresh Parameters."""
+    gradient formed in a temporary and copied into a fresh Parameters, the
+    bias gradients summed by numpy and the embedding's scattered by
+    np.add.at, with rule_part(rule, cfg, Z, targets, losses=loss) as the
+    rule part."""
     N = targets.size
     if N == 0:
         warnings.warn("loss over an all-masked batch is 0", stacklevel=2)
@@ -234,7 +237,7 @@ def ref_loss_and_grads(params, contexts, targets, rule, cfg, *, loss=True):
     H += params.b_hidden
     np.tanh(H, out=H)
     Z = H @ params.w_out + params.b_out
-    losses, dZ = token_losses_and_grads(rule, cfg, Z, targets, losses=loss)
+    losses, dZ = rule_part(rule, cfg, Z, targets, losses=loss)
     mean = None if losses is None else float(losses.sum()) / N
     dZ /= N
     grads = zero_grads(params)
@@ -245,7 +248,7 @@ def ref_loss_and_grads(params, contexts, targets, rule, cfg, *, loss=True):
     grads.w_hidden[:] = X.T @ dA
     grads.b_hidden[:] = dA.sum(axis=0)
     dX = (dA @ params.w_hidden.T).reshape(N, K, d)
-    grads.embed[:] = _scatter_rows(contexts, dX, params.embed.shape[0])
+    np.add.at(grads.embed, contexts, dX)
     return mean, grads
 
 

@@ -684,12 +684,14 @@ def test_evaluate_scores_split_a_part_changed_in_place_again():
     assert score_bytes(evaluate_scores(params, contexts, targets)) == score_bytes(want)
 
 
-def test_evaluate_scores_refuses_a_target_out_of_the_vocabulary():
+@pytest.mark.parametrize("bad", [-1, -3, 9])
+@pytest.mark.parametrize("where", ["target", "context"])
+def test_evaluate_scores_refuses_an_id_out_of_the_vocabulary(where, bad):
+    # a negative context id would otherwise be read counted from the end of the embedding table
     params, contexts, targets = next(outcome_batches(9, seed=3))
-    for bad in (9, -1):
-        targets[5] = bad
-        with pytest.raises(InvalidInputError, match=f"token id {bad} out of range for vocab size 9"):
-            evaluate_scores(params, contexts, targets)
+    (targets if where == "target" else contexts[:, 1])[5] = bad
+    with pytest.raises(InvalidInputError, match=f"^token id {bad} out of range for vocab size 9$"):
+        evaluate_scores(params, contexts, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -769,11 +771,13 @@ def guard_batches(m, gaps):
 
 
 def row_major_reference():
-    """loss_and_grads with ref_token_losses_and_grads as its rule part."""
-    def reference(rule, cfg, Z, idx, losses=True):
+    """loss_and_grads with ref_token_losses_and_grads as its rule part, its
+    dZ divided by the n positions the step takes the mean over."""
+    def reference(rule, cfg, Z, idx, n, losses=True):
         with np.errstate(divide="ignore"):
-            return ref_token_losses_and_grads(rule, cfg, Z, idx)
-    return mock.patch.object(model_mod, "token_losses_and_grads", reference)
+            ref_losses, ref_dZ = ref_token_losses_and_grads(rule, cfg, Z, idx)
+        return ref_losses, ref_dZ / n
+    return mock.patch.object(model_mod, "_token_losses_and_grads", reference)
 
 
 @pytest.mark.parametrize("m", GUARD_WIDTHS)

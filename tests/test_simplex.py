@@ -7,6 +7,7 @@ from scorelm.errors import ConvergenceError, InvalidInputError, ParameterDomainE
 from scorelm.simplex import (
     PAIRWISE_BLOCK,
     check_prob_vector,
+    column_sum,
     entmax,
     row_max,
     row_sum,
@@ -226,3 +227,31 @@ def test_row_sum_runs_left_to_right_from_zero(row, total):
         with np.errstate(over="ignore"):
             got, want = row_sum(rows), np.ascontiguousarray(rows).sum(axis=-1, keepdims=True)
         assert got.tobytes() == want.tobytes() == np.full((rows.shape[0], 1), total).tobytes()
+
+
+@st.composite
+def column_matrices(draw):
+    """(N, n) float64 matrices for N = 0..600 and n = 1..40, row-major as
+    the backward's dZ and dA are, or Fortran or strided: magnitudes over 600
+    decades, and a share of the entries replaced by +-0 or +-inf."""
+    n, N = draw(st.integers(1, 40)), draw(st.integers(0, 600))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    with np.errstate(over="ignore"):
+        A = gen.normal(size=(N, n)) * 10.0 ** gen.integers(-300, 301, size=(N, n))
+    special = gen.random((N, n)) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    A[special] = gen.choice([0.0, -0.0, np.inf, -np.inf], size=int(special.sum()))
+    layout = draw(st.sampled_from(["C", "C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(A)
+    return np.repeat(A, 2, axis=0)[::2] if layout == "strided" else A
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(A=column_matrices())
+def test_column_sum_is_numpy_bit_for_bit(A):
+    # one einsum over row-major rows of two or more columns; np.sum on one column, where einsum's
+    # pairing gives other bytes, and on other layouts
+    out = np.full(A.shape[1], np.nan)
+    with np.errstate(all="ignore"):
+        got, want = column_sum(A, out), np.sum(A, axis=0)
+    assert got is out and got.tobytes() == want.tobytes()

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import itertools
 import json
 import tracemalloc
 
@@ -26,7 +27,8 @@ from scorelm.train import (
     train,
 )
 
-from test_model import gather_reference
+from test_model import gather_reference, ref_loss_and_grads
+from test_rule_table import ref_token_losses_and_grads
 
 T4 = np.array(
     [[0.70, 0.10, 0.10, 0.10],
@@ -49,6 +51,24 @@ MODEL_CFG = ModelConfig(vocab_size=6, context=1, embed_dim=8, hidden_dim=16, see
 def quick_cfg(kind="logarithmic", steps=150, **kw):
     return TrainConfig(rule=ScoreRule(kind), steps=steps, batch_size=64,
                        eval_every=50, seed=3, **kw)
+
+
+def ref_adam_step(cfg, params, grads, m, v, step_index):
+    """adam_step as written per tensor, before the one update of params.flat;
+    m and v map each tensor's name to its moments."""
+    lr = cfg.learning_rate
+    if cfg.warmup_steps > 0:
+        lr *= min(1.0, step_index / cfg.warmup_steps)
+    if cfg.lr_decay and step_index > cfg.warmup_steps:
+        lr *= max(0.0, (cfg.steps - step_index) / max(1, cfg.steps - cfg.warmup_steps))
+    bc1 = 1.0 - 0.9**step_index
+    bc2 = 1.0 - 0.999**step_index
+    for name, g in grads.named():
+        m[name] *= 0.9
+        m[name] += (1.0 - 0.9) * g
+        v[name] *= 0.999
+        v[name] += (1.0 - 0.999) * g * g
+        getattr(params, name)[:] -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
 
 
 class TestAdamStep:
@@ -100,22 +120,6 @@ class TestAdamStep:
     def test_flat_update_equals_per_tensor_loop(self):
         # the one update of params.flat against the per-tensor Adam it replaced, bit for bit
         cfg = TrainConfig(rule=ScoreRule("brier"), steps=60, learning_rate=3e-2, warmup_steps=10, lr_decay=True)
-
-        def reference_step(params, grads, m, v, step_index):
-            lr = cfg.learning_rate
-            if cfg.warmup_steps > 0:
-                lr *= min(1.0, step_index / cfg.warmup_steps)
-            if cfg.lr_decay and step_index > cfg.warmup_steps:
-                lr *= max(0.0, (cfg.steps - step_index) / max(1, cfg.steps - cfg.warmup_steps))
-            bc1 = 1.0 - 0.9**step_index
-            bc2 = 1.0 - 0.999**step_index
-            for name, g in grads.named():
-                m[name] *= 0.9
-                m[name] += (1.0 - 0.9) * g
-                v[name] *= 0.999
-                v[name] += (1.0 - 0.999) * g * g
-                getattr(params, name)[:] -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
-
         flat, ref = init_params(MODEL_CFG), init_params(MODEL_CFG)
         state = AdamState.fresh(flat)
         m = {name: np.zeros_like(t) for name, t in ref.named()}
@@ -125,7 +129,7 @@ class TestAdamStep:
             grads = zero_grads(flat)
             grads.flat[:] = gen.normal(size=grads.flat.size) * gen.choice([1e-6, 1.0, 1e3])
             adam_step(flat, grads, state, step, cfg)
-            reference_step(ref, grads, m, v, step)
+            ref_adam_step(cfg, ref, grads, m, v, step)
             assert flat.flat.tobytes() == ref.flat.tobytes(), step
         assert state.m.tobytes() == np.concatenate([m[name].ravel() for name, _ in ref.named()]).tobytes()
         assert state.v.tobytes() == np.concatenate([v[name].ravel() for name, _ in ref.named()]).tobytes()
@@ -295,6 +299,46 @@ class TestTrain:
             train(TrainConfig(rule=ScoreRule("brier"), steps=steps, batch_size=8, eval_every=20, seed=3),
                   MODEL_CFG, data)
             assert len(laid_out) == 2, steps
+
+
+BENCH_RULES = [  # the markov benchmark's four rule configs
+    (ScoreRule("logarithmic"), SmoothingConfig()),
+    (ScoreRule("spherical"), SmoothingConfig()),
+    (ScoreRule("alpha_power", 1.5), SmoothingConfig()),
+    (ScoreRule("brier"), SmoothingConfig(0.1, mask_enhanced=True)),
+]
+
+
+@pytest.mark.parametrize("rule, smoothing", BENCH_RULES,
+                         ids=["log", "spherical", "alpha_power-1.5", "brier-eps0.1-mask"])
+def test_training_is_the_reference_loop_bitwise(rule, smoothing):
+    # the byte rule on whatever numpy and BLAS run the test: train() against a loop of the references
+    # over the same batches, into a second epoch and its short last batch
+    spec = MarkovSpec(states=4, transition=T4, initial=np.full(4, 0.25), seed=8)
+    tokens = synth_markov(spec, 3_000)[0].tokens
+    cfg = TrainConfig(rule=rule, smoothing=smoothing, steps=60, batch_size=64, learning_rate=0.005,
+                      eval_every=20, seed=3, lr_decay=True)
+    ckpt, records = train(cfg, MODEL_CFG, tokens)
+
+    def rule_part(rule, cfg, Z, idx, losses):
+        return ref_token_losses_and_grads(rule, cfg, Z, idx)
+
+    params = init_params(MODEL_CFG)
+    m = {name: np.zeros_like(t) for name, t in params.named()}
+    v = {name: np.zeros_like(t) for name, t in params.named()}
+    batches, _ = split_data(tokens, MODEL_CFG.context, MODEL_CFG.vocab_size)
+    stream = itertools.chain.from_iterable(batches(cfg.batch_size, cfg.seed + epoch) for epoch in itertools.count())
+    losses = []
+    for step in range(1, cfg.steps + 1):
+        contexts, targets = next(stream)
+        loss, grads = ref_loss_and_grads(params, contexts, targets, rule, smoothing, rule_part=rule_part)
+        ref_adam_step(cfg, params, grads, m, v, step)
+        if step % cfg.eval_every == 0:
+            losses.append(loss)
+        if step == 43:  # the first epoch's last batch
+            assert targets.size == 11
+    assert ckpt.params.flat.tobytes() == params.flat.tobytes()
+    assert [r.loss for r in records] == losses
 
 
 class TestHeldoutPositions:
