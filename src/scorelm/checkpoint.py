@@ -8,7 +8,6 @@ dtype bumps the version.  Raw bytes round-trip every double bit for bit.
 """
 
 import base64
-import binascii
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -66,7 +65,7 @@ def _payload_flat(payload, shapes) -> np.ndarray:
     """The base64 parameter payload, its length checked against shapes."""
     try:
         raw = base64.b64decode(payload, validate=True)
-    except binascii.Error as exc:
+    except ValueError as exc:  # binascii.Error, or a plain ValueError for a character that is not ASCII
         raise CheckpointFormatError(f"parameter payload is not valid base64: {exc}") from None
     size = sum(math.prod(shape) for _, shape in shapes)
     if len(raw) != 8 * size:

@@ -240,6 +240,42 @@ def _choice_cdf(p: np.ndarray) -> np.ndarray:
     return cdf / cdf[..., -1:]
 
 
+def _markov_steps(gen, cdfs: np.ndarray, n: int, L: int):
+    """The next n draws of gen as steps of the move table, laid out for a walk
+    in blocks of L draws, with the runs that build that table and its row count.
+
+    steps[j, b] is the j-th draw of block b: its cell's row premultiplied by
+    k.  runs[s, i] is the number of rows, in cell order, on which state s moves
+    to i.  The steps past the n-th are those of draws of 0.0.
+    """
+    k = cdfs.shape[0]
+    order = np.argsort(cdfs, axis=None)
+    edges = cdfs.ravel()[order]  # a repeated breakpoint bounds an empty cell, which no draw hits
+    G = 2 ** min(16, (edges.size << 6).bit_length(), n.bit_length() - 1)
+    below = edges.searchsorted(np.arange(G) / G, side="right")  # the cell of each grid point
+    inside = edges.searchsorted(np.arange(1, G + 1) / G, side="left") > below
+    blocks = -(-n // L)
+    u = np.zeros(blocks * L)
+    gen.random(out=u[:n])
+    part = np.multiply(u, G, out=np.empty(u.size, dtype=np.min_scalar_type(G - 1)), casting="unsafe")
+    block, j = np.nonzero(inside[part.reshape(blocks, L)])
+    cells = edges.searchsorted(u.reshape(blocks, L)[block, j], side="right")  # edges[c - 1] <= u < edges[c]
+    del u
+    used = np.zeros(edges.size + 1, dtype=bool)
+    used[below[~inside]] = True
+    used[cells] = True
+    width = int(used.sum())
+    rows = np.cumsum(used, dtype=np.min_scalar_type(width)) - used  # the used cells below each cell: a used cell's row
+    step = np.min_scalar_type(k * width)
+    steps = np.multiply(rows[below], k, dtype=step).take(part.reshape(blocks, L).T)
+    del part
+    steps[j, block] = np.multiply(rows[cells], k, dtype=step)
+    # state s moves to i on rows p[s, i - 1] to p[s, i], p counting the used cells at or below each breakpoint
+    p = np.empty_like(rows, shape=edges.size)
+    p[order] = rows[1:]
+    return steps, np.diff(p.reshape(k, k), axis=1, prepend=p.dtype.type(0)), width
+
+
 def synth_markov(spec: MarkovSpec, length: int):
     """Seed-deterministic sample path plus the exact conditional table.
 
@@ -248,20 +284,36 @@ def synth_markov(spec: MarkovSpec, length: int):
 
     The path is the one a gen.choice(k, p=row) call per step would draw, each
     call taking one uniform.  Every row's breakpoints (the normalized
-    cumulative sums choice searches) are merged into one sorted list, and one
-    search finds each draw's cell between two of them.  For every cell some
-    draw hits, a move table holds each state's successor: the number of the
-    state's own breakpoints at or below the cell's lower edge, which is what
-    choice's right-sided search returns.  The table is k x min(k^2, length)
-    at most.
+    cumulative sums choice searches) are merged into one sorted list of E,
+    and a draw's cell is the number of them at or below it.
 
-    The n = length - 1 draws are walked in blocks of L = isqrt(n), in two
-    passes of L vectorized lookups each.  Pass 1 follows all k states through
-    every block at once, giving each block's exit state for each entry
-    state; the entry states are then chained from block to block, one step
-    per block.  Pass 2 walks every block from its entry state.  The last
-    block is padded with moves that are never read: they come after the
-    path's end, and no block follows to enter from its exit.
+    Cells come from a grid of G equal parts of [0, 1): G is the least power
+    of two above 64 E, but at most 2^16 and at most the draw count.  Scaling
+    by a power of two is exact, so floor(u * G) is exactly the part j a draw
+    u lies in, and j / G exactly its lower grid point.  A draw in a part with
+    no breakpoint strictly inside it has the cell of that grid point, read
+    from a G-entry table; the draws in the other parts, about E / G of them,
+    are searched.
+
+    A move table holds, for every cell the table or a search gives, each
+    state's successor on it: the number of the state's own breakpoints at or
+    below the cell's lower edge, which is what choice's right-sided search
+    returns.  It has one row per cell, at most min(E + 1, G + length) of
+    them, and one column per state.  Each draw's step is its cell's row
+    times k, the row's offset in the flat table, in the narrowest dtype that
+    holds k times the row count; so a step of the walk is one add and one
+    lookup.
+
+    The n = length - 1 draws are walked in blocks of L = isqrt(n k / 128)
+    (at least 1), in two passes of L vectorized steps each.  Pass 1 follows all k states through
+    every block at once, giving each block's exit state for each entry state;
+    the entry states are then chained from block to block, one Python step per
+    block.  Pass 2 walks every block from its entry state.  A pass costs one
+    numpy call per step, the chain one Python step per block, and pass 1 holds
+    k states per block, so L balances them and grows with k.  Each step's
+    column of the blocks is contiguous.  The last block is padded with draws
+    of 0.0, whose moves are never read: they come after the path's end, and no
+    block follows to enter from its exit.
     """
     if not isinstance(length, (int, np.integer)) or isinstance(length, bool):
         raise InvalidInputError(f"length must be an integer, got {length!r}")
@@ -272,28 +324,28 @@ def synth_markov(spec: MarkovSpec, length: int):
     first = int(_choice_cdf(spec.initial).searchsorted(gen.random(), side="right"))
     if n == 0:
         return TokenSeq(np.array([first + N_RESERVED])), spec.transition.copy()
-    cdfs = _choice_cdf(spec.transition)
-    edges = np.sort(cdfs, axis=None)  # a repeated breakpoint bounds an empty cell, which no draw hits
-    cells = edges.searchsorted(gen.random(n), side="right")  # edges[c - 1] <= u < edges[c]
-    hit = np.bincount(cells, minlength=edges.size + 1) > 0
-    lower = np.concatenate(([-np.inf], edges))[hit]  # each hit cell's lower edge
-    # state s moves to i on the hit cells from lower.searchsorted(cdfs[s, i - 1]) to lower.searchsorted(cdfs[s, i])
-    runs = np.diff(lower.searchsorted(cdfs, side="left"), axis=1, prepend=0)
-    moves = np.repeat(np.tile(np.arange(k, dtype=np.min_scalar_type(k - 1)), k), runs.ravel()).reshape(k, -1)
-    L = math.isqrt(n)
-    steps = np.zeros((-(-n // L), L), dtype=np.min_scalar_type(lower.size))
-    steps.ravel()[:n] = (np.cumsum(hit, dtype=steps.dtype) - hit)[cells]  # each draw's column: the hit cells before it
-    flat, width = moves.ravel(), np.int64(moves.shape[1])  # offsets are formed in int64: a narrow state times width overflows
-    exits = np.arange(k, dtype=moves.dtype)
+    L = max(1, math.isqrt(n * k // 128))
+    steps, runs, width = _markov_steps(gen, _choice_cdf(spec.transition), n, L)
+    blocks = steps.shape[1]
+    states = np.arange(k, dtype=np.min_scalar_type(k - 1))
+    table = np.empty((width, k), dtype=states.dtype)
+    chunk = max(1, 2**20 // width)  # states filled at a time: the transpose's copy stays near 2^20 entries
+    for s in range(0, k, chunk):
+        group = runs[s : s + chunk]
+        table[:, s : s + chunk] = np.repeat(np.tile(states, len(group)), group.ravel()).reshape(-1, width).T
+    table = table.ravel()
+    at = np.empty((k, blocks), dtype=np.intp)
+    exits = states[:, None]
     for j in range(L):
-        exits = flat[np.multiply(exits, width, dtype=np.int64) + steps[:, j, None]]
-    entries, state = [], first
-    for row in exits.tolist():
-        entries.append(state)
-        state = row[state]
-    walk, state = np.empty_like(steps, dtype=moves.dtype), np.array(entries)
+        exits = table.take(np.add(exits, steps[j], out=at, dtype=np.intp))
+    entries = [first]
+    for b in range(blocks - 1):
+        entries.append(exits.item(entries[-1], b))
+    walk, state, at = np.empty_like(steps, dtype=states.dtype), np.array(entries), at[0]
     for j in range(L):
-        state = walk[:, j] = flat[np.multiply(state, width, dtype=np.int64) + steps[:, j]]
-    path = np.concatenate(([first], walk.ravel()[:n]))
+        state = walk[j] = table.take(np.add(state, steps[j], out=at, dtype=np.intp))
+    path = np.empty(n + 1, dtype=np.int64)
+    path[0] = first
+    path[1:] = walk.T.ravel()[:n]
     path += N_RESERVED
     return TokenSeq(path), spec.transition.copy()

@@ -212,6 +212,14 @@ class TestValidation:
         with pytest.raises(CheckpointFormatError, match="not valid base64"):
             load_checkpoint(write_doc(tmp_path, doc))
 
+    def test_payload_that_is_not_ascii(self, ckpt, tmp_path):
+        # b64decode refuses such a str with a plain ValueError, not a binascii.Error
+        doc = ckpt.to_document()
+        doc["params"] = "\u00e9" + doc["params"][1:]
+        with pytest.raises(CheckpointFormatError, match="^parameter payload is not valid base64: "
+                                                        "string argument should contain only ASCII characters$"):
+            load_checkpoint(write_doc(tmp_path, doc))
+
     @pytest.mark.parametrize("cut", [-8, -1, 8])
     def test_wrong_payload_length(self, ckpt, tmp_path, cut):
         raw = ckpt.params.flat.tobytes()

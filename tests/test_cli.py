@@ -722,6 +722,18 @@ class TestGenerateIngest:
         assert run_command(["generate", "--ckpt", str(ckpt), "--data", str(bad), "--prompt", "ab"]) == 1
         assert message in capsys.readouterr().err
 
+    def test_generate_rejects_a_payload_that_is_not_ascii(self, paired, tmp_path, capsys):
+        pairs, ckpt = paired
+        doc = json.loads(ckpt.read_text())
+        doc["params"] = "\u00e9" + doc["params"][1:]
+        bad = tmp_path / "not_ascii.json"
+        bad.write_text(json.dumps(doc))
+        assert run_command(["generate", "--ckpt", str(bad), "--data", str(pairs), "--prompt", "ab"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: parameter payload is not valid base64: "
+                                "string argument should contain only ASCII characters\n")
+        assert captured.out == ""
+
 
 class TestSymbolTable:
     @pytest.fixture(scope="class")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import tracemalloc
@@ -420,6 +421,42 @@ def choice_walk(spec, length):
     return np.asarray(states, dtype=np.int64) + 2
 
 
+def searched_walk(spec, draws):
+    """The walk gen.choice takes on the given uniforms, as token ids: each step
+    is the right-sided search of its row's normalized cumulative sums."""
+    def cdf(p):
+        c = p.cumsum()
+        c /= c[-1]
+        return c
+
+    states = [int(cdf(spec.initial).searchsorted(draws[0], side="right"))]
+    for u in draws[1:]:
+        states.append(int(cdf(spec.transition[states[-1]]).searchsorted(u, side="right")))
+    return np.asarray(states, dtype=np.int64) + 2
+
+
+class FixedDraws:
+    """Stands in for np.random.default_rng(seed), handing out the given uniforms in order."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def random(self, size=None, out=None):
+        if size is None and out is None:
+            return next(self.draws)
+        if out is None:
+            out = np.empty(size)
+        out[:] = [next(self.draws) for _ in range(out.size)]
+        return out
+
+
+# the markov-corpus benchmark's chain: its last row's breakpoints 0.25, 0.5 and 0.75 lie on every power-of-two grid
+BENCH_CHAIN = np.array([[0.70, 0.10, 0.10, 0.10],
+                        [0.10, 0.60, 0.15, 0.15],
+                        [0.20, 0.20, 0.50, 0.10],
+                        [0.25, 0.25, 0.25, 0.25]])
+
+
 class TestSynthMarkov:
     def test_absorbing_chain_constant(self):
         spec = MarkovSpec(states=3, transition=np.eye(3), initial=[0.0, 1.0, 0.0], seed=0)
@@ -499,10 +536,13 @@ class TestSynthMarkov:
     ABSORBING = MarkovSpec(states=4, transition=[[0.1, 0.6, 0.0, 0.3], [0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 1.0, 0.0],
                                                  [0.25, 0.25, 0.25, 0.25]], initial=[0.5, 0.0, 0.0, 0.5], seed=5)
 
-    @pytest.mark.parametrize("draws", [0, 1, 2, 3, 4, 8, 9, 10, 15, 16, 17, 255, 256, 257, 4096])
-    @pytest.mark.parametrize("chain", ["SPARSE", "ABSORBING"])
+    @pytest.mark.parametrize("chain, draws", [
+        *[("SPARSE", d) for d in (0, 1, 2, 171, 172, 384, 385, 684, 685, 2736, 2737, 6144, 6145)],
+        *[("ABSORBING", d) for d in (0, 1, 2, 128, 129, 288, 289, 512, 513, 2048, 2049, 4608, 4609)],
+    ])
     def test_matches_choice_loop_at_block_boundaries(self, chain, draws):
-        # the walk's blocks are isqrt(draws) long: each count leaves its last block full or holding one draw
+        # the walk's blocks are isqrt(draws * states / 128) long, at least 1: each count leaves its last block full
+        # or holding one draw, at block lengths 1, 2, 3, 4, 5, 8 and 12
         spec = getattr(self, chain)
         seq, _ = synth_markov(spec, draws + 1)
         assert np.array_equal(seq.tokens, choice_walk(spec, draws + 1))
@@ -526,7 +566,43 @@ class TestSynthMarkov:
         seq, _ = synth_markov(spec, 5)
         assert seq.tokens[1] == 3 and np.array_equal(seq.tokens, choice_walk(spec, 5))
 
-    @pytest.mark.parametrize("states, length", [(64, 50_000), (200, 2_000)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_choice_loop_on_the_bench_chain(self, seed):
+        # 20,000 draws put about 29 in the grid parts that start at 0.25, 0.5 and 0.75, each on a breakpoint
+        spec = MarkovSpec(states=4, transition=BENCH_CHAIN, initial=np.full(4, 0.25), seed=seed)
+        seq, _ = synth_markov(spec, 20_000)
+        assert np.array_equal(seq.tokens, choice_walk(spec, 20_000))
+
+    def test_bench_chain_corpus_is_pinned(self):
+        # the digest of the corpus the Generator.choice walk gives (taken when synthesis still searched every draw)
+        spec = MarkovSpec(states=4, transition=BENCH_CHAIN, initial=np.full(4, 0.25), seed=0)
+        seq, _ = synth_markov(spec, 200_000)
+        assert seq.tokens.dtype == np.int64
+        assert hashlib.sha256(seq.tokens.astype("<i8").tobytes()).hexdigest() == (
+            "3977eae56cb5d35a83b7a486f3f08e2ce2eeac116f1b45129ab98e52c94c1619")
+
+    def test_draws_on_grid_points_and_breakpoints(self, monkeypatch):
+        # 0.0, 0.25, 0.5 and 0.75 are grid points of every grid and breakpoints of the last row; k / 2048 is a grid
+        # point of a grid of 2048 parts or more, where 204 / 2048 < 0.1 < 205 / 2048 puts a breakpoint inside a part
+        values = [0.0, 0.25, 0.5, 0.75, 1 / 2048, 204 / 2048, 205 / 2048, 0.1, 0.7, 0.9, 1 - 2**-53]
+        draws = np.random.default_rng(0).choice(values, size=3001).tolist()
+        spec = MarkovSpec(states=4, transition=BENCH_CHAIN, initial=np.full(4, 0.25), seed=0)
+        expected = searched_walk(spec, draws)
+        assert len(set(zip(expected[:-1].tolist(), draws[1:]))) == 4 * len(values)  # every state meets every value
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedDraws(draws))
+        seq, _ = synth_markov(spec, len(draws))
+        assert np.array_equal(seq.tokens, expected)
+
+    @pytest.mark.parametrize("length", [2, 3, 3000])
+    def test_matches_choice_loop_with_a_breakpoint_inside_every_grid_part(self, length):
+        # 600 x 600 breakpoints: a grid has at most 2^16 parts, so every part holds some and every draw is searched;
+        # the steps need 32 bits (600 states x ~3000 rows), and at 2 and 3 draws a block is longer than the path
+        spec = MarkovSpec(states=600, transition=np.random.default_rng(4).dirichlet(np.ones(600), size=600),
+                          initial=np.full(600, 1 / 600), seed=9)
+        seq, _ = synth_markov(spec, length)
+        assert np.array_equal(seq.tokens, choice_walk(spec, length))
+
+    @pytest.mark.parametrize("states, length", [(64, 50_000), (200, 2_000), (4, 200_000)])
     def test_memory_is_linear_in_length_and_table(self, states, length):
         # O(length + k * min(k^2, length)): neither a successor per state and draw, nor one per state and breakpoint
         spec = MarkovSpec(states=states, transition=np.random.default_rng(1).dirichlet(np.ones(states), size=states),

@@ -760,13 +760,16 @@ def guard_batches(m, gaps):
     positions, a full and a tail batch.  An output bias puts outcome m - 1
     32-45 below the rest, so every row observing it lies inside the P_MIN
     clamp; with gaps another puts outcome 0 800-840 below, so more than 745
-    below every other outcome, where its probability underflows to 0."""
+    below every other outcome, where its probability underflows to 0.  At
+    m = 2 that would leave outcome 1 at probability 1 and every gradient 0,
+    so there outcome 0 goes 420-440 below: 375-408 below outcome 1, where its
+    probability stays a normal number but its square underflows to 0."""
     gen = np.random.default_rng(m)
     for n in (512, 287):
         params = init_params(ModelConfig(vocab_size=m, context=2, embed_dim=4, hidden_dim=8, seed=n + m))
         params.b_out[-1] -= gen.uniform(32.0, 45.0)
         if gaps:
-            params.b_out[0] -= gen.uniform(800.0, 840.0)
+            params.b_out[0] -= gen.uniform(420.0, 440.0) if m == 2 else gen.uniform(800.0, 840.0)
         yield params, gen.integers(0, m, size=(n, 2)), gen.integers(0, m, size=n)
 
 
