@@ -41,6 +41,7 @@ from .model import (
     forward,
     init_params,
     loss_and_grads,
+    param_shapes,
 )
 from .scores import (
     NO_SMOOTHING,
@@ -52,7 +53,7 @@ from .scores import (
     smoothed_score,
 )
 from .simplex import entmax, smooth_distribution, softmax, tsallis_entropy
-from .train import MetricsRecord, TrainConfig, adam_step, finetune, relative_change, split_data, train
+from .train import MetricsRecord, TrainConfig, adam_step, evaluate_scores, finetune, relative_change, split_data, train
 from .verify import entmax_sweep, grad_check, propriety_scan, smoothing_propriety_scan, table1_check
 
 __version__ = "0.1.0"

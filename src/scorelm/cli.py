@@ -15,7 +15,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from . import verify as verify_mod
+from . import evaluate_scores, verify as verify_mod
 from .checkpoint import load_checkpoint
 from .data import (MarkovSpec, Vocab, build_vocab, decode as decode_text, encode, encode_pairs, load_pairs,
                    read_text, synth_markov)
@@ -24,7 +24,7 @@ from .documents import REQUIRED, read_fields
 from .errors import ConfigurationError, InvalidInputError
 from .model import ModelConfig, N_RESERVED
 from .scores import RULES, ScoreRule, SmoothingConfig
-from .train import TrainConfig, evaluate_scores, finetune, split_data, train
+from .train import TrainConfig, finetune, split_data, train
 
 
 def _jsonable(obj):
@@ -72,10 +72,6 @@ def _train_config(section, args) -> TrainConfig:
     )
 
 
-def _encode_corpus(vocab: Vocab, text: str) -> np.ndarray:
-    return encode(vocab, text).tokens
-
-
 def _read_data(path):
     """Text corpus or JSON-lines pairs -> (vocab, the text or the (source,
     target) records, the encoder that turns them into training data)."""
@@ -85,7 +81,7 @@ def _read_data(path):
             raise InvalidInputError(f"no records in {path}")
         return build_vocab("".join(s + t for s, t in pairs)), pairs, encode_pairs
     text = read_text(path)
-    return build_vocab(text), text, _encode_corpus
+    return build_vocab(text), text, encode
 
 
 def _load_data(path):
@@ -163,11 +159,11 @@ def _cmd_generate(args) -> int:
                 return 2
     ckpt = load_checkpoint(args.ckpt)
     vocab = _checkpoint_vocab(args, ckpt)
-    prompt = encode(vocab, args.prompt).tokens if args.prompt else np.zeros(0, dtype=np.int64)
+    prompt = encode(vocab, args.prompt).tokens
     if args.beam is None:
         hyp = greedy(ckpt.params, prompt, args.max_len)
     else:
-        objective = ScoreRule(args.objective, RULES[args.objective].alpha) if args.objective else ckpt.rule
+        objective = ScoreRule(args.objective) if args.objective else ckpt.rule
         cfg = BeamConfig(beam_size=args.beam, max_len=args.max_len,
                          length_penalty=args.length_penalty or 0.0, objective=objective)
         hyp = beam_search(ckpt.params, prompt, cfg)[0]

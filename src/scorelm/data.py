@@ -10,7 +10,7 @@ from itertools import chain
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .documents import check_field_types
+from .documents import check_field_types, read_ids
 from .errors import ConfigurationError, InvalidInputError
 from .model import EOS_ID, N_RESERVED, PAD_ID, PackedSeqs, TokenSeq
 from .simplex import check_prob_vector
@@ -75,15 +75,8 @@ def encode(vocab: Vocab, text: str) -> TokenSeq:
 
 def decode(vocab: Vocab, tokens) -> str:
     """Inverse of encode; reserved pad/EOS ids contribute nothing."""
-    out = []
-    for t in np.asarray(tokens, dtype=np.int64):
-        t = int(t)
-        if t in (PAD_ID, EOS_ID):
-            continue
-        if t not in vocab.id_to_symbol:
-            raise InvalidInputError(f"token id {t} not in vocabulary")
-        out.append(vocab.id_to_symbol[t])
-    return "".join(out)
+    ids = read_ids(tokens, "tokens", vocab.size)
+    return "".join(vocab.id_to_symbol[t] for t in ids.tolist() if t not in (PAD_ID, EOS_ID))
 
 
 def encode_pair(vocab: Vocab, source: str, target: str) -> TokenSeq:
@@ -174,9 +167,9 @@ def make_batches(tokens, context: int, batch_size: int, seed: int):
     Yields C-contiguous (contexts, targets) index arrays of shapes (B, K) and
     (B,): row j holds the K tokens before a target position t and the token
     at t.  Every target position K..L-1 appears exactly once.  Token ids are
-    not checked here; training checks the whole corpus once, at ingest.
+    read by dtype only; training checks their range once, at ingest.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = read_ids(tokens, "tokens")
     L = tokens.size
     if L <= context:
         raise InvalidInputError(f"corpus length {L} must exceed the context window {context}")

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .documents import check_field_types
+from .documents import check_field_types, read_ids
 from .errors import ConfigurationError, InvalidInputError, ParameterDomainError
-from .model import EOS_ID, N_RESERVED, Parameters, _check_ids, context_window, forward
+from .model import EOS_ID, N_RESERVED, Parameters, context_window, forward
 from .scores import RULES, ScoreRule, score_matrix
 
 EXHAUSTIVE_LIMIT = 10**6
@@ -69,14 +69,6 @@ def _candidate_ids(V: int) -> np.ndarray:
     return ids
 
 
-def _checked_prompt(params: Parameters, prompt) -> np.ndarray:
-    """The prompt as an id array, every id checked against the vocabulary
-    (forward checks only the last K)."""
-    prompt = np.asarray(prompt, dtype=np.int64)
-    _check_ids(prompt, params.embed.shape[0])
-    return prompt
-
-
 def _next_distribution(params: Parameters, prompt, generated) -> np.ndarray:
     K = params.w_hidden.shape[0] // params.embed.shape[1]
     seq = np.concatenate([prompt, np.asarray(generated, dtype=np.int64)])
@@ -98,7 +90,7 @@ def beam_search(params: Parameters, prompt, cfg: BeamConfig):
     finished pool and free their slot for the next step.  Finished
     hypotheses are ranked by raw_score / |y|^length_penalty.
     """
-    prompt = _checked_prompt(params, prompt)
+    prompt = read_ids(prompt, "prompt", params.embed.shape[0])  # every id: forward reads only the last K
     real = _candidate_ids(params.embed.shape[0])
     live = [Hypothesis((), 0.0)]
     finished = []
@@ -129,7 +121,7 @@ def exhaustive_search(params: Parameters, prompt, cfg: BeamConfig) -> Hypothesis
     closed by EOS (whose objective is accrued), and max_len bodies finish
     open.  Refuses when V^max_len exceeds the enumeration bound.
     """
-    prompt = _checked_prompt(params, prompt)
+    prompt = read_ids(prompt, "prompt", params.embed.shape[0])
     V, max_len = params.embed.shape[0], cfg.max_len
     if V**max_len > EXHAUSTIVE_LIMIT:
         raise ParameterDomainError(

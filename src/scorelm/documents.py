@@ -1,17 +1,19 @@
 """The one typed reader for the JSON documents a user hands in: config and
 Markov spec files (scorelm.cli) and checkpoint headers (scorelm.checkpoint);
-and its library counterpart, the type check of the config dataclasses.
+and its library counterparts, the type check of the config dataclasses and
+the reader of token id arrays and loss masks.
 
 A key is read by its JSON type, never converted: an integer key takes no
 boolean and no float, a number key takes no string.  The dataclasses built
-from the values check their types the same way, and their ranges.
+from the values check their types the same way, and their ranges.  Token id
+arrays are read by dtype the same way: an id is no boolean and no float.
 """
 
 import dataclasses
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvalidInputError
 
 REQUIRED = object()  # the default of a key that must be given
 _JSON_TYPES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string", list: "an array"}
@@ -38,6 +40,31 @@ def check_field_types(config) -> None:
         if not ok:
             want = _JSON_TYPES.get(kind, f"a {kind.__name__}")
             raise ConfigurationError(f"{type(config).__name__} field {field.name!r} must be {want}, got {value!r}")
+
+
+def read_ids(values, what: str, V: int | None = None) -> np.ndarray:
+    """values, named what in errors, as an int64 array of token ids: any integer
+    dtype is read (a uint64 id past int64 is refused), a boolean, float, complex
+    or object one refused, and an empty input of any dtype is no ids.  With V
+    given, an id outside [0, V) is refused."""
+    ids = np.asarray(values)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise InvalidInputError(f"{what} must be integers, got dtype {ids.dtype}")
+    if ids.dtype == np.uint64 and ids.size and ids.max() > np.iinfo(np.int64).max:  # it would wrap below 0
+        raise InvalidInputError(f"{what} must fit int64, got {ids.max()}")
+    ids = ids.astype(np.int64, copy=False)
+    if V is not None and ids.size and (ids.min() < 0 or ids.max() >= V):
+        bad = ids[(ids < 0) | (ids >= V)][0]
+        raise InvalidInputError(f"token id {bad} out of range for vocab size {V}")
+    return ids
+
+
+def read_mask(values, what: str) -> np.ndarray:
+    """values, named what in errors, as a loss mask: a bool array, or any empty input."""
+    mask = np.asarray(values)
+    if mask.size and mask.dtype != bool:
+        raise InvalidInputError(f"{what} must be booleans, got dtype {mask.dtype}")
+    return mask.astype(bool, copy=False)
 
 
 def _array_shape(value):

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
-from .documents import check_field_types
+from .documents import check_field_types, read_ids, read_mask
 from .errors import ConfigurationError, InvalidInputError
 from .scores import ScoreRule, SmoothingConfig, _token_losses_and_grads
 from .simplex import column_sum, softmax_rows
@@ -96,11 +96,11 @@ class TokenSeq:
     loss_mask: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        self.tokens = np.asarray(self.tokens, dtype=np.int64)
+        self.tokens = read_ids(self.tokens, "tokens")
         if self.loss_mask is None:
             self.loss_mask = np.ones(self.tokens.size, dtype=bool)
         else:
-            self.loss_mask = np.asarray(self.loss_mask, dtype=bool)
+            self.loss_mask = read_mask(self.loss_mask, "loss_mask")
         if self.loss_mask.size != self.tokens.size:
             raise InvalidInputError(
                 f"loss_mask length {self.loss_mask.size} != tokens length {self.tokens.size}"
@@ -120,9 +120,9 @@ class PackedSeqs:
     offsets: np.ndarray    # int64, the len(self) + 1 record boundaries, from 0 to tokens.size
 
     def __post_init__(self):
-        tokens = np.asarray(self.tokens, dtype=np.int64)
-        mask = np.asarray(self.loss_mask, dtype=bool)
-        offsets = np.asarray(self.offsets, dtype=np.int64)
+        tokens = read_ids(self.tokens, "tokens")
+        mask = read_mask(self.loss_mask, "loss_mask")
+        offsets = read_ids(self.offsets, "offsets")
         if tokens.ndim != 1 or mask.shape != tokens.shape:
             raise InvalidInputError(f"tokens and loss_mask must be 1-D of one length, got {tokens.shape} "
                                     f"and {mask.shape}")
@@ -181,12 +181,6 @@ def zero_grads(params: Parameters) -> Parameters:
     return Parameters.zeros([(name, t.shape) for name, t in params.named()])
 
 
-def _check_ids(ids: np.ndarray, V: int):
-    if ids.size and (ids.min() < 0 or ids.max() >= V):
-        bad = ids[(ids < 0) | (ids >= V)][0]
-        raise InvalidInputError(f"token id {bad} out of range for vocab size {V}")
-
-
 def _forward_batch(params: Parameters, contexts: np.ndarray):
     """contexts (N, K) -> (X, H, Z): concatenated inputs, hidden, logits.
     Each layer is built in place in its one array."""
@@ -202,11 +196,10 @@ def _forward_batch(params: Parameters, contexts: np.ndarray):
 
 def forward(params: Parameters, context) -> np.ndarray:
     """Next-token distribution p(. | context) for exactly K token ids."""
-    context = np.asarray(context, dtype=np.int64)
+    context = read_ids(context, "context", params.embed.shape[0])
     K = params.w_hidden.shape[0] // params.embed.shape[1]
     if context.ndim != 1 or context.size != K:
         raise InvalidInputError(f"context must have exactly {K} token ids, got shape {context.shape}")
-    _check_ids(context, params.embed.shape[0])
     _, _, Z = _forward_batch(params, context[None, :])
     return softmax_rows(Z)[0]
 
@@ -224,8 +217,8 @@ def loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray
                    rule: ScoreRule, cfg: SmoothingConfig, *, loss: bool = True, grads: Parameters | None = None):
     """Mean loss over N positions and its exact analytic gradient.
 
-    contexts (N, K) and targets (N,) are index arrays; an id outside the
-    vocabulary is refused by value (InvalidInputError).  Positions are
+    contexts (N, K) and targets (N,) are id arrays read by read_ids, which
+    refuses an id outside the vocabulary (InvalidInputError).  Positions are
     reduced in row order, so results are bitwise reproducible.  Returns
     (loss, grads) with grads shaped like params; with loss=False the loss
     is not formed and is None.  grads, when given, is the buffer the
@@ -233,8 +226,7 @@ def loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray
     same either way.
     """
     V = params.embed.shape[0]
-    _check_ids(contexts, V)
-    _check_ids(targets, V)
+    contexts, targets = read_ids(contexts, "contexts", V), read_ids(targets, "targets", V)
     return _loss_and_grads(params, contexts, targets, rule, cfg, loss=loss, grads=grads)
 
 
@@ -289,7 +281,7 @@ def backward(params: Parameters, batch, rule: ScoreRule, cfg: SmoothingConfig):
         raise InvalidInputError("batch is empty")
     records = PackedSeqs.pack(batch)
     V, d = params.embed.shape
-    _check_ids(records.tokens, V)
+    read_ids(records.tokens, "tokens", V)
     windows, rows = records.windows(params.w_hidden.shape[0] // d)
     picked = windows[rows]
     return _loss_and_grads(params, picked[:, :-1], picked[:, -1], rule, cfg)

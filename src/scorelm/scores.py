@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .documents import check_field_types
+from .documents import check_field_types, read_ids
 from .errors import ConfigurationError, InvalidInputError, ParameterDomainError
 from .simplex import check_logits, check_prob_vector, entmax, row_sum, softmax_rows, tsallis_entropy
 
@@ -282,11 +282,11 @@ def token_losses_and_grads(
     Z is (B, m), idx is (B,).  Returns (losses (B,), dZ (B, m)); with
     losses=False the losses are not formed and None stands in their place.
     mask_override pins the under-smooth mask (used by finite-difference
-    checks, where the mask must not move with the perturbed logits).  An
-    observed outcome outside [0, m) raises IndexError.
+    checks, where the mask must not move with the perturbed logits).  idx is
+    read by read_ids, and an observed outcome outside [0, m) raises IndexError.
     """
     Z = np.asarray(Z, dtype=np.float64)
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = read_ids(idx, "observed outcomes")
     if idx.size and not 0 <= idx.min() <= idx.max() < Z.shape[-1]:  # a flat index would read another row
         raise IndexError(f"observed outcomes {idx.min()}..{idx.max()} out of range for m={Z.shape[-1]}")
     return _token_losses_and_grads(rule, cfg, Z, idx, 1, mask_override, losses=losses)

@@ -10,14 +10,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .checkpoint import Checkpoint, save_checkpoint
 from .data import make_batches, make_seq_batches
-from .documents import check_field_types
+from .documents import check_field_types, read_ids
 from .errors import ConfigurationError, InvalidInputError
 from .model import (
     ModelConfig,
     PackedSeqs,
     Parameters,
     TokenSeq,
-    _check_ids,
     _forward_batch,
     _loss_and_grads,
     init_params,
@@ -137,8 +136,7 @@ def _records_split(records: PackedSeqs, K: int, V: int | None):
     n_held = n // 10
     if n_held == 0:
         raise InvalidInputError(f"paired data needs at least 10 records for a held-out split, got {n}")
-    if V is not None:
-        _check_ids(records.tokens, V)
+    read_ids(records.tokens, "tokens", V)
     windows, rows = records.windows(K)
     # the unmasked tokens before each record boundary: record i's rows are rows[first[i]:first[i + 1]]
     first = np.concatenate(([0], np.cumsum(records.loss_mask)))[records.offsets]
@@ -185,11 +183,9 @@ def split_data(data, K: int, V: int | None = None):
         data = PackedSeqs.pack(data)
     if isinstance(data, PackedSeqs):
         return _records_split(data, K, V)
-    tokens = np.asarray(data, dtype=np.int64)
+    tokens = read_ids(data, "corpus tokens", V)
     if tokens.ndim != 1:
         raise InvalidInputError(f"corpus tokens must be 1-D, got shape {tokens.shape}")
-    if V is not None:
-        _check_ids(tokens, V)
     split = int(round(tokens.size * (1.0 - HELD_OUT_FRACTION)))
     if tokens.size - split <= K:
         raise InvalidInputError("held-out split shorter than the context window")
@@ -257,11 +253,13 @@ def evaluate_scores(params: Parameters, contexts: np.ndarray, targets: np.ndarra
     the logits of the distinct contexts' forward.  A forward of every
     position gives the same logits when the contexts are all distinct (it
     is the same product), and at other row counts may round a row in the
-    last bits otherwise.  Context and target ids out of the vocabulary are
-    refused by value; no gradient is formed."""
+    last bits otherwise.  contexts and targets are read by read_ids, their
+    distinct contexts and pair targets checked against the vocabulary; no
+    gradient is formed."""
+    contexts, targets = read_ids(contexts, "contexts"), read_ids(targets, "targets")
     C, pair_row, pair_target, position_pair = _held_out_split(contexts, targets)
-    _check_ids(C, params.embed.shape[0])
-    _check_ids(pair_target, params.embed.shape[0])
+    read_ids(C, "contexts", params.embed.shape[0])
+    read_ids(pair_target, "targets", params.embed.shape[0])
     P = softmax_rows(_forward_batch(params, C)[2])  # no input or hidden layer is kept while scoring
     p_obs = P[pair_row, pair_target][:, None]
     P = P.take(pair_row, axis=0)
