@@ -181,26 +181,30 @@ def zero_grads(params: Parameters) -> Parameters:
     return Parameters.zeros([(name, t.shape) for name, t in params.named()])
 
 
-def _forward_batch(params: Parameters, contexts: np.ndarray):
-    """contexts (N, K) -> (X, H, Z): concatenated inputs, hidden, logits.
-    Each layer is built in place in its one array."""
+def _forward(params: Parameters, contexts: np.ndarray, X: np.ndarray, H: np.ndarray, Z: np.ndarray):
+    """contexts (N, K) -> logits, each layer written in place into the
+    C-contiguous array given for it: X (N, K d) the concatenated inputs, H
+    (N, h) the hidden layer and Z (N, V) the logits.  Returns Z.  The ids
+    must be checked: the gather clips, which numpy does without buffering
+    its output, and so reads the rows a checked id names."""
     N, K = contexts.shape
-    X = np.take(params.embed, contexts, axis=0).reshape(N, K * params.embed.shape[1])
-    H = X @ params.w_hidden
+    params.embed.take(contexts, axis=0, out=X.reshape(N, K, -1), mode="clip")
+    np.matmul(X, params.w_hidden, out=H)
     H += params.b_hidden
     np.tanh(H, out=H)
-    Z = H @ params.w_out
+    np.matmul(H, params.w_out, out=Z)
     Z += params.b_out
-    return X, H, Z
+    return Z
 
 
 def forward(params: Parameters, context) -> np.ndarray:
     """Next-token distribution p(. | context) for exactly K token ids."""
-    context = read_ids(context, "context", params.embed.shape[0])
-    K = params.w_hidden.shape[0] // params.embed.shape[1]
-    if context.ndim != 1 or context.size != K:
-        raise InvalidInputError(f"context must have exactly {K} token ids, got shape {context.shape}")
-    _, _, Z = _forward_batch(params, context[None, :])
+    V, d = params.embed.shape
+    context = read_ids(context, "context", V)
+    Kd, h = params.w_hidden.shape
+    if context.ndim != 1 or context.size != Kd // d:
+        raise InvalidInputError(f"context must have exactly {Kd // d} token ids, got shape {context.shape}")
+    Z = _forward(params, context[None, :], np.empty((1, Kd)), np.empty((1, h)), np.empty((1, V)))
     return softmax_rows(Z)[0]
 
 
@@ -213,60 +217,79 @@ def context_window(tokens: np.ndarray, t: int, K: int) -> np.ndarray:
     return window
 
 
+class Workspace:
+    """The arrays of a training step on batches of up to `rows` rows, made
+    once: the layers X, H and Z, the backward's dA and dX, the flat index
+    of the embedding scatter, the table it is gathered from, and the
+    gradient.  A batch of N rows runs on the leading N rows of each, whose
+    views are made once per N, so a training run allocates none of them
+    again, and what the process freed before does not decide what a step
+    costs."""
+
+    def __init__(self, params: Parameters, rows: int):
+        V, d = params.embed.shape
+        Kd, h = params.w_hidden.shape
+        self.grads = zero_grads(params)
+        self.table = np.arange(V * d, dtype=np.intp).reshape(V, d)  # row v: the flat places of embed[v]
+        self._full = (np.empty((rows, Kd)), np.empty((rows, h)), np.empty((rows, V)),
+                      np.empty((rows, h)), np.empty((rows, Kd)), np.empty((rows, Kd // d, d), dtype=np.intp))
+        self._views = {}
+
+    def views(self, N: int):
+        """(X, H, Z, dA, dX, flat): the leading N rows of each array."""
+        views = self._views.get(N)
+        if views is None:
+            views = self._views[N] = tuple(a[:N] for a in self._full)
+        return views
+
+
 def loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray,
-                   rule: ScoreRule, cfg: SmoothingConfig, *, loss: bool = True, grads: Parameters | None = None):
+                   rule: ScoreRule, cfg: SmoothingConfig, *, loss: bool = True):
     """Mean loss over N positions and its exact analytic gradient.
 
     contexts (N, K) and targets (N,) are id arrays read by read_ids, which
     refuses an id outside the vocabulary (InvalidInputError).  Positions are
     reduced in row order, so results are bitwise reproducible.  Returns
     (loss, grads) with grads shaped like params; with loss=False the loss
-    is not formed and is None.  grads, when given, is the buffer the
-    gradient is written into (a training run reuses one); the bytes are the
-    same either way.
+    is not formed and is None.  The step runs on a workspace of its own N
+    rows; a training run's one workspace gives the same bytes.
     """
     V = params.embed.shape[0]
     contexts, targets = read_ids(contexts, "contexts", V), read_ids(targets, "targets", V)
-    return _loss_and_grads(params, contexts, targets, rule, cfg, loss=loss, grads=grads)
+    return _loss_and_grads(params, contexts, targets, rule, cfg, Workspace(params, targets.size), loss=loss)
 
 
 def _loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray,
-                    rule: ScoreRule, cfg: SmoothingConfig, *, loss: bool = True, grads: Parameters | None = None):
-    """loss_and_grads over ids the caller has already checked: training
-    checks its data once at ingest, backward checks each batch."""
-    if grads is None:
-        grads = zero_grads(params)
+                    rule: ScoreRule, cfg: SmoothingConfig, work: Workspace, *, loss: bool = True):
+    """loss_and_grads over ids the caller has already checked, on the
+    workspace work, whose gradient it returns: training checks its data
+    once at ingest, backward checks each batch."""
+    grads = work.grads
     N = targets.size
     if N == 0:
         warnings.warn("loss over an all-masked batch is 0", stacklevel=3)
         grads.flat[:] = 0.0
         return (0.0 if loss else None), grads
-    K = contexts.shape[1]
-    d = params.embed.shape[1]
+    X, H, Z, dA, dX, flat = work.views(N)
 
-    X, H, Z = _forward_batch(params, contexts)
+    _forward(params, contexts, X, H, Z)
     losses, dZ = _token_losses_and_grads(rule, cfg, Z, targets, N, losses=loss)  # dZ of the mean
     mean = None if losses is None else float(losses.sum()) / N
 
     np.matmul(H.T, dZ, out=grads.w_out)
     column_sum(dZ, out=grads.b_out)
-    dA = dZ @ params.w_out.T  # dH, then dH (1 - H H) in place
+    np.matmul(dZ, params.w_out.T, out=dA)  # dH, then dH (1 - H H) in place
     H *= H
     dA *= np.subtract(1.0, H, out=H)
     np.matmul(X.T, dA, out=grads.w_hidden)
     column_sum(dA, out=grads.b_hidden)
-    dX = (dA @ params.w_hidden.T).reshape(N, K, d)
-    grads.embed[:] = _scatter_rows(contexts, dX, params.embed.shape[0])
+    np.matmul(dA, params.w_hidden.T, out=dX)
+    # np.add.at(embed gradient, contexts, dX) as one bincount over the flat places of the rows the
+    # contexts name: it adds in the same order, so the sums are bitwise the same
+    work.table.take(contexts, axis=0, out=flat, mode="clip")
+    sums = np.bincount(flat.ravel(), weights=dX.ravel(), minlength=grads.embed.size)
+    grads.embed[:] = sums.reshape(grads.embed.shape)
     return mean, grads
-
-
-def _scatter_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """np.add.at(np.zeros((n, d)), ids, rows) for rows shaped ids.shape + (d,),
-    as one bincount over the flat index ids * d + column, gathered as rows of
-    arange(n d): it adds in the same order, so the sums are bitwise the same."""
-    d = rows.shape[-1]
-    flat = np.arange(n * d).reshape(n, d).take(ids, axis=0).ravel()
-    return np.bincount(flat, weights=rows.ravel(), minlength=n * d).reshape(n, d)
 
 
 def backward(params: Parameters, batch, rule: ScoreRule, cfg: SmoothingConfig):
@@ -284,4 +307,4 @@ def backward(params: Parameters, batch, rule: ScoreRule, cfg: SmoothingConfig):
     read_ids(records.tokens, "tokens", V)
     windows, rows = records.windows(params.w_hidden.shape[0] // d)
     picked = windows[rows]
-    return _loss_and_grads(params, picked[:, :-1], picked[:, -1], rule, cfg)
+    return _loss_and_grads(params, picked[:, :-1], picked[:, -1], rule, cfg, Workspace(params, rows.size))

@@ -192,6 +192,10 @@ NO_SMOOTHING = SmoothingConfig()
 
 
 def _check_index(i: int, m: int) -> int:
+    """The observed outcome i as an int in [0, m): a Python or numpy integer,
+    never a boolean, a float or a sequence, which int() would read as one."""
+    if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
+        raise InvalidInputError(f"observed outcome must be an integer, got {i!r} for m={m}")
     i = int(i)
     if not 0 <= i < m:
         raise InvalidInputError(f"observed index {i} out of range for m={m}")

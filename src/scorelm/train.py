@@ -12,20 +12,12 @@ from .checkpoint import Checkpoint, save_checkpoint
 from .data import make_batches, make_seq_batches
 from .documents import check_field_types, read_ids
 from .errors import ConfigurationError, InvalidInputError
-from .model import (
-    ModelConfig,
-    PackedSeqs,
-    Parameters,
-    TokenSeq,
-    _forward_batch,
-    _loss_and_grads,
-    init_params,
-    zero_grads,
-)
+from .model import ModelConfig, PackedSeqs, Parameters, TokenSeq, Workspace, _forward, _loss_and_grads, init_params
 from .scores import NO_SMOOTHING, RULES, ScoreRule, SmoothingConfig
 from .simplex import softmax_rows
 
 HELD_OUT_FRACTION = 0.1
+EVAL_ROWS = 512  # distinct held-out contexts forwarded at a time
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -127,10 +119,11 @@ def relative_change(s_new: float, s_old: float) -> float:
 
 
 def _records_split(records: PackedSeqs, K: int, V: int | None):
-    """split_data for paired records, read through records.windows(K): a
+    """_split_data for paired records, read through records.windows(K): a
     batch is the window rows of its records' unmasked tokens, in the order
     that make_seq_batches draws the records, and the held-out part those of
-    the last records.
+    the last records.  No batch has more rows than the batch_size training
+    records with the most unmasked tokens.
     """
     n = len(records)
     n_held = n // 10
@@ -158,7 +151,12 @@ def _records_split(records: PackedSeqs, K: int, V: int | None):
             out = np.cumsum(counts) - counts
             yield gather(rows[np.arange(counts.sum()) + np.repeat(starts - out, counts)])
 
-    return batches, held
+    sizes = np.sort(np.diff(first[: n - n_held + 1]))[::-1]  # the training records' row counts, largest first
+
+    def batch_rows(batch_size):
+        return int(sizes[:batch_size].sum())
+
+    return batches, batch_rows, held
 
 
 def split_data(data, K: int, V: int | None = None):
@@ -174,6 +172,13 @@ def split_data(data, K: int, V: int | None = None):
     both parts is checked before anything else.  A held-out part with no
     position to score is refused.
     """
+    batches, _, held = _split_data(data, K, V)
+    return batches, held
+
+
+def _split_data(data, K: int, V: int | None):
+    """split_data, and between its two parts batch_rows(batch_size): the
+    most rows a training batch of batch_size can have."""
     if isinstance(data, TokenSeq):
         if not data.loss_mask.all():
             raise InvalidInputError("a corpus has no loss mask; pass masked (paired) data as a list of TokenSeq "
@@ -193,8 +198,11 @@ def split_data(data, K: int, V: int | None = None):
     def batches(batch_size, seed):
         return make_batches(tokens[:split], K, batch_size, seed)
 
+    def batch_rows(batch_size):  # make_batches yields one row per position K..split - 1
+        return min(batch_size, max(split - K, 0))
+
     rows = sliding_window_view(tokens[split:], K + 1)
-    return batches, (rows[:, :-1], rows[:, -1])
+    return batches, batch_rows, (rows[:, :-1], rows[:, -1])
 
 
 SCORE_FIELDS = {  # metrics field -> the rule whose mean held-out score it reports
@@ -242,25 +250,39 @@ def _held_out_split(contexts: np.ndarray, targets: np.ndarray):
     return last[2]
 
 
+def _held_out_logits(params: Parameters, C: np.ndarray) -> np.ndarray:
+    """The (C, V) logits of the distinct contexts C, forwarded EVAL_ROWS
+    rows at a time through one input and one hidden layer of that many
+    rows, each block written into its rows of the logits."""
+    n = C.shape[0]
+    rows = min(n, EVAL_ROWS)
+    X, H = np.empty((rows, params.w_hidden.shape[0])), np.empty((rows, params.w_hidden.shape[1]))
+    Z = np.empty((n, params.embed.shape[0]))
+    for lo in range(0, n, EVAL_ROWS):
+        hi = min(lo + EVAL_ROWS, n)
+        _forward(params, C[lo:hi], X[: hi - lo], H[: hi - lo], Z[lo:hi])
+    return Z
+
+
 def evaluate_scores(params: Parameters, contexts: np.ndarray, targets: np.ndarray):
     """Mean held-out score per SCORE_FIELDS rule, keyed by its metrics field,
     and ppl = exp(-score_log) (log clamped so perplexity stays finite).
 
-    Each distinct context is forwarded once and each distinct (context,
-    target) pair scored once; every rule's mean then runs over the N
-    positions' scores in position order.  So a position's score depends
-    only on its pair, and the bytes are those of scoring every position on
-    the logits of the distinct contexts' forward.  A forward of every
-    position gives the same logits when the contexts are all distinct (it
-    is the same product), and at other row counts may round a row in the
-    last bits otherwise.  contexts and targets are read by read_ids, their
-    distinct contexts and pair targets checked against the vocabulary; no
-    gradient is formed."""
+    Each distinct context is forwarded once, in blocks of EVAL_ROWS rows,
+    and each distinct (context, target) pair scored once; every rule's mean
+    then runs over the N positions' scores in position order.  So a
+    position's score depends only on its pair, and the bytes are those of
+    scoring every position on the logits of that blocked forward of the
+    distinct contexts, whose memory is O(EVAL_ROWS K d + N V).  A forward
+    of every position, or of all distinct contexts at once, is the same
+    product, and at another row count may round a row in the last bits.
+    contexts and targets are read by read_ids, their distinct contexts and
+    pair targets checked against the vocabulary; no gradient is formed."""
     contexts, targets = read_ids(contexts, "contexts"), read_ids(targets, "targets")
     C, pair_row, pair_target, position_pair = _held_out_split(contexts, targets)
     read_ids(C, "contexts", params.embed.shape[0])
     read_ids(pair_target, "targets", params.embed.shape[0])
-    P = softmax_rows(_forward_batch(params, C)[2])  # no input or hidden layer is kept while scoring
+    P = softmax_rows(_held_out_logits(params, C))
     p_obs = P[pair_row, pair_target][:, None]
     P = P.take(pair_row, axis=0)
     scores = {field: float(RULES[rule.kind].clamped(P, p_obs, rule.alpha)[:, 0].take(position_pair).mean())
@@ -279,18 +301,18 @@ def _make_record(step, loss, scores, ref):
 
 
 def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint_path, symbols):
-    batches, (eval_ctx, eval_tgt) = split_data(data, model_cfg.context, model_cfg.vocab_size)
+    batches, batch_rows, (eval_ctx, eval_tgt) = _split_data(data, model_cfg.context, model_cfg.vocab_size)
     # relative-change reference: the model as it stands at loop entry
     ref_scores = evaluate_scores(params, eval_ctx, eval_tgt)
 
     state = AdamState.fresh(params)
-    grads = zero_grads(params)  # every step writes its gradient here
+    work = Workspace(params, batch_rows(cfg.batch_size))  # every step runs here and writes its gradient here
     stream = chain.from_iterable(batches(cfg.batch_size, cfg.seed + epoch) for epoch in count())
     records = []
     for step in range(1, cfg.steps + 1):
         contexts, targets = next(stream)
         recorded = step % cfg.eval_every == 0 or step == cfg.steps
-        loss, _ = _loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing, loss=recorded, grads=grads)
+        loss, grads = _loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing, work, loss=recorded)
         params, state = adam_step(params, grads, state, step, cfg)
         if recorded:
             scores = evaluate_scores(params, eval_ctx, eval_tgt)

@@ -13,7 +13,8 @@ from scorelm.model import (
     PackedSeqs,
     Parameters,
     TokenSeq,
-    _scatter_rows,
+    Workspace,
+    _loss_and_grads,
     backward,
     context_window,
     forward,
@@ -221,9 +222,9 @@ class TestPositionLoss:
 
 
 def ref_loss_and_grads(params, contexts, targets, rule, cfg, *, loss=True, rule_part=token_losses_and_grads):
-    """loss_and_grads as written before it took a gradient buffer: each
-    gradient formed in a temporary and copied into a fresh Parameters, the
-    bias gradients summed by numpy and the embedding's scattered by
+    """loss_and_grads as written before it ran on a workspace: each layer
+    and gradient formed in a temporary and copied into a fresh Parameters,
+    the bias gradients summed by numpy and the embedding's scattered by
     np.add.at, with rule_part(rule, cfg, Z, targets, losses=loss) as the
     rule part."""
     N = targets.size
@@ -258,52 +259,72 @@ SMOOTHINGS = [NO_SMOOTHING, SmoothingConfig(0.1), SmoothingConfig(0.1, mask_enha
 
 
 @st.composite
-def buffer_cases(draw):
+def workspace_cases(draw):
     """(params, batches): a model of any small shape, its weights scaled up
     to put probabilities inside the clamp, and (contexts, targets, loss) of
-    512, then 287, then 0 rows, the contexts contiguous or a window view."""
+    512, then 287, 0 and 400 rows, the contexts contiguous or a window view."""
     V, K, d, h = draw(st.integers(2, 12)), draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 20))
     seed = draw(st.integers(0, 2**32 - 1))
     params = init_params(ModelConfig(vocab_size=V, context=K, embed_dim=d, hidden_dim=h, seed=seed))
     params.flat *= draw(st.sampled_from([1.0, 5.0, 20.0]))
     gen = np.random.default_rng(seed)
     batches = []
-    for n in (512, 287, 0):
+    for n in (512, 287, 0, 400):
         rows = gen.integers(0, V, (n, K + 1))
         contexts = rows[:, :-1] if draw(st.booleans()) else np.ascontiguousarray(rows[:, :-1])
         batches.append((contexts, rows[:, -1], draw(st.booleans())))
     return params, batches
 
 
-class TestGradientBuffer:
+def poisoned_workspace(params, rows):
+    """A Workspace whose every array holds what a step must not read: NaN,
+    and -1 in the scatter's flat index."""
+    work = Workspace(params, rows)
+    work.grads.flat[:] = np.nan
+    for a in work.views(rows):
+        a.fill(-1 if a.dtype.kind == "i" else np.nan)
+    return work
+
+
+class TestWorkspace:
     @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(case=buffer_cases())
+    @given(case=workspace_cases())
     @pytest.mark.parametrize("cfg", SMOOTHINGS, ids=["eps0", "eps0.1", "eps0.1-mask"])
     @pytest.mark.parametrize("rule", PROPER_RULES, ids=lambda r: f"{r.kind}-{r.alpha}")
-    def test_reused_buffer_equals_the_fresh_gradients_bitwise(self, rule, cfg, case):
+    def test_one_workspace_over_shrinking_and_growing_batches_equals_fresh_calls_bitwise(self, rule, cfg, case):
         params, batches = case
-        grads = zero_grads(params)
-        grads.flat[:] = np.nan  # every byte must be written
+        work = poisoned_workspace(params, 512)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the all-masked batch warns in both
             for contexts, targets, loss in batches:
-                got_loss, got = loss_and_grads(params, contexts, targets, rule, cfg, loss=loss, grads=grads)
+                got_loss, got = _loss_and_grads(params, contexts, targets, rule, cfg, work, loss=loss)
                 want_loss, want = ref_loss_and_grads(params, contexts, targets, rule, cfg, loss=loss)
-                assert got is grads
+                assert got is work.grads
                 assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
-                assert grads.flat.tobytes() == want.flat.tobytes()
+                assert got.flat.tobytes() == want.flat.tobytes()
                 fresh_loss, fresh = loss_and_grads(params, contexts, targets, rule, cfg, loss=loss)
-                assert fresh is not grads and fresh.flat.tobytes() == want.flat.tobytes()
+                assert fresh is not got and fresh.flat.tobytes() == want.flat.tobytes()
                 assert np.float64(fresh_loss).tobytes() == np.float64(want_loss).tobytes()
 
-    def test_all_masked_batch_zeroes_the_buffer_and_warns(self):
+    def test_views_are_the_leading_rows_made_once_per_row_count(self):
+        params = init_params(ModelConfig(vocab_size=5, context=3, embed_dim=2, hidden_dim=4, seed=1))
+        work = Workspace(params, 10)
+        full = work.views(10)
+        assert [a.shape for a in full] == [(10, 6), (10, 4), (10, 5), (10, 4), (10, 6), (10, 3, 2)]
+        for n in (0, 7, 10):
+            views = work.views(n)
+            assert work.views(n) is views
+            for view, whole in zip(views, full):
+                assert view.shape[0] == n and view.flags.c_contiguous
+                assert n == 0 or np.shares_memory(view, whole) and view.ctypes.data == whole.ctypes.data
+
+    def test_all_masked_batch_zeroes_the_gradient_and_warns(self):
         params = init_params(ModelConfig(vocab_size=5, context=2, embed_dim=3, hidden_dim=4, seed=1))
-        grads = zero_grads(params)
-        grads.flat[:] = np.nan
+        work = poisoned_workspace(params, 4)
         with pytest.warns(UserWarning, match="all-masked"):
-            loss, got = loss_and_grads(params, np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64),
-                                       ScoreRule("brier"), NO_SMOOTHING, grads=grads)
-        assert loss == 0.0 and got is grads and grads.flat.tobytes() == np.zeros_like(grads.flat).tobytes()
+            loss, got = _loss_and_grads(params, np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64),
+                                        ScoreRule("brier"), NO_SMOOTHING, work)
+        assert loss == 0.0 and got is work.grads and got.flat.tobytes() == np.zeros_like(got.flat).tobytes()
 
     @pytest.mark.parametrize("bad", [-1, -3, 6])
     @pytest.mark.parametrize("where", ["target", "context"])
@@ -314,32 +335,15 @@ class TestGradientBuffer:
         with pytest.raises(InvalidInputError, match=f"^token id {bad} out of range for vocab size 6$"):
             loss_and_grads(params, contexts, targets, ScoreRule("brier"), NO_SMOOTHING)
 
-
-@st.composite
-def scatters(draw):
-    """Row ids (N, K) over V rows, often repeated, and rows (N, K, d) of any
-    finite doubles, signed zeros included."""
-    N, K, d, V = draw(st.integers(0, 40)), draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 9))
-    ids = draw(arrays(np.int64, (N, K), elements=st.integers(0, V - 1)))
-    values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False, width=64))
-    return ids, draw(arrays(np.float64, (N, K, d), elements=values)), V
-
-
-class TestScatterRows:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(case=scatters())
-    def test_bitwise_equal_to_add_at(self, case):
-        ids, rows, V = case
-        expected = np.zeros((V, rows.shape[-1]))
-        with np.errstate(over="ignore", invalid="ignore"):  # sums of huge doubles may overflow, in both
-            np.add.at(expected, ids, rows)
-            got = _scatter_rows(ids, rows, V)
-        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-
-    def test_negative_zero_sums(self):
-        # -0.0 + -0.0 starts from +0.0 in both, so the sum is +0.0
-        got = _scatter_rows(np.array([[1, 1]]), np.full((1, 2, 1), -0.0), 2)
-        assert got.tobytes() == np.zeros((2, 1)).tobytes()
+    def test_embedding_gradient_sums_repeated_rows_as_add_at(self):
+        # every context names row 2 at both places, and signed zeros meet in the sums
+        params = init_params(ModelConfig(vocab_size=4, context=2, embed_dim=3, hidden_dim=5, seed=9))
+        params.w_hidden[:3] = -0.0
+        contexts, targets = np.full((6, 2), 2), np.array([0, 1, 2, 3, 0, 1])
+        _, got = loss_and_grads(params, contexts, targets, ScoreRule("logarithmic"), NO_SMOOTHING)
+        _, want = ref_loss_and_grads(params, contexts, targets, ScoreRule("logarithmic"), NO_SMOOTHING)
+        assert got.embed.tobytes() == want.embed.tobytes()
+        assert not got.embed[[0, 1, 3]].any() and got.embed[2].any()
 
 
 class TestBackward:

@@ -4,6 +4,7 @@ random simplex points, and the training path at its numerical edges."""
 
 import contextlib
 import dataclasses
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -17,7 +18,7 @@ from scorelm import scores as scores_mod
 from scorelm import simplex
 from scorelm.decode import normalized_objective_vector
 from scorelm.errors import InvalidInputError
-from scorelm.model import ModelConfig, _forward_batch, init_params, loss_and_grads
+from scorelm.model import ModelConfig, init_params, loss_and_grads
 from scorelm.scores import (
     KINDS,
     NO_SMOOTHING,
@@ -32,7 +33,7 @@ from scorelm.scores import (
     token_losses_and_grads,
 )
 from scorelm.simplex import PAIRWISE_BLOCK, softmax_rows
-from scorelm.train import SCORE_FIELDS, distinct_pairs, evaluate_scores
+from scorelm.train import EVAL_ROWS, SCORE_FIELDS, distinct_pairs, evaluate_scores
 from scorelm.verify import simplex_grid
 
 # ---------------------------------------------------------------------------
@@ -573,12 +574,27 @@ def score_bytes(scores):
     return {k: np.float64(v).tobytes() for k, v in scores.items()}
 
 
+def ref_forward(params, contexts):
+    """The logits of one forward of every row of contexts, as numpy writes it."""
+    H = np.tanh(params.embed[contexts].reshape(contexts.shape[0], -1) @ params.w_hidden + params.b_hidden)
+    return H @ params.w_out + params.b_out
+
+
+HELD_OUT_BLOCK = 512  # the rows of one held-out forward, written out here
+
+
+def blocked_logits(params, C):
+    """ref_forward of C, HELD_OUT_BLOCK rows at a time, the blocks stacked."""
+    return np.concatenate([ref_forward(params, C[lo : lo + HELD_OUT_BLOCK])
+                           for lo in range(0, C.shape[0], HELD_OUT_BLOCK)])
+
+
 def ref_evaluate_scores(params, contexts, targets, Z=None):
     """evaluate_scores as it was written on the gradient path, with the
-    losses of the explicit formulas, on the logits Z (by default a forward
-    of every position)."""
+    losses of the explicit formulas, on the logits Z (by default one
+    forward of every position)."""
     if Z is None:
-        Z = _forward_batch(params, contexts)[2]
+        Z = ref_forward(params, contexts)
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = {field: float((-ref_token_losses_and_grads(rule, NO_SMOOTHING, Z, targets)[0]).mean())
                   for field, rule in SCORE_FIELDS.items()}
@@ -602,13 +618,14 @@ def test_evaluate_scores_equal_the_gradient_path_bitwise(seed, n, V, scale):
 
 
 def scored_once_logits(params, contexts, targets):
-    """Each position's logits from one forward of its distinct contexts, in
-    the order of their first position: the forward evaluate_scores makes."""
+    """Each position's logits from the blocked forward of its distinct
+    contexts, in the order of their first position: the forward
+    evaluate_scores makes."""
     first = {}
     for row in map(tuple, contexts.tolist()):
         first.setdefault(row, len(first))
     C = np.array(list(first), dtype=np.int64).reshape(len(first), contexts.shape[1])
-    return _forward_batch(params, C)[2][[first[row] for row in map(tuple, contexts.tolist())]]
+    return blocked_logits(params, C)[[first[row] for row in map(tuple, contexts.tolist())]]
 
 
 @st.composite
@@ -656,12 +673,58 @@ def test_evaluate_scores_score_each_distinct_context_once_bitwise(held):
 
 @HELD_OUT_SETTINGS
 @given(held=held_out_sets(layouts=("distinct",)))
-def test_evaluate_scores_are_the_full_row_forward_bitwise(held):
-    # contexts that are all distinct are forwarded as they stand, in position order: the same
-    # product as a forward of every position, so the same bytes on any BLAS
+def test_evaluate_scores_are_the_blocked_forward_of_every_position_bitwise(held):
+    # contexts that are all distinct are forwarded as they stand, in position order and in blocks:
+    # the same products as a blocked forward of every position, so the same bytes on any BLAS
     params, contexts, targets = held
-    want = ref_evaluate_scores(params, contexts, targets)
+    want = ref_evaluate_scores(params, contexts, targets, Z=blocked_logits(params, contexts))
     assert score_bytes(evaluate_scores(params, contexts, targets)) == score_bytes(want)
+
+
+PAIRED_SHAPE = dict(vocab_size=35, context=8, embed_dim=32, hidden_dim=128)  # the paired benchmark's model
+
+
+def distinct_held_out(n_ctx, seed, repeats=0):
+    """(params, contexts, targets) at the paired shape: n_ctx distinct
+    contexts in shuffled order, then `repeats` positions drawn again from
+    them, each position with a random target."""
+    gen = np.random.default_rng(seed)
+    V, K = PAIRED_SHAPE["vocab_size"], PAIRED_SHAPE["context"]
+    codes = gen.choice(2**40, n_ctx, replace=False)
+    C = codes[:, None] // V ** np.arange(K) % V
+    contexts = np.concatenate([C, C[gen.integers(0, n_ctx, repeats)]])
+    params = init_params(ModelConfig(**PAIRED_SHAPE, seed=seed))
+    params.flat *= 5.0
+    return params, contexts, gen.integers(0, V, contexts.shape[0])
+
+
+def test_held_out_block_is_eval_rows():
+    assert EVAL_ROWS == HELD_OUT_BLOCK
+
+
+@pytest.mark.parametrize("n_ctx", [1, 511, 512, 513, 1025])
+def test_evaluate_scores_are_the_blocked_forward_at_block_edges(n_ctx):
+    # exact for the forward in blocks of EVAL_ROWS distinct contexts, and within 1e-12 of one
+    # forward of every position
+    params, contexts, targets = distinct_held_out(n_ctx, seed=n_ctx, repeats=n_ctx // 2 + 1)
+    got = evaluate_scores(params, contexts, targets)
+    want = ref_evaluate_scores(params, contexts, targets, Z=scored_once_logits(params, contexts, targets))
+    assert score_bytes(got) == score_bytes(want)
+    full = ref_evaluate_scores(params, contexts, targets)
+    assert all(np.isclose(got[k], full[k], rtol=1e-12, atol=1e-12) for k in got)
+
+
+def test_evaluate_scores_memory_does_not_hold_the_whole_input_layer():
+    # 20,000 distinct contexts at the paired shape: their input layer alone is 41 MB, and the
+    # (N, V) arrays of the scoring 5.6 MB each
+    params, contexts, targets = distinct_held_out(20_000, seed=4)
+    tracemalloc.start()
+    try:
+        evaluate_scores(params, contexts, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6, peak
 
 
 def test_distinct_pairs_split_the_positions():
@@ -789,7 +852,7 @@ def row_major_reference():
 def test_step_is_the_row_major_reference_bitwise(rule, cfg, m):
     # the reference floors no probability at P_TINY: rules with alpha < 2 get no underflow gap
     for params, contexts, targets in guard_batches(m, gaps=rule.alpha >= 2.0):
-        Z = _forward_batch(params, contexts)[2]
+        Z = ref_forward(params, contexts)
         P = softmax_rows(Z)
         assert (P.flags.f_contiguous, P.flags.c_contiguous) == ((True, False) if m < PAIRWISE_BLOCK else (False, True))
         losses, dZ = token_losses_and_grads(rule, cfg, Z, targets)

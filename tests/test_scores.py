@@ -109,6 +109,23 @@ class TestScore:
         with pytest.raises(InvalidInputError):
             score(ScoreRule("brier"), [0.5, 0.5], -1)
 
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, np.True_, np.float64(1.0), [1], np.array([1]), "1"],
+                             ids=["float", "integral-float", "bool", "numpy-bool", "numpy-float", "list",
+                                  "array", "str"])
+    @pytest.mark.parametrize("call", [
+        lambda i: score(ScoreRule("brier"), [0.2, 0.8], i),
+        lambda i: smoothed_score(ScoreRule("brier"), SmoothingConfig(0.1), [0.2, 0.8], i),
+        lambda i: entmax_power_equivalence_gap(np.array([0.3, 0.1]), i, 1.5),
+    ], ids=["score", "smoothed_score", "entmax_gap"])
+    def test_outcome_that_is_no_integer_refused(self, call, bad):
+        # int() would read each of these as outcome 1
+        with pytest.raises(InvalidInputError, match=r"^observed outcome must be an integer, got .* for m=2$"):
+            call(bad)
+
+    @pytest.mark.parametrize("i", [1, np.int64(1), np.int8(1), np.uint32(1)], ids=["int", "int64", "int8", "uint32"])
+    def test_integer_outcomes_of_any_kind_taken(self, i):
+        assert score(ScoreRule("brier"), [0.2, 0.8], i) == score(ScoreRule("brier"), [0.2, 0.8], 1)
+
     def test_special_case_collapse_alpha2(self):
         # alpha_power(2) == brier, pseudo_spherical(2) == spherical pointwise
         gen = np.random.default_rng(0)

@@ -1,8 +1,14 @@
 import dataclasses
 import importlib
+import inspect
 import itertools
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +315,29 @@ BENCH_RULES = [  # the markov benchmark's four rule configs
 ]
 
 
+def reference_training(cfg, model_cfg, data):
+    """(params, recorded losses, batch sizes): train() as a loop of the
+    references, with the rule part of the explicit formulas, over
+    split_data's batches of data."""
+    def rule_part(rule, smoothing, Z, idx, losses):
+        return ref_token_losses_and_grads(rule, smoothing, Z, idx)
+
+    params = init_params(model_cfg)
+    m = {name: np.zeros_like(t) for name, t in params.named()}
+    v = {name: np.zeros_like(t) for name, t in params.named()}
+    batches, _ = split_data(data, model_cfg.context, model_cfg.vocab_size)
+    stream = itertools.chain.from_iterable(batches(cfg.batch_size, cfg.seed + epoch) for epoch in itertools.count())
+    losses, sizes = [], []
+    for step in range(1, cfg.steps + 1):
+        contexts, targets = next(stream)
+        sizes.append(targets.size)
+        loss, grads = ref_loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing, rule_part=rule_part)
+        ref_adam_step(cfg, params, grads, m, v, step)
+        if step % cfg.eval_every == 0 or step == cfg.steps:
+            losses.append(loss)
+    return params, losses, sizes
+
+
 @pytest.mark.parametrize("rule, smoothing", BENCH_RULES,
                          ids=["log", "spherical", "alpha_power-1.5", "brier-eps0.1-mask"])
 def test_training_is_the_reference_loop_bitwise(rule, smoothing):
@@ -319,26 +348,68 @@ def test_training_is_the_reference_loop_bitwise(rule, smoothing):
     cfg = TrainConfig(rule=rule, smoothing=smoothing, steps=60, batch_size=64, learning_rate=0.005,
                       eval_every=20, seed=3, lr_decay=True)
     ckpt, records = train(cfg, MODEL_CFG, tokens)
-
-    def rule_part(rule, cfg, Z, idx, losses):
-        return ref_token_losses_and_grads(rule, cfg, Z, idx)
-
-    params = init_params(MODEL_CFG)
-    m = {name: np.zeros_like(t) for name, t in params.named()}
-    v = {name: np.zeros_like(t) for name, t in params.named()}
-    batches, _ = split_data(tokens, MODEL_CFG.context, MODEL_CFG.vocab_size)
-    stream = itertools.chain.from_iterable(batches(cfg.batch_size, cfg.seed + epoch) for epoch in itertools.count())
-    losses = []
-    for step in range(1, cfg.steps + 1):
-        contexts, targets = next(stream)
-        loss, grads = ref_loss_and_grads(params, contexts, targets, rule, smoothing, rule_part=rule_part)
-        ref_adam_step(cfg, params, grads, m, v, step)
-        if step % cfg.eval_every == 0:
-            losses.append(loss)
-        if step == 43:  # the first epoch's last batch
-            assert targets.size == 11
+    params, losses, sizes = reference_training(cfg, MODEL_CFG, tokens)
+    assert sizes[42] == 11  # the first epoch's last batch
     assert ckpt.params.flat.tobytes() == params.flat.tobytes()
     assert [r.loss for r in records] == losses
+
+
+PAIRED_MODEL = ModelConfig(vocab_size=35, context=8, embed_dim=32, hidden_dim=128, seed=1)  # paired benchmark shape
+
+
+def paired_records(n, seed):
+    """n records at the paired benchmark's shapes: a prompt of 4-12 symbols
+    and EOS, masked, then a target of 4-12 symbols and EOS."""
+    gen = np.random.default_rng(seed)
+    seqs = []
+    for _ in range(n):
+        src, tgt = gen.integers(2, 35, gen.integers(4, 13)), gen.integers(2, 35, gen.integers(4, 13))
+        seqs.append(TokenSeq(np.concatenate([src, [1], tgt, [1]]),
+                             loss_mask=[False] * (src.size + 1) + [True] * (tgt.size + 1)))
+    return seqs
+
+
+@pytest.mark.parametrize("rule, smoothing", [BENCH_RULES[0], BENCH_RULES[3]], ids=["log", "brier-eps0.1-mask"])
+def test_paired_training_is_the_reference_loop_bitwise(rule, smoothing):
+    # batches of whole records differ in row count, and one workspace serves them all, into a
+    # second epoch and its short last batch
+    seqs = paired_records(60, seed=2)
+    cfg = TrainConfig(rule=rule, smoothing=smoothing, steps=8, batch_size=16, learning_rate=0.003,
+                      eval_every=3, seed=5, lr_decay=True)
+    ckpt, records = train(cfg, PAIRED_MODEL, seqs)
+    params, losses, sizes = reference_training(cfg, PAIRED_MODEL, seqs)
+    assert len(set(sizes)) >= 4
+    assert ckpt.params.flat.tobytes() == params.flat.tobytes()
+    assert [r.loss for r in records] == losses
+
+
+def test_paired_step_takes_no_page_faults_in_a_fresh_process():
+    # a held-out part of 12 records frees too little to raise glibc's mmap threshold above the
+    # step's arrays: a step that allocated them would map and fault them in again every time
+    # (about 450-600 faults a step); one workspace is faulted in once
+    child = textwrap.dedent("""
+        import importlib, resource
+        import numpy as np
+        from scorelm.model import ModelConfig, TokenSeq
+        from scorelm.scores import ScoreRule
+        train_mod = importlib.import_module("scorelm.train")
+        faults, adam_step = [], train_mod.adam_step
+
+        def counted(*args):
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+            return adam_step(*args)
+
+        train_mod.adam_step = counted
+        cfg = train_mod.TrainConfig(rule=ScoreRule("logarithmic"), steps=60, batch_size=32,
+                                    learning_rate=0.003, eval_every=1000)
+        model = ModelConfig(vocab_size=35, context=8, embed_dim=32, hidden_dim=128)
+        train_mod.train(cfg, model, paired_records(120, seed=0))
+        print(float(np.mean(np.diff(faults[1:-1]))))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    code = inspect.getsource(paired_records) + child  # the child imports nothing but scorelm and numpy
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert float(run.stdout) < 20
 
 
 class TestHeldoutPositions:
