@@ -9,6 +9,8 @@ claims behind them with brute-force oracles.
 """
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+# the decode module first: loading a submodule binds its name on the package, and here the name is data.decode's
+from .decode import BeamConfig, beam_search, exhaustive_search, greedy
 from .data import (
     MarkovSpec,
     Vocab,
@@ -18,9 +20,10 @@ from .data import (
     encode_pairs,
     load_pairs,
     make_batches,
+    read_text,
     synth_markov,
 )
-from .decode import BeamConfig, beam_search, exhaustive_search, greedy
+from .documents import REQUIRED, read_fields
 from .errors import (
     CheckpointError,
     CheckpointFormatError,
@@ -33,6 +36,7 @@ from .errors import (
 )
 from .model import (
     EOS_ID,
+    N_RESERVED,
     PAD_ID,
     ModelConfig,
     PackedSeqs,
@@ -45,6 +49,7 @@ from .model import (
 )
 from .scores import (
     NO_SMOOTHING,
+    RULES,
     ScoreRule,
     SmoothingConfig,
     entmax_power_equivalence_gap,
@@ -54,6 +59,6 @@ from .scores import (
 )
 from .simplex import entmax, smooth_distribution, softmax, tsallis_entropy
 from .train import MetricsRecord, TrainConfig, adam_step, evaluate_scores, finetune, relative_change, split_data, train
-from .verify import entmax_sweep, grad_check, propriety_scan, smoothing_propriety_scan, table1_check
+from .verify import CERTIFICATES, entmax_sweep, grad_check, propriety_scan, smoothing_propriety_scan, table1_check
 
 __version__ = "0.1.0"

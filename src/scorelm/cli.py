@@ -15,7 +15,6 @@ from itertools import zip_longest
 
 import numpy as np
 
-from . import evaluate_scores, verify as verify_mod
 from .checkpoint import load_checkpoint
 from .data import (MarkovSpec, Vocab, build_vocab, decode as decode_text, encode, encode_pairs, load_pairs,
                    read_text, synth_markov)
@@ -24,7 +23,8 @@ from .documents import REQUIRED, read_fields
 from .errors import ConfigurationError, InvalidInputError
 from .model import ModelConfig, N_RESERVED
 from .scores import RULES, ScoreRule, SmoothingConfig
-from .train import TrainConfig, finetune, split_data, train
+from .train import TrainConfig, evaluate_scores, finetune, split_data, train
+from .verify import CERTIFICATES
 
 
 def _jsonable(obj):
@@ -182,7 +182,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify_mod.CERTIFICATES[args.check]()
+    report = CERTIFICATES[args.check]()
     print(json.dumps(_jsonable(report), indent=2))
     return 0 if report["pass"] else 3
 
@@ -287,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("verify", help="brute-force certificates")
-    p.add_argument("check", choices=list(verify_mod.CERTIFICATES))
+    p.add_argument("check", choices=list(CERTIFICATES))
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("synth", help="emit a synthetic Markov corpus")

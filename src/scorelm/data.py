@@ -10,7 +10,7 @@ from itertools import chain
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .documents import check_field_types, read_ids
+from .documents import check_field_types, check_shape, read_ids
 from .errors import ConfigurationError, InvalidInputError
 from .model import EOS_ID, N_RESERVED, PAD_ID, PackedSeqs, TokenSeq
 from .simplex import check_prob_vector
@@ -75,7 +75,7 @@ def encode(vocab: Vocab, text: str) -> TokenSeq:
 
 def decode(vocab: Vocab, tokens) -> str:
     """Inverse of encode; reserved pad/EOS ids contribute nothing."""
-    ids = read_ids(tokens, "tokens", vocab.size)
+    ids = read_ids(tokens, "tokens", vocab.size, (None,))
     return "".join(vocab.id_to_symbol[t] for t in ids.tolist() if t not in (PAD_ID, EOS_ID))
 
 
@@ -169,7 +169,7 @@ def make_batches(tokens, context: int, batch_size: int, seed: int):
     at t.  Every target position K..L-1 appears exactly once.  Token ids are
     read by dtype only; training checks their range once, at ingest.
     """
-    tokens = read_ids(tokens, "tokens")
+    tokens = read_ids(tokens, "tokens", shape=(None,))
     L = tokens.size
     if L <= context:
         raise InvalidInputError(f"corpus length {L} must exceed the context window {context}")
@@ -209,8 +209,7 @@ class MarkovSpec:
         check_field_types(self)
         if self.seed < 0:
             raise ConfigurationError(f"MarkovSpec field 'seed' must be >= 0, got {self.seed}")
-        if T.shape != (self.states, self.states):
-            raise InvalidInputError(f"transition matrix must be ({self.states}, {self.states}), got {T.shape}")
+        check_shape(T, "transition matrix", (self.states, self.states))
         for r, row in enumerate(T):
             try:
                 check_prob_vector(row)

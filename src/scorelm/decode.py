@@ -90,7 +90,7 @@ def beam_search(params: Parameters, prompt, cfg: BeamConfig):
     finished pool and free their slot for the next step.  Finished
     hypotheses are ranked by raw_score / |y|^length_penalty.
     """
-    prompt = read_ids(prompt, "prompt", params.embed.shape[0])  # every id: forward reads only the last K
+    prompt = read_ids(prompt, "prompt", params.embed.shape[0], (None,))  # every id: forward reads only the last K
     real = _candidate_ids(params.embed.shape[0])
     live = [Hypothesis((), 0.0)]
     finished = []
@@ -121,7 +121,7 @@ def exhaustive_search(params: Parameters, prompt, cfg: BeamConfig) -> Hypothesis
     closed by EOS (whose objective is accrued), and max_len bodies finish
     open.  Refuses when V^max_len exceeds the enumeration bound.
     """
-    prompt = read_ids(prompt, "prompt", params.embed.shape[0])
+    prompt = read_ids(prompt, "prompt", params.embed.shape[0], (None,))
     V, max_len = params.embed.shape[0], cfg.max_len
     if V**max_len > EXHAUSTIVE_LIMIT:
         raise ParameterDomainError(

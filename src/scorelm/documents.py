@@ -42,12 +42,21 @@ def check_field_types(config) -> None:
             raise ConfigurationError(f"{type(config).__name__} field {field.name!r} must be {want}, got {value!r}")
 
 
-def read_ids(values, what: str, V: int | None = None) -> np.ndarray:
+def check_shape(array: np.ndarray, what: str, shape) -> None:
+    """Refuse array, named what in errors, unless shape is None or its shape: an int fixes an axis, None frees it."""
+    if shape is not None and (array.ndim != len(shape) or any(n not in (None, s) for n, s in zip(shape, array.shape))):
+        free = iter("NM")
+        want = ", ".join(next(free) if n is None else str(n) for n in shape) + "," * (len(shape) == 1)
+        raise InvalidInputError(f"{what} must have shape ({want}), got {array.shape}")
+
+
+def read_ids(values, what: str, V: int | None = None, shape=None) -> np.ndarray:
     """values, named what in errors, as an int64 array of token ids: any integer
     dtype is read (a uint64 id past int64 is refused), a boolean, float, complex
     or object one refused, and an empty input of any dtype is no ids.  With V
-    given, an id outside [0, V) is refused."""
+    given, an id outside [0, V) is refused, and with shape given, another shape."""
     ids = np.asarray(values)
+    check_shape(ids, what, shape)
     if ids.size and ids.dtype.kind not in "iu":
         raise InvalidInputError(f"{what} must be integers, got dtype {ids.dtype}")
     if ids.dtype == np.uint64 and ids.size and ids.max() > np.iinfo(np.int64).max:  # it would wrap below 0
@@ -59,9 +68,10 @@ def read_ids(values, what: str, V: int | None = None) -> np.ndarray:
     return ids
 
 
-def read_mask(values, what: str) -> np.ndarray:
-    """values, named what in errors, as a loss mask: a bool array, or any empty input."""
+def read_mask(values, what: str, shape=None) -> np.ndarray:
+    """values, named what in errors, as a loss mask: a bool array, or any empty input, of shape (check_shape)."""
     mask = np.asarray(values)
+    check_shape(mask, what, shape)
     if mask.size and mask.dtype != bool:
         raise InvalidInputError(f"{what} must be booleans, got dtype {mask.dtype}")
     return mask.astype(bool, copy=False)

@@ -96,15 +96,9 @@ class TokenSeq:
     loss_mask: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        self.tokens = read_ids(self.tokens, "tokens")
-        if self.loss_mask is None:
-            self.loss_mask = np.ones(self.tokens.size, dtype=bool)
-        else:
-            self.loss_mask = read_mask(self.loss_mask, "loss_mask")
-        if self.loss_mask.size != self.tokens.size:
-            raise InvalidInputError(
-                f"loss_mask length {self.loss_mask.size} != tokens length {self.tokens.size}"
-            )
+        self.tokens = read_ids(self.tokens, "tokens", shape=(None,))
+        mask = np.ones(self.tokens.size, dtype=bool) if self.loss_mask is None else self.loss_mask
+        self.loss_mask = read_mask(mask, "loss_mask", self.tokens.shape)
 
     def __len__(self):
         return int(self.tokens.size)
@@ -120,14 +114,10 @@ class PackedSeqs:
     offsets: np.ndarray    # int64, the len(self) + 1 record boundaries, from 0 to tokens.size
 
     def __post_init__(self):
-        tokens = read_ids(self.tokens, "tokens")
-        mask = read_mask(self.loss_mask, "loss_mask")
-        offsets = read_ids(self.offsets, "offsets")
-        if tokens.ndim != 1 or mask.shape != tokens.shape:
-            raise InvalidInputError(f"tokens and loss_mask must be 1-D of one length, got {tokens.shape} "
-                                    f"and {mask.shape}")
-        if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 or offsets[-1] != tokens.size \
-                or np.any(np.diff(offsets) < 0):
+        tokens = read_ids(self.tokens, "tokens", shape=(None,))
+        mask = read_mask(self.loss_mask, "loss_mask", tokens.shape)
+        offsets = read_ids(self.offsets, "offsets", shape=(None,))
+        if offsets.size == 0 or offsets[0] != 0 or offsets[-1] != tokens.size or np.any(np.diff(offsets) < 0):
             raise InvalidInputError(f"offsets must rise from 0 to the token count {tokens.size}")
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "loss_mask", mask)
@@ -199,11 +189,8 @@ def _forward(params: Parameters, contexts: np.ndarray, X: np.ndarray, H: np.ndar
 
 def forward(params: Parameters, context) -> np.ndarray:
     """Next-token distribution p(. | context) for exactly K token ids."""
-    V, d = params.embed.shape
-    context = read_ids(context, "context", V)
-    Kd, h = params.w_hidden.shape
-    if context.ndim != 1 or context.size != Kd // d:
-        raise InvalidInputError(f"context must have exactly {Kd // d} token ids, got shape {context.shape}")
+    (V, d), (Kd, h) = params.embed.shape, params.w_hidden.shape
+    context = read_ids(context, "context", V, (Kd // d,))
     Z = _forward(params, context[None, :], np.empty((1, Kd)), np.empty((1, h)), np.empty((1, V)))
     return softmax_rows(Z)[0]
 
@@ -248,14 +235,15 @@ def loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray
     """Mean loss over N positions and its exact analytic gradient.
 
     contexts (N, K) and targets (N,) are id arrays read by read_ids, which
-    refuses an id outside the vocabulary (InvalidInputError).  Positions are
+    refuses another shape or an id outside the vocabulary.  Positions are
     reduced in row order, so results are bitwise reproducible.  Returns
     (loss, grads) with grads shaped like params; with loss=False the loss
     is not formed and is None.  The step runs on a workspace of its own N
     rows; a training run's one workspace gives the same bytes.
     """
-    V = params.embed.shape[0]
-    contexts, targets = read_ids(contexts, "contexts", V), read_ids(targets, "targets", V)
+    V, d = params.embed.shape
+    contexts = read_ids(contexts, "contexts", V, (None, params.w_hidden.shape[0] // d))
+    targets = read_ids(targets, "targets", V, contexts.shape[:1])
     return _loss_and_grads(params, contexts, targets, rule, cfg, Workspace(params, targets.size), loss=loss)
 
 

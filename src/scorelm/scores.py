@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .documents import check_field_types, read_ids
+from .documents import check_field_types, check_shape, read_ids
 from .errors import ConfigurationError, InvalidInputError, ParameterDomainError
 from .simplex import check_logits, check_prob_vector, entmax, row_sum, softmax_rows, tsallis_entropy
 
@@ -283,14 +283,16 @@ def token_losses_and_grads(
     """Per-row training losses -S_variant(softmax(z), idx) and their exact
     gradients with respect to the logits.
 
-    Z is (B, m), idx is (B,).  Returns (losses (B,), dZ (B, m)); with
-    losses=False the losses are not formed and None stands in their place.
-    mask_override pins the under-smooth mask (used by finite-difference
-    checks, where the mask must not move with the perturbed logits).  idx is
-    read by read_ids, and an observed outcome outside [0, m) raises IndexError.
+    Z is (B, m), idx is (B,), and any other shape is refused.  Returns
+    (losses (B,), dZ (B, m)); with losses=False the losses are not formed
+    and None stands in their place.  mask_override pins the under-smooth mask
+    (used by finite-difference checks, where the mask must not move with the
+    perturbed logits).  idx is read by read_ids, and an observed outcome
+    outside [0, m) raises IndexError.
     """
     Z = np.asarray(Z, dtype=np.float64)
-    idx = read_ids(idx, "observed outcomes")
+    check_shape(Z, "logits", (None, None))
+    idx = read_ids(idx, "observed outcomes", shape=Z.shape[:1])
     if idx.size and not 0 <= idx.min() <= idx.max() < Z.shape[-1]:  # a flat index would read another row
         raise IndexError(f"observed outcomes {idx.min()}..{idx.max()} out of range for m={Z.shape[-1]}")
     return _token_losses_and_grads(rule, cfg, Z, idx, 1, mask_override, losses=losses)

@@ -188,9 +188,7 @@ def _split_data(data, K: int, V: int | None):
         data = PackedSeqs.pack(data)
     if isinstance(data, PackedSeqs):
         return _records_split(data, K, V)
-    tokens = read_ids(data, "corpus tokens", V)
-    if tokens.ndim != 1:
-        raise InvalidInputError(f"corpus tokens must be 1-D, got shape {tokens.shape}")
+    tokens = read_ids(data, "corpus tokens", V, (None,))
     split = int(round(tokens.size * (1.0 - HELD_OUT_FRACTION)))
     if tokens.size - split <= K:
         raise InvalidInputError("held-out split shorter than the context window")
@@ -276,9 +274,12 @@ def evaluate_scores(params: Parameters, contexts: np.ndarray, targets: np.ndarra
     distinct contexts, whose memory is O(EVAL_ROWS K d + N V).  A forward
     of every position, or of all distinct contexts at once, is the same
     product, and at another row count may round a row in the last bits.
-    contexts and targets are read by read_ids, their distinct contexts and
-    pair targets checked against the vocabulary; no gradient is formed."""
-    contexts, targets = read_ids(contexts, "contexts"), read_ids(targets, "targets")
+    contexts (N, K) and targets (N,) are read by read_ids, and N = 0 refused;
+    their distinct contexts and pair targets are checked against the vocabulary."""
+    contexts = read_ids(contexts, "contexts", shape=(None, params.w_hidden.shape[0] // params.embed.shape[1]))
+    targets = read_ids(targets, "targets", shape=contexts.shape[:1])
+    if targets.size == 0:
+        raise InvalidInputError("the held-out part has no position to score")
     C, pair_row, pair_target, position_pair = _held_out_split(contexts, targets)
     read_ids(C, "contexts", params.embed.shape[0])
     read_ids(pair_target, "targets", params.embed.shape[0])

@@ -1,5 +1,7 @@
+import ast
 import base64
 import functools
+import importlib
 import json
 import os
 import random
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scorelm
 from scorelm.checkpoint import load_checkpoint, save_checkpoint
 from scorelm.cli import _build_parser, _load_data, run_command
 from scorelm.data import MarkovSpec, synth_markov
@@ -956,3 +959,15 @@ class TestParserOncePerProcess:
         fresh = session()
         assert once == fresh
         assert [rc for rc, _, _ in once] == [0, 0, 0, 2, 2, 1, 2, 2, 2, 2, 0, 1, 0, 0, 0]
+
+
+def test_the_cli_imports_only_what_the_package_root_exports():
+    # each name may come from its submodule, but it must be the root's own export
+    cli_path = Path(importlib.import_module("scorelm.cli").__file__)
+    imports = [(node.module, alias.name) for node in ast.walk(ast.parse(cli_path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom) and node.level > 0 for alias in node.names]
+    assert ("verify", "CERTIFICATES") in imports and ("scores", "RULES") in imports
+    for module, name in imports:
+        source = scorelm if module is None else importlib.import_module(f"scorelm.{module}")
+        assert name in vars(scorelm), name
+        assert getattr(scorelm, name) is getattr(source, name), name

@@ -333,14 +333,14 @@ class TestEncodePairsPacked:
         assert_same_array(PackedSeqs.pack([]).tokens, np.zeros(0, dtype=np.int64))
 
     @pytest.mark.parametrize("tokens, mask, offsets, message", [
-        ([2, 3], [True], [0, 2], "one length"),
+        ([2, 3], [True], [0, 2], "loss_mask must have shape (2,), got (1,)"),
         ([2, 3], [True, True], [0, 1], "offsets must rise from 0 to the token count 2"),
         ([2, 3], [True, True], [1, 2], "offsets must rise"),
         ([2, 3], [True, True], [0, 2, 1, 2], "offsets must rise"),
         ([2, 3], [True, True], [], "offsets must rise"),
     ])
     def test_inconsistent_buffers_rejected(self, tokens, mask, offsets, message):
-        with pytest.raises(InvalidInputError, match=message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
             PackedSeqs(np.asarray(tokens), np.asarray(mask, dtype=bool), np.asarray(offsets))
 
 class TestMakeBatches:
@@ -482,6 +482,12 @@ class TestSynthMarkov:
     def test_invalid_rows_rejected(self):
         with pytest.raises(InvalidInputError, match="row 1"):
             MarkovSpec(states=2, transition=[[0.5, 0.5], [0.7, 0.7]], initial=[0.5, 0.5], seed=0)
+
+    @pytest.mark.parametrize("transition", [np.full((2, 3), 1 / 3), np.full(2, 0.5), np.full((1, 2, 2), 0.5)])
+    def test_transition_of_another_shape_rejected(self, transition):
+        with pytest.raises(InvalidInputError, match=re.escape(f"transition matrix must have shape (2, 2), "
+                                                              f"got {transition.shape}")):
+            MarkovSpec(states=2, transition=transition, initial=[0.5, 0.5], seed=0)
 
     @pytest.mark.parametrize("states, initial", [(2, [0.1, 0.1, 0.8]), (3, [0.5, 0.5]), (2, [[0.5, 0.5]])])
     def test_initial_of_another_size_rejected(self, states, initial):
