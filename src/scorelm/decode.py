@@ -70,9 +70,8 @@ def _candidate_ids(V: int) -> np.ndarray:
 
 
 def _next_distribution(params: Parameters, prompt, generated) -> np.ndarray:
-    K = params.w_hidden.shape[0] // params.embed.shape[1]
     seq = np.concatenate([prompt, np.asarray(generated, dtype=np.int64)])
-    return forward(params, context_window(seq, seq.size, K))
+    return forward(params, context_window(seq, seq.size, params.context))
 
 
 def greedy(params: Parameters, prompt, max_len: int) -> Hypothesis:

@@ -84,6 +84,11 @@ class Parameters:
     def named(self):
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
+    @property
+    def context(self) -> int:
+        """K: the hidden layer reads K embeddings of embed_dim each."""
+        return self.w_hidden.shape[0] // self.embed.shape[1]
+
     def copy(self) -> "Parameters":
         return Parameters(**dict(self.named()))
 
@@ -189,8 +194,8 @@ def _forward(params: Parameters, contexts: np.ndarray, X: np.ndarray, H: np.ndar
 
 def forward(params: Parameters, context) -> np.ndarray:
     """Next-token distribution p(. | context) for exactly K token ids."""
-    (V, d), (Kd, h) = params.embed.shape, params.w_hidden.shape
-    context = read_ids(context, "context", V, (Kd // d,))
+    (V, _), (Kd, h) = params.embed.shape, params.w_hidden.shape
+    context = read_ids(context, "context", V, (params.context,))
     Z = _forward(params, context[None, :], np.empty((1, Kd)), np.empty((1, h)), np.empty((1, V)))
     return softmax_rows(Z)[0]
 
@@ -219,7 +224,7 @@ class Workspace:
         self.grads = zero_grads(params)
         self.table = np.arange(V * d, dtype=np.intp).reshape(V, d)  # row v: the flat places of embed[v]
         self._full = (np.empty((rows, Kd)), np.empty((rows, h)), np.empty((rows, V)),
-                      np.empty((rows, h)), np.empty((rows, Kd)), np.empty((rows, Kd // d, d), dtype=np.intp))
+                      np.empty((rows, h)), np.empty((rows, Kd)), np.empty((rows, params.context, d), dtype=np.intp))
         self._views = {}
 
     def views(self, N: int):
@@ -239,29 +244,34 @@ def loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray
     reduced in row order, so results are bitwise reproducible.  Returns
     (loss, grads) with grads shaped like params; with loss=False the loss
     is not formed and is None.  The step runs on a workspace of its own N
-    rows; a training run's one workspace gives the same bytes.
+    rows; an ungrouped training run's one workspace gives the same bytes.
     """
-    V, d = params.embed.shape
-    contexts = read_ids(contexts, "contexts", V, (None, params.w_hidden.shape[0] // d))
+    V = params.embed.shape[0]
+    contexts = read_ids(contexts, "contexts", V, (None, params.context))
     targets = read_ids(targets, "targets", V, contexts.shape[:1])
     return _loss_and_grads(params, contexts, targets, rule, cfg, Workspace(params, targets.size), loss=loss)
 
 
 def _loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray,
-                    rule: ScoreRule, cfg: SmoothingConfig, work: Workspace, *, loss: bool = True):
+                    rule: ScoreRule, cfg: SmoothingConfig, work: Workspace, *, loss: bool = True,
+                    counts: np.ndarray | None = None):
     """loss_and_grads over ids the caller has already checked, on the
     workspace work, whose gradient it returns: training checks its data
-    once at ingest, backward checks each batch."""
+    once at ingest, backward checks each batch.  Given counts, row q stands for
+    counts[q] of the positions, and its loss and dZ of their mean are scaled by it."""
     grads = work.grads
-    N = targets.size
+    N = targets.size if counts is None else int(counts.sum())
     if N == 0:
         warnings.warn("loss over an all-masked batch is 0", stacklevel=3)
         grads.flat[:] = 0.0
         return (0.0 if loss else None), grads
-    X, H, Z, dA, dX, flat = work.views(N)
+    X, H, Z, dA, dX, flat = work.views(targets.size)
 
     _forward(params, contexts, X, H, Z)
     losses, dZ = _token_losses_and_grads(rule, cfg, Z, targets, N, losses=loss)  # dZ of the mean
+    if counts is not None:
+        dZ *= counts[:, None]
+        losses = None if losses is None else losses * counts
     mean = None if losses is None else float(losses.sum()) / N
 
     np.matmul(H.T, dZ, out=grads.w_out)
@@ -291,8 +301,7 @@ def backward(params: Parameters, batch, rule: ScoreRule, cfg: SmoothingConfig):
     if not batch:
         raise InvalidInputError("batch is empty")
     records = PackedSeqs.pack(batch)
-    V, d = params.embed.shape
-    read_ids(records.tokens, "tokens", V)
-    windows, rows = records.windows(params.w_hidden.shape[0] // d)
+    read_ids(records.tokens, "tokens", params.embed.shape[0])
+    windows, rows = records.windows(params.context)
     picked = windows[rows]
     return _loss_and_grads(params, picked[:, :-1], picked[:, -1], rule, cfg, Workspace(params, rows.size))

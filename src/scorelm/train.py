@@ -276,7 +276,7 @@ def evaluate_scores(params: Parameters, contexts: np.ndarray, targets: np.ndarra
     product, and at another row count may round a row in the last bits.
     contexts (N, K) and targets (N,) are read by read_ids, and N = 0 refused;
     their distinct contexts and pair targets are checked against the vocabulary."""
-    contexts = read_ids(contexts, "contexts", shape=(None, params.w_hidden.shape[0] // params.embed.shape[1]))
+    contexts = read_ids(contexts, "contexts", shape=(None, params.context))
     targets = read_ids(targets, "targets", shape=contexts.shape[:1])
     if targets.size == 0:
         raise InvalidInputError("the held-out part has no position to score")
@@ -301,19 +301,38 @@ def _make_record(step, loss, scores, ref):
     return MetricsRecord(step=step, loss=loss, **scores, **rel)
 
 
+def _grouped_pairs(contexts: np.ndarray, targets: np.ndarray, V: int):
+    """(contexts, targets, counts): a batch's distinct (context, target) pairs in lexicographic
+    order and the positions that hold each, keyed as base-V digits and counted by one bincount."""
+    keys = contexts[:, 0] * V
+    for column in contexts.T[1:]:
+        keys += column
+        keys *= V
+    counts = np.bincount(keys + targets, minlength=V ** (contexts.shape[1] + 1))
+    distinct = np.flatnonzero(counts)
+    return distinct[:, None] // V ** np.arange(contexts.shape[1], 0, -1) % V, distinct % V, counts[distinct]
+
+
 def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint_path, symbols):
-    batches, batch_rows, (eval_ctx, eval_tgt) = _split_data(data, model_cfg.context, model_cfg.vocab_size)
+    V, K = model_cfg.vocab_size, model_cfg.context
+    batches, batch_rows, (eval_ctx, eval_tgt) = _split_data(data, K, V)
     # relative-change reference: the model as it stands at loop entry
     ref_scores = evaluate_scores(params, eval_ctx, eval_tgt)
 
     state = AdamState.fresh(params)
-    work = Workspace(params, batch_rows(cfg.batch_size))  # every step runs here and writes its gradient here
+    rows = min(batch_rows(cfg.batch_size), V ** (K + 1))
+    grouped = rows == V ** (K + 1)  # batches can hold every pair; else pairs rarely repeat and keys could overflow
+    work = Workspace(params, rows)  # every step runs here and writes its gradient here
     stream = chain.from_iterable(batches(cfg.batch_size, cfg.seed + epoch) for epoch in count())
     records = []
     for step in range(1, cfg.steps + 1):
         contexts, targets = next(stream)
         recorded = step % cfg.eval_every == 0 or step == cfg.steps
-        loss, grads = _loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing, work, loss=recorded)
+        counts = None
+        if grouped:
+            contexts, targets, counts = _grouped_pairs(contexts, targets, V)
+        loss, grads = _loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing, work, loss=recorded,
+                                      counts=counts)
         params, state = adam_step(params, grads, state, step, cfg)
         if recorded:
             scores = evaluate_scores(params, eval_ctx, eval_tgt)

@@ -221,26 +221,32 @@ class TestPositionLoss:
             assert up < base
 
 
-def ref_loss_and_grads(params, contexts, targets, rule, cfg, *, loss=True, rule_part=token_losses_and_grads):
+def ref_loss_and_grads(params, contexts, targets, rule, cfg, *, loss=True, rule_part=token_losses_and_grads,
+                       counts=None):
     """loss_and_grads as written before it ran on a workspace: each layer
     and gradient formed in a temporary and copied into a fresh Parameters,
     the bias gradients summed by numpy and the embedding's scattered by
     np.add.at, with rule_part(rule, cfg, Z, targets, losses=loss) as the
-    rule part."""
-    N = targets.size
+    rule part.  Given counts, row q stands for counts[q] positions: its
+    loss and its dZ of the mean over all positions are scaled by its count."""
+    N = targets.size if counts is None else int(counts.sum())  # the positions
     if N == 0:
         warnings.warn("loss over an all-masked batch is 0", stacklevel=2)
         return (0.0 if loss else None), zero_grads(params)
     K = contexts.shape[1]
     d = params.embed.shape[1]
-    X = params.embed[contexts].reshape(N, K * d)
+    X = params.embed[contexts].reshape(targets.size, K * d)
     H = X @ params.w_hidden
     H += params.b_hidden
     np.tanh(H, out=H)
     Z = H @ params.w_out + params.b_out
     losses, dZ = rule_part(rule, cfg, Z, targets, losses=loss)
+    if counts is not None and losses is not None:
+        losses = losses * counts
     mean = None if losses is None else float(losses.sum()) / N
     dZ /= N
+    if counts is not None:
+        dZ *= counts[:, None]
     grads = zero_grads(params)
     grads.w_out[:] = H.T @ dZ
     grads.b_out[:] = dZ.sum(axis=0)
@@ -248,7 +254,7 @@ def ref_loss_and_grads(params, contexts, targets, rule, cfg, *, loss=True, rule_
     dA = dH * (1.0 - H * H)
     grads.w_hidden[:] = X.T @ dA
     grads.b_hidden[:] = dA.sum(axis=0)
-    dX = (dA @ params.w_hidden.T).reshape(N, K, d)
+    dX = (dA @ params.w_hidden.T).reshape(targets.size, K, d)
     np.add.at(grads.embed, contexts, dX)
     return mean, grads
 

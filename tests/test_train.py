@@ -20,12 +20,23 @@ from hypothesis import strategies as st
 from scorelm.data import MarkovSpec, build_vocab, encode_pair, encode_pairs, make_seq_batches, synth_markov
 from scorelm.decode import BeamConfig
 from scorelm.errors import ConfigurationError, InvalidInputError
-from scorelm.model import ModelConfig, PackedSeqs, Parameters, TokenSeq, init_params, zero_grads
+from scorelm.model import (
+    ModelConfig,
+    PackedSeqs,
+    Parameters,
+    TokenSeq,
+    Workspace,
+    _loss_and_grads,
+    init_params,
+    loss_and_grads,
+    zero_grads,
+)
 from scorelm import scores
 from scorelm.scores import ScoreRule, SmoothingConfig
 from scorelm.train import (
     AdamState,
     TrainConfig,
+    _grouped_pairs,
     adam_step,
     finetune,
     relative_change,
@@ -282,8 +293,13 @@ class TestTrain:
         cfg = TrainConfig(rule=ScoreRule("alpha_power", 1.5), smoothing=SmoothingConfig(eps), steps=5,
                           batch_size=64, eval_every=every, seed=3)
         train(cfg, MODEL_CFG, corpus)
-        full = (64, MODEL_CFG.vocab_size)
-        assert calls == [(full, full if eps else (64, 1))] * formed
+        # 64 rows > 6^2 pairs, so the rule scores each recorded batch's Q distinct pairs
+        batches, _ = split_data(corpus, MODEL_CFG.context, MODEL_CFG.vocab_size)
+        distinct = [len(np.unique(np.column_stack(batch), axis=0))
+                    for step, batch in enumerate(itertools.islice(batches(64, 3), 5), 1)
+                    if step % every == 0 or step == 5]
+        assert len(distinct) == formed
+        assert calls == [((q, 6), (q, 6) if eps else (q, 1)) for q in distinct]
 
 
     @pytest.mark.parametrize("paired", [False, True], ids=["corpus", "paired"])
@@ -318,7 +334,9 @@ BENCH_RULES = [  # the markov benchmark's four rule configs
 def reference_training(cfg, model_cfg, data):
     """(params, recorded losses, batch sizes): train() as a loop of the
     references, with the rule part of the explicit formulas, over
-    split_data's batches of data."""
+    split_data's batches of data.  When an epoch has a batch of at least
+    V^(K + 1) rows, every batch is its sorted distinct (context, target)
+    rows, each weighted by its count."""
     def rule_part(rule, smoothing, Z, idx, losses):
         return ref_token_losses_and_grads(rule, smoothing, Z, idx)
 
@@ -326,12 +344,19 @@ def reference_training(cfg, model_cfg, data):
     m = {name: np.zeros_like(t) for name, t in params.named()}
     v = {name: np.zeros_like(t) for name, t in params.named()}
     batches, _ = split_data(data, model_cfg.context, model_cfg.vocab_size)
+    pairs = model_cfg.vocab_size ** (model_cfg.context + 1)
+    grouped = max(targets.size for _, targets in batches(cfg.batch_size, cfg.seed)) >= pairs
     stream = itertools.chain.from_iterable(batches(cfg.batch_size, cfg.seed + epoch) for epoch in itertools.count())
     losses, sizes = [], []
     for step in range(1, cfg.steps + 1):
         contexts, targets = next(stream)
         sizes.append(targets.size)
-        loss, grads = ref_loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing, rule_part=rule_part)
+        counts = None
+        if grouped:
+            rows, counts = np.unique(np.column_stack((contexts, targets)), axis=0, return_counts=True)
+            contexts, targets = rows[:, :-1], rows[:, -1]
+        loss, grads = ref_loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing, rule_part=rule_part,
+                                         counts=counts)
         ref_adam_step(cfg, params, grads, m, v, step)
         if step % cfg.eval_every == 0 or step == cfg.steps:
             losses.append(loss)
@@ -381,6 +406,80 @@ def test_paired_training_is_the_reference_loop_bitwise(rule, smoothing):
     assert len(set(sizes)) >= 4
     assert ckpt.params.flat.tobytes() == params.flat.tobytes()
     assert [r.loss for r in records] == losses
+
+
+def assert_count_weighted_step_is_the_per_position_step(params, contexts, targets, rule, smoothing, pairs):
+    # pairs = (contexts, targets, counts) of the batch's distinct pairs; 1e-12 relative, tensor by tensor
+    ctx, tgt, counts = pairs
+    assert counts.sum() == targets.size and counts.size < targets.size
+    want_loss, want = loss_and_grads(params, contexts, targets, rule, smoothing)
+    got_loss, got = _loss_and_grads(params, ctx, tgt, rule, smoothing, Workspace(params, tgt.size), counts=counts)
+    assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+    for (name, g), (_, w) in zip(got.named(), want.named()):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
+
+
+@pytest.mark.parametrize("rule, smoothing", BENCH_RULES,
+                         ids=["log", "spherical", "alpha_power-1.5", "brier-eps0.1-mask"])
+def test_count_weighted_step_at_the_markov_bench_shape(corpus, rule, smoothing):
+    model_cfg = ModelConfig(vocab_size=6, context=1, embed_dim=8, hidden_dim=16, seed=4)
+    params = init_params(model_cfg)
+    params.flat *= 5.0  # probabilities well away from uniform
+    batches, _ = split_data(corpus, 1, 6)
+    contexts, targets = next(batches(512, 7))
+    pairs = _grouped_pairs(contexts, targets, 6)
+    assert pairs[2].size <= 16  # 4 states
+    assert_count_weighted_step_is_the_per_position_step(params, contexts, targets, rule, smoothing, pairs)
+
+
+@pytest.mark.parametrize("rule, smoothing", BENCH_RULES,
+                         ids=["log", "spherical", "alpha_power-1.5", "brier-eps0.1-mask"])
+def test_count_weighted_step_at_the_paired_bench_shape(rule, smoothing):
+    # 35^9 keys are too many to count, so the rows are grouped by np.unique, in the same order
+    params = init_params(PAIRED_MODEL)
+    params.flat *= 3.0
+    gen = np.random.default_rng(6)
+    distinct = gen.integers(0, 35, (40, 9))
+    rows = np.repeat(distinct, gen.integers(1, 8, 40), axis=0)
+    rows = rows[gen.permutation(rows.shape[0])]
+    unique, counts = np.unique(rows, axis=0, return_counts=True)
+    pairs = np.ascontiguousarray(unique[:, :-1]), unique[:, -1].copy(), counts
+    assert_count_weighted_step_is_the_per_position_step(params, rows[:, :-1], rows[:, -1], rule, smoothing, pairs)
+
+
+def test_grouped_pairs_are_the_sorted_distinct_rows():
+    gen = np.random.default_rng(3)
+    for V, K in [(6, 1), (3, 3), (2, 5)]:
+        rows = gen.integers(0, V, (200, K + 1))
+        contexts, targets, counts = _grouped_pairs(rows[:, :-1], rows[:, -1], V)
+        unique, want = np.unique(rows, axis=0, return_counts=True)
+        assert np.array_equal(np.column_stack((contexts, targets)), unique)
+        assert np.array_equal(counts, want)
+
+
+@pytest.mark.parametrize("batch_size, grouped", [(36, True), (35, False)])
+def test_grouping_starts_where_a_batch_must_repeat_a_pair(corpus, monkeypatch, batch_size, grouped):
+    # 6^2 = 36 pairs: a batch of 36 rows may hold each once, yet the run groups, since the rule is a
+    # pigeonhole bound decided from shapes; at 35 rows every step is the per-position reference
+    train_mod = importlib.import_module("scorelm.train")  # the package's `train` is the function
+    calls, group = [], train_mod._grouped_pairs
+    monkeypatch.setattr(train_mod, "_grouped_pairs", lambda *args: calls.append(1) or group(*args))
+    cfg = TrainConfig(rule=ScoreRule("spherical"), steps=12, batch_size=batch_size, learning_rate=0.005,
+                      eval_every=4, seed=2)
+    ckpt, records = train(cfg, MODEL_CFG, corpus)
+    params, losses, _ = reference_training(cfg, MODEL_CFG, corpus)
+    assert len(calls) == (cfg.steps if grouped else 0)
+    assert ckpt.params.flat.tobytes() == params.flat.tobytes()
+    assert [r.loss for r in records] == losses
+
+
+@pytest.mark.parametrize("batch_size, rows", [(512, 36), (36, 36), (35, 35)])
+def test_workspace_rows_are_the_batch_rows_or_the_pairs(corpus, monkeypatch, batch_size, rows):
+    train_mod = importlib.import_module("scorelm.train")
+    made = []
+    monkeypatch.setattr(train_mod, "Workspace", lambda params, n: made.append(n) or Workspace(params, n))
+    train(TrainConfig(rule=ScoreRule("brier"), steps=3, batch_size=batch_size, eval_every=3), MODEL_CFG, corpus)
+    assert made == [rows]
 
 
 def test_paired_step_takes_no_page_faults_in_a_fresh_process():
