@@ -215,9 +215,7 @@ class MarkovSpec:
                 check_prob_vector(row)
             except InvalidInputError as exc:
                 raise InvalidInputError(f"transition row {r} is not a distribution: {exc}") from None
-        if init.shape != (self.states,):
-            raise InvalidInputError(f"initial distribution must have one entry per state ({self.states}), "
-                                    f"got shape {init.shape}")
+        check_shape(init, "initial distribution", (self.states,))
         check_prob_vector(init)
 
     def state_ids(self) -> np.ndarray:

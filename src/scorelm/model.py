@@ -253,23 +253,26 @@ def loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray
 
 
 def _loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarray,
-                    rule: ScoreRule, cfg: SmoothingConfig, work: Workspace, *, loss: bool = True,
-                    counts: np.ndarray | None = None):
+                    rule: ScoreRule, cfg: SmoothingConfig, work: Workspace, *, loss: bool = True, pairs=None):
     """loss_and_grads over ids the caller has already checked, on the
     workspace work, whose gradient it returns: training checks its data
-    once at ingest, backward checks each batch.  Given counts, row q stands for
-    counts[q] of the positions, and its loss and dZ of their mean are scaled by it."""
+    once at ingest, backward checks each batch.  Given pairs, (train.PairLayout, counts), the rows are
+    the layout's pairs, with its scatter and outcome indexes: pair q stands for counts[q] of the batch's
+    N positions, and its loss and dZ of their mean are scaled by it."""
     grads = work.grads
-    N = targets.size if counts is None else int(counts.sum())
+    N, index = targets.size, None
     if N == 0:
         warnings.warn("loss over an all-masked batch is 0", stacklevel=3)
         grads.flat[:] = 0.0
         return (0.0 if loss else None), grads
+    if pairs is not None:
+        layout, counts = pairs
+        contexts, targets, index = layout.contexts, layout.targets, layout.index
     X, H, Z, dA, dX, flat = work.views(targets.size)
 
     _forward(params, contexts, X, H, Z)
-    losses, dZ = _token_losses_and_grads(rule, cfg, Z, targets, N, losses=loss)  # dZ of the mean
-    if counts is not None:
+    losses, dZ = _token_losses_and_grads(rule, cfg, Z, targets, N, losses=loss, index=index)  # dZ of the mean
+    if pairs is not None:
         dZ *= counts[:, None]
         losses = None if losses is None else losses * counts
     mean = None if losses is None else float(losses.sum()) / N
@@ -284,7 +287,7 @@ def _loss_and_grads(params: Parameters, contexts: np.ndarray, targets: np.ndarra
     np.matmul(dA, params.w_hidden.T, out=dX)
     # np.add.at(embed gradient, contexts, dX) as one bincount over the flat places of the rows the
     # contexts name: it adds in the same order, so the sums are bitwise the same
-    work.table.take(contexts, axis=0, out=flat, mode="clip")
+    flat = layout.scatter if pairs is not None else work.table.take(contexts, axis=0, out=flat, mode="clip")
     sums = np.bincount(flat.ravel(), weights=dX.ravel(), minlength=grads.embed.size)
     grads.embed[:] = sums.reshape(grads.embed.shape)
     return mean, grads

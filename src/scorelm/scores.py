@@ -298,16 +298,18 @@ def token_losses_and_grads(
     return _token_losses_and_grads(rule, cfg, Z, idx, 1, mask_override, losses=losses)
 
 
-def _token_losses_and_grads(rule, cfg, Z, idx, n, mask_override=None, *, losses=True):
+def _token_losses_and_grads(rule, cfg, Z, idx, n, mask_override=None, *, losses=True, index=None):
     """token_losses_and_grads over checked outcomes, dZ divided by n in its
-    row-major copy (x / -n is -(x / n))."""
+    row-major copy (x / -n is -(x / n)).  index maps each memory layout's
+    strides to its flat observed-entry index; a caller's own dict keeps them
+    for later calls on the same idx."""
     m = Z.shape[1]
     P = softmax_rows(Z)
-    rows, index = np.arange(idx.size), {}
+    index = {} if index is None else index
 
     def entries(A):  # a C- or F-contiguous A's memory as a view, and each row's observed entry's place in it
         if A.strides not in index:  # one flat index per layout, from A's own strides
-            index[A.strides] = rows * (A.strides[0] // A.itemsize) + idx * (A.strides[1] // A.itemsize)
+            index[A.strides] = (np.arange(idx.size) * A.strides[0] + idx * A.strides[1]) // A.itemsize
         return A.ravel(order="K"), index[A.strides]
     flat, at = entries(P)
     p_obs = flat[at][:, None]

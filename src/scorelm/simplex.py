@@ -13,6 +13,7 @@ columns, np.sum on one column, where einsum pairs the terms otherwise.
 
 import numpy as np
 
+from .documents import check_shape
 from .errors import ConvergenceError, InvalidInputError, ParameterDomainError
 
 SUM_TOL = 1e-9
@@ -54,8 +55,9 @@ def column_sum(A: np.ndarray, out: np.ndarray) -> np.ndarray:
 def check_prob_vector(p, tol: float = SUM_TOL) -> np.ndarray:
     """Validate p as a point on the simplex and return it as a float array."""
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size < 2:
-        raise InvalidInputError(f"probability vector must be 1-D with m >= 2, got shape {p.shape}")
+    check_shape(p, "probability vector", (None,))
+    if p.size < 2:
+        raise InvalidInputError(f"probability vector must have m >= 2 entries, got {p.size}")
     if not np.all(np.isfinite(p)):
         raise InvalidInputError("probability vector contains non-finite entries")
     if np.any(p < 0):
@@ -69,8 +71,9 @@ def check_prob_vector(p, tol: float = SUM_TOL) -> np.ndarray:
 def check_logits(z) -> np.ndarray:
     """Validate z as a finite 1-D logit vector."""
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size < 1:
-        raise InvalidInputError(f"logits must be a 1-D vector, got shape {z.shape}")
+    check_shape(z, "logits", (None,))
+    if z.size < 1:
+        raise InvalidInputError("logits must have at least one entry, got 0")
     if not np.all(np.isfinite(z)):
         raise InvalidInputError("logits contain non-finite entries")
     return z

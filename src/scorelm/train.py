@@ -301,16 +301,28 @@ def _make_record(step, loss, scores, ref):
     return MetricsRecord(step=step, loss=loss, **scores, **rel)
 
 
-def _grouped_pairs(contexts: np.ndarray, targets: np.ndarray, V: int):
-    """(contexts, targets, counts): a batch's distinct (context, target) pairs in lexicographic
-    order and the positions that hold each, keyed as base-V digits and counted by one bincount."""
+def _pair_keys(contexts: np.ndarray, targets: np.ndarray, V: int):
+    """(keys, counts): a batch's distinct (context, target) pairs keyed as base-V digits, in
+    increasing (lexicographic pair) order, and the positions that hold each, counted by one bincount."""
     keys = contexts[:, 0] * V
     for column in contexts.T[1:]:
         keys += column
         keys *= V
     counts = np.bincount(keys + targets, minlength=V ** (contexts.shape[1] + 1))
-    distinct = np.flatnonzero(counts)
-    return distinct[:, None] // V ** np.arange(contexts.shape[1], 0, -1) % V, distinct % V, counts[distinct]
+    keys = counts.nonzero()[0]
+    return keys, counts[keys]
+
+
+class PairLayout:
+    """Every array of a grouped step that its distinct pair keys alone decide: the keys' bytes, the
+    pairs' (contexts, targets), the contexts' embedding scatter index, gathered from the workspace's
+    table, and the rule part's observed-entry indexes, made at the first step that reads them."""
+
+    def __init__(self, keys: np.ndarray, V: int, K: int, table: np.ndarray):
+        self.keys = keys.tobytes()
+        self.contexts, self.targets = keys[:, None] // V ** np.arange(K, 0, -1) % V, keys % V
+        self.scatter = table.take(self.contexts, axis=0)
+        self.index = {}
 
 
 def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint_path, symbols):
@@ -324,15 +336,16 @@ def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint
     grouped = rows == V ** (K + 1)  # batches can hold every pair; else pairs rarely repeat and keys could overflow
     work = Workspace(params, rows)  # every step runs here and writes its gradient here
     stream = chain.from_iterable(batches(cfg.batch_size, cfg.seed + epoch) for epoch in count())
-    records = []
+    records, layout, pairs = [], None, None
     for step in range(1, cfg.steps + 1):
         contexts, targets = next(stream)
         recorded = step % cfg.eval_every == 0 or step == cfg.steps
-        counts = None
         if grouped:
-            contexts, targets, counts = _grouped_pairs(contexts, targets, V)
-        loss, grads = _loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing, work, loss=recorded,
-                                      counts=counts)
+            keys, counts = _pair_keys(contexts, targets, V)
+            if layout is None or layout.keys != keys.tobytes():
+                layout = PairLayout(keys, V, K, work.table)
+            pairs = layout, counts
+        loss, grads = _loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing, work, loss=recorded, pairs=pairs)
         params, state = adam_step(params, grads, state, step, cfg)
         if recorded:
             scores = evaluate_scores(params, eval_ctx, eval_tgt)

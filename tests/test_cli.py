@@ -232,7 +232,7 @@ class TestSynth:
         (tmp_path / "spec.json").write_text(json.dumps(spec))
         assert run_command(["synth", "--spec", str(tmp_path / "spec.json"), "--length", length,
                             "--out", str(tmp_path / "c.txt")]) == 1
-        assert "initial distribution must have one entry per state (2), got shape (3,)" in capsys.readouterr().err
+        assert "initial distribution must have shape (2,), got (3,)" in capsys.readouterr().err
         assert not (tmp_path / "c.txt").exists()
 
     @pytest.mark.parametrize("key, value", [

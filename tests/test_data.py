@@ -492,7 +492,8 @@ class TestSynthMarkov:
     @pytest.mark.parametrize("states, initial", [(2, [0.1, 0.1, 0.8]), (3, [0.5, 0.5]), (2, [[0.5, 0.5]])])
     def test_initial_of_another_size_rejected(self, states, initial):
         # a longer vector would walk off the transition table, a shorter one never start in the last states
-        with pytest.raises(InvalidInputError, match=rf"one entry per state \({states}\), got shape \({len(initial)},"):
+        with pytest.raises(InvalidInputError, match=re.escape(f"initial distribution must have shape ({states},), "
+                                                              f"got {np.shape(initial)}")):
             MarkovSpec(states=states, transition=np.full((states, states), 1.0 / states), initial=initial, seed=0)
 
     @pytest.mark.parametrize("field, value, message", [

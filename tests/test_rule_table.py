@@ -839,7 +839,7 @@ def guard_batches(m, gaps):
 def row_major_reference():
     """loss_and_grads with ref_token_losses_and_grads as its rule part, its
     dZ divided by the n positions the step takes the mean over."""
-    def reference(rule, cfg, Z, idx, n, losses=True):
+    def reference(rule, cfg, Z, idx, n, losses=True, index=None):
         with np.errstate(divide="ignore"):
             ref_losses, ref_dZ = ref_token_losses_and_grads(rule, cfg, Z, idx)
         return ref_losses, ref_dZ / n

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from scorelm.errors import ConvergenceError, InvalidInputError, ParameterDomainError
 from scorelm.simplex import (
     PAIRWISE_BLOCK,
+    check_logits,
     check_prob_vector,
     column_sum,
     entmax,
@@ -59,6 +62,19 @@ class TestSoftmax:
         for _ in range(50):
             p = softmax(gen.normal(scale=5.0, size=int(gen.integers(2, 20))))
             check_prob_vector(p)
+
+
+@pytest.mark.parametrize("check, value, message", [
+    (check_prob_vector, [[0.5, 0.5]], "probability vector must have shape (N,), got (1, 2)"),
+    (check_prob_vector, 1.0, "probability vector must have shape (N,), got ()"),
+    (check_prob_vector, [1.0], "probability vector must have m >= 2 entries, got 1"),
+    (check_logits, [[1.0, 2.0]], "logits must have shape (N,), got (1, 2)"),
+    (check_logits, [], "logits must have at least one entry, got 0"),
+])
+def test_vector_shapes_refused_in_the_shape_wording(check, value, message):
+    # one wording with every other shape check (documents.check_shape); the size rules stay
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        check(value)
 
 
 class TestEntmax:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scorelm.checkpoint import load_checkpoint
+from scorelm.checkpoint import load_checkpoint, save_checkpoint
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,10 +34,13 @@ from scorelm.model import (
 from scorelm import scores
 from scorelm.scores import ScoreRule, SmoothingConfig
 from scorelm.train import (
+    SCORE_FIELDS,
     AdamState,
+    PairLayout,
     TrainConfig,
-    _grouped_pairs,
+    _pair_keys,
     adam_step,
+    evaluate_scores,
     finetune,
     relative_change,
     split_data,
@@ -408,12 +411,13 @@ def test_paired_training_is_the_reference_loop_bitwise(rule, smoothing):
     assert [r.loss for r in records] == losses
 
 
-def assert_count_weighted_step_is_the_per_position_step(params, contexts, targets, rule, smoothing, pairs):
-    # pairs = (contexts, targets, counts) of the batch's distinct pairs; 1e-12 relative, tensor by tensor
-    ctx, tgt, counts = pairs
+def assert_count_weighted_step_is_the_per_position_step(params, contexts, targets, rule, smoothing, keys, counts):
+    # keys and counts of the batch's distinct pairs, in their layout; 1e-12 relative, tensor by tensor
     assert counts.sum() == targets.size and counts.size < targets.size
     want_loss, want = loss_and_grads(params, contexts, targets, rule, smoothing)
-    got_loss, got = _loss_and_grads(params, ctx, tgt, rule, smoothing, Workspace(params, tgt.size), counts=counts)
+    work = Workspace(params, counts.size)
+    layout = PairLayout(keys, params.embed.shape[0], params.context, work.table)
+    got_loss, got = _loss_and_grads(params, contexts, targets, rule, smoothing, work, pairs=(layout, counts))
     assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
     for (name, g), (_, w) in zip(got.named(), want.named()):
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
@@ -427,15 +431,16 @@ def test_count_weighted_step_at_the_markov_bench_shape(corpus, rule, smoothing):
     params.flat *= 5.0  # probabilities well away from uniform
     batches, _ = split_data(corpus, 1, 6)
     contexts, targets = next(batches(512, 7))
-    pairs = _grouped_pairs(contexts, targets, 6)
-    assert pairs[2].size <= 16  # 4 states
-    assert_count_weighted_step_is_the_per_position_step(params, contexts, targets, rule, smoothing, pairs)
+    keys, counts = _pair_keys(contexts, targets, 6)
+    assert counts.size <= 16  # 4 states
+    assert_count_weighted_step_is_the_per_position_step(params, contexts, targets, rule, smoothing, keys, counts)
 
 
 @pytest.mark.parametrize("rule, smoothing", BENCH_RULES,
                          ids=["log", "spherical", "alpha_power-1.5", "brier-eps0.1-mask"])
 def test_count_weighted_step_at_the_paired_bench_shape(rule, smoothing):
-    # 35^9 keys are too many to count, so the rows are grouped by np.unique, in the same order
+    # 35^9 keys are too many to count, so the rows are grouped by np.unique, in the same order, and
+    # keyed as base-35 digits, which fit int64
     params = init_params(PAIRED_MODEL)
     params.flat *= 3.0
     gen = np.random.default_rng(6)
@@ -443,18 +448,22 @@ def test_count_weighted_step_at_the_paired_bench_shape(rule, smoothing):
     rows = np.repeat(distinct, gen.integers(1, 8, 40), axis=0)
     rows = rows[gen.permutation(rows.shape[0])]
     unique, counts = np.unique(rows, axis=0, return_counts=True)
-    pairs = np.ascontiguousarray(unique[:, :-1]), unique[:, -1].copy(), counts
-    assert_count_weighted_step_is_the_per_position_step(params, rows[:, :-1], rows[:, -1], rule, smoothing, pairs)
+    keys = unique @ 35 ** np.arange(8, -1, -1)
+    assert_count_weighted_step_is_the_per_position_step(params, rows[:, :-1], rows[:, -1], rule, smoothing, keys,
+                                                        counts)
 
 
 def test_grouped_pairs_are_the_sorted_distinct_rows():
     gen = np.random.default_rng(3)
     for V, K in [(6, 1), (3, 3), (2, 5)]:
         rows = gen.integers(0, V, (200, K + 1))
-        contexts, targets, counts = _grouped_pairs(rows[:, :-1], rows[:, -1], V)
+        keys, counts = _pair_keys(rows[:, :-1], rows[:, -1], V)
+        table = np.arange(V * 2).reshape(V, 2)
+        layout = PairLayout(keys, V, K, table)
         unique, want = np.unique(rows, axis=0, return_counts=True)
-        assert np.array_equal(np.column_stack((contexts, targets)), unique)
+        assert np.array_equal(np.column_stack((layout.contexts, layout.targets)), unique)
         assert np.array_equal(counts, want)
+        assert np.array_equal(layout.scatter, table[layout.contexts])
 
 
 @pytest.mark.parametrize("batch_size, grouped", [(36, True), (35, False)])
@@ -462,13 +471,71 @@ def test_grouping_starts_where_a_batch_must_repeat_a_pair(corpus, monkeypatch, b
     # 6^2 = 36 pairs: a batch of 36 rows may hold each once, yet the run groups, since the rule is a
     # pigeonhole bound decided from shapes; at 35 rows every step is the per-position reference
     train_mod = importlib.import_module("scorelm.train")  # the package's `train` is the function
-    calls, group = [], train_mod._grouped_pairs
-    monkeypatch.setattr(train_mod, "_grouped_pairs", lambda *args: calls.append(1) or group(*args))
+    calls, group = [], train_mod._pair_keys
+    monkeypatch.setattr(train_mod, "_pair_keys", lambda *args: calls.append(1) or group(*args))
     cfg = TrainConfig(rule=ScoreRule("spherical"), steps=12, batch_size=batch_size, learning_rate=0.005,
                       eval_every=4, seed=2)
     ckpt, records = train(cfg, MODEL_CFG, corpus)
     params, losses, _ = reference_training(cfg, MODEL_CFG, corpus)
     assert len(calls) == (cfg.steps if grouped else 0)
+    assert ckpt.params.flat.tobytes() == params.flat.tobytes()
+    assert [r.loss for r in records] == losses
+
+
+def pair_sets(data, cfg, K, V):
+    """The sorted distinct (context, target) rows of each step's batch."""
+    batches, _ = split_data(data, K, V)
+    stream = itertools.chain.from_iterable(batches(cfg.batch_size, cfg.seed + epoch) for epoch in itertools.count())
+    return [np.unique(np.column_stack(next(stream)), axis=0) for _ in range(cfg.steps)]
+
+
+def layouts_built(monkeypatch):
+    """The pair layouts that training builds from here on, as a list of their key counts."""
+    train_mod = importlib.import_module("scorelm.train")
+    built = []
+    monkeypatch.setattr(train_mod, "PairLayout", lambda keys, *args: built.append(keys.size) or PairLayout(keys, *args))
+    return built
+
+
+@pytest.mark.parametrize("rule, smoothing", BENCH_RULES,
+                         ids=["log", "spherical", "alpha_power-1.5", "brier-eps0.1-mask"])
+def test_markov_shaped_run_builds_one_layout(corpus, monkeypatch, tmp_path, rule, smoothing):
+    # batches of 512 rows hold all 16 pairs of the 4-state chain at every step, so one layout serves
+    # the run; checkpoint and metrics bytes are the reference loop's
+    built = layouts_built(monkeypatch)
+    cfg = TrainConfig(rule=rule, smoothing=smoothing, steps=12, batch_size=512, learning_rate=0.005,
+                      eval_every=4, seed=3, lr_decay=True)
+    assert len({rows.tobytes() for rows in pair_sets(corpus, cfg, 1, 6)}) == 1
+    ckpt, records = train(cfg, MODEL_CFG, corpus, metrics_path=tmp_path / "metrics.jsonl",
+                          checkpoint_path=tmp_path / "ckpt.json")
+    assert built == [16]
+    params, losses, _ = reference_training(cfg, MODEL_CFG, corpus)
+    assert ckpt.params.flat.tobytes() == params.flat.tobytes()
+    assert [r.loss for r in records] == losses
+    want = dataclasses.replace(ckpt, params=params)
+    save_checkpoint(tmp_path / "want.json", want)
+    assert (tmp_path / "ckpt.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    held = split_data(corpus, 1, 6)[1]
+    last = json.loads((tmp_path / "metrics.jsonl").read_text().splitlines()[-1])
+    assert {field: last[field] for field in SCORE_FIELDS} == {
+        field: evaluate_scores(params, *held)[field] for field in SCORE_FIELDS}
+
+
+@pytest.mark.parametrize("rule, smoothing", BENCH_RULES,
+                         ids=["log", "spherical", "alpha_power-1.5", "brier-eps0.1-mask"])
+def test_changing_pair_sets_rebuild_the_layout(corpus, monkeypatch, rule, smoothing):
+    # at 36 rows a batch holds some of the 16 pairs, and which ones changes from step to step, at
+    # times with the count of pairs unchanged: a layout is built at each change and nowhere else
+    built = layouts_built(monkeypatch)
+    cfg = TrainConfig(rule=rule, smoothing=smoothing, steps=40, batch_size=36, learning_rate=0.005,
+                      eval_every=7, seed=2)
+    sets = pair_sets(corpus, cfg, 1, 6)
+    changes = [0] + [step for step in range(1, cfg.steps) if sets[step].tobytes() != sets[step - 1].tobytes()]
+    assert len(changes) > 20
+    assert any(sets[step].shape == sets[step - 1].shape for step in changes[1:])  # a new set of as many pairs
+    ckpt, records = train(cfg, MODEL_CFG, corpus)
+    assert built == [sets[step].shape[0] for step in changes]
+    params, losses, _ = reference_training(cfg, MODEL_CFG, corpus)
     assert ckpt.params.flat.tobytes() == params.flat.tobytes()
     assert [r.loss for r in records] == losses
 
@@ -575,13 +642,19 @@ def reference_split(seqs, K, batch_size, seed):
     return batches, held
 
 
+# a record's strategies, built once for each of its 0-7 tokens: building them for every record drawn
+# took most of the time of the split test's 300 examples
+RECORD_SIZES = st.integers(0, 7)
+RECORD_TOKENS = [st.lists(st.integers(0, 9), min_size=size, max_size=size) for size in range(8)]
+RECORD_MASKS = [st.one_of(st.just([False] * size), st.lists(st.booleans(), min_size=size, max_size=size))
+                for size in range(8)]
+
+
 def token_seqs(draw, n):
     seqs = []
     for _ in range(n):
-        size = draw(st.integers(0, 7))
-        tokens = draw(st.lists(st.integers(0, 9), min_size=size, max_size=size))
-        mask = draw(st.one_of(st.just([False] * size), st.lists(st.booleans(), min_size=size, max_size=size)))
-        seqs.append(TokenSeq(tokens, loss_mask=mask))
+        size = draw(RECORD_SIZES)
+        seqs.append(TokenSeq(draw(RECORD_TOKENS[size]), loss_mask=draw(RECORD_MASKS[size])))
     return seqs
 
 
