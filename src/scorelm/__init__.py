@@ -23,7 +23,7 @@ from .data import (
     read_text,
     synth_markov,
 )
-from .documents import REQUIRED, read_fields
+from .documents import REQUIRED, read_fields, read_json
 from .errors import (
     CheckpointError,
     CheckpointFormatError,

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .data import EOS_SYMBOL, PAD_SYMBOL
-from .documents import REQUIRED, read_fields
+from .documents import REQUIRED, read_fields, read_json
 from .errors import CheckpointFormatError, CheckpointShapeError, CheckpointVersionError
 from .model import ModelConfig, Parameters, param_shapes
 from .scores import ScoreRule, SmoothingConfig
@@ -115,12 +115,7 @@ def load_checkpoint(path) -> Checkpoint:
     key.  A document of another version, v1 included, is a
     CheckpointVersionError; any other fault a CheckpointFormatError.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CheckpointFormatError(f"malformed checkpoint document: {exc.msg}") from None
-
+    doc = read_json(path, CheckpointFormatError)
     if not isinstance(doc, dict) or "v" not in doc:
         raise CheckpointFormatError("checkpoint document lacks a version field")
     if type(doc["v"]) in (bool, float):  # would compare equal to a version: true == 1, 2.0 == 2

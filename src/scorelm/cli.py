@@ -19,7 +19,7 @@ from .checkpoint import load_checkpoint
 from .data import (MarkovSpec, Vocab, build_vocab, decode as decode_text, encode, encode_pairs, load_pairs,
                    read_text, synth_markov)
 from .decode import BeamConfig, beam_search, greedy
-from .documents import REQUIRED, read_fields
+from .documents import REQUIRED, read_fields, read_json
 from .errors import ConfigurationError, InvalidInputError
 from .model import ModelConfig, N_RESERVED
 from .scores import RULES, ScoreRule, SmoothingConfig
@@ -42,12 +42,8 @@ def _jsonable(obj):
 
 def _load_config(args) -> dict:
     """The config document, its data path overridden by --data."""
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config {args.config}: {exc}") from None
-    config = read_fields(config, "top-level config", data=(str, None), model=(object, None), train=(object, {}))
+    config = read_fields(read_json(args.config), "top-level config", data=(str, None), model=(object, None),
+                         train=(object, {}))
     if args.data is not None:
         config["data"] = args.data
     if config["data"] is None:
@@ -192,9 +188,8 @@ def _cmd_synth(args) -> int:
         if args.states is not None:
             print("error: --states applies only without --spec (the spec's 'states' key sets it)", file=sys.stderr)
             return 2
-        with open(args.spec, encoding="utf-8") as fh:
-            doc = read_fields(json.load(fh), "spec", states=(int, REQUIRED), transition=(list, REQUIRED),
-                              initial=(list, REQUIRED), seed=(int, 0))
+        doc = read_fields(read_json(args.spec), "spec", states=(int, REQUIRED), transition=(list, REQUIRED),
+                          initial=(list, REQUIRED), seed=(int, 0))
         spec = MarkovSpec(
             states=doc["states"],
             transition=np.asarray(doc["transition"], dtype=np.float64),

@@ -10,7 +10,7 @@ from itertools import chain
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .documents import check_field_types, check_shape, read_ids
+from .documents import check_field_types, check_shape, read_ids, read_text
 from .errors import ConfigurationError, InvalidInputError
 from .model import EOS_ID, N_RESERVED, PAD_ID, PackedSeqs, TokenSeq
 from .simplex import check_prob_vector
@@ -102,26 +102,6 @@ def encode_pairs(vocab: Vocab, pairs) -> PackedSeqs:
     return PackedSeqs(tokens, mask, offsets)
 
 
-def read_text(path) -> str:
-    """The text of a UTF-8 file, newlines translated as open(path,
-    encoding="utf-8") translates them.  A file that is not UTF-8 is refused
-    by path, with the 1-based line and the byte offset of its first bad byte."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        try:
-            raw.decode("utf-8")  # the text decoder counts the position in its buffer; this counts it in the file
-        except UnicodeDecodeError as exc:
-            head = raw[: exc.start]  # its lines end as text mode ends them: at "\n", "\r\n" or a lone "\r"
-            line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-            raise InvalidInputError(f"{path}: line {line} is not UTF-8 (byte 0x{raw[exc.start]:02x} at byte "
-                                    f"offset {exc.start})") from None
-        raise
-
-
 _scan_json = json.JSONDecoder().scan_once  # json.loads' C scanner, without the whitespace skipping
 _JSON_SPACE = " \t\n\r"
 
@@ -144,6 +124,8 @@ def load_pairs(path):
             obj, end = _scan_json(body, 0)
             if end != len(body):
                 raise ValueError("extra data")
+        except RecursionError:
+            raise InvalidInputError(f"line {lineno}: JSON nested too deep to read") from None
         except (StopIteration, ValueError):
             if not line.strip():
                 continue

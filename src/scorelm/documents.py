@@ -1,7 +1,7 @@
-"""The one typed reader for the JSON documents a user hands in: config and
-Markov spec files (scorelm.cli) and checkpoint headers (scorelm.checkpoint);
-and its library counterparts, the type check of the config dataclasses and
-the reader of token id arrays and loss masks.
+"""The one reader for the JSON documents a user hands in (read_json, then
+read_fields): config and Markov spec files and checkpoint headers; and its
+library counterparts, the type check of the config dataclasses and the
+reader of token id arrays and loss masks.
 
 A key is read by its JSON type, never converted: an integer key takes no
 boolean and no float, a number key takes no string.  The dataclasses built
@@ -10,6 +10,7 @@ arrays are read by dtype the same way: an id is no boolean and no float.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 
@@ -77,17 +78,50 @@ def read_mask(values, what: str, shape=None) -> np.ndarray:
     return mask.astype(bool, copy=False)
 
 
+def read_text(path, error=InvalidInputError) -> str:
+    """The text of a UTF-8 file, newlines translated as open(path, encoding="utf-8") translates them.
+    A file that is not UTF-8 is refused as error, by path, with the 1-based line and the byte offset
+    of its first bad byte."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            raw.decode("utf-8")  # the text decoder counts the position in its buffer; this counts it in the file
+        except UnicodeDecodeError as exc:
+            head = raw[: exc.start]  # its lines end as text mode ends them: at "\n", "\r\n" or a lone "\r"
+            line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise error(f"{path}: line {line} is not UTF-8 (byte 0x{raw[exc.start]:02x} at byte "
+                        f"offset {exc.start})") from None
+        raise
+
+
+def read_json(path, error=ConfigurationError):
+    """The JSON document in the UTF-8 file at path (read_text).  A file that
+    is not UTF-8, malformed JSON and JSON nested too deep for the parser are
+    refused as error, by path, and a malformed one at its line and column."""
+    text = read_text(path, error)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: line {exc.lineno} column {exc.colno}: malformed JSON ({exc.msg})") from None
+    except RecursionError:
+        raise error(f"{path}: JSON nested too deep to read") from None
+
+
 def _array_shape(value):
     """The shape of value if it is a JSON number or a rectangular nest of
-    arrays of them, else None; a boolean is not a number."""
-    if type(value) in (int, float):
-        return ()
-    if type(value) is not list:
-        return None
-    shapes = {_array_shape(v) for v in value}
-    if len(shapes) > 1 or None in shapes:
-        return None
-    return (len(value), *next(iter(shapes), ()))
+    arrays of them, else None; a boolean is not a number.  The nest is read
+    a level at a time, so no depth of it recurses."""
+    shape, level = (), [value]
+    while level and all(type(v) is list for v in level):
+        if len({len(v) for v in level}) > 1:
+            return None
+        shape += (len(level[0]),)
+        level = [x for v in level for x in v]
+    return shape if all(type(v) in (int, float) for v in level) else None
 
 
 def read_fields(section, where: str, error=ConfigurationError, **spec) -> dict:
@@ -95,9 +129,9 @@ def read_fields(section, where: str, error=ConfigurationError, **spec) -> dict:
 
     A key that is not in spec, a missing REQUIRED key, and a value that is
     not of the key's JSON type raise error, naming the key: float keys take
-    any number, int keys no boolean, list keys only numbers in rectangular
-    rows, object keys anything (a value checked by its reader), and null is
-    taken only where the default is None.  NaN and +-Infinity, which
+    any number, int keys no boolean, list keys only numbers in a vector or
+    in rows of equal length, object keys anything (a value checked by its
+    reader), and null is taken only where the default is None.  NaN and +-Infinity, which
     json.load accepts, are refused anywhere in a float or list value.
     """
     if not isinstance(section, dict):
@@ -117,7 +151,8 @@ def read_fields(section, where: str, error=ConfigurationError, **spec) -> dict:
         if kind is not object and type(value) not in types and not (value is None and default is None):
             null = " or null" if default is None else ""
             raise error(f"{where} key {key!r} must be {_JSON_TYPES[kind]}{null}, got {value!r}")
-        if kind is list and _array_shape(value) is None:
+        shape = _array_shape(value) if kind is list else ()
+        if shape is None or len(shape) > 2:
             raise error(f"{where} key {key!r} must be an array of numbers in rows of equal length, got {value!r}")
         if kind in (float, list) and not np.isfinite(np.asarray(value, dtype=np.float64)).all():
             raise error(f"{where} key {key!r} must be finite, got {value!r}")

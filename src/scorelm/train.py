@@ -233,21 +233,6 @@ def distinct_pairs(contexts: np.ndarray, targets: np.ndarray):
     return contexts[is_first], row[np.cumsum(new_ctx)[new_pair] - 1], tgt[new_pair], position_pair
 
 
-_last_split = None  # (contexts, targets, their distinct_pairs) of the held-out part scored last
-
-
-def _held_out_split(contexts: np.ndarray, targets: np.ndarray):
-    """distinct_pairs(contexts, targets), built again only when the held-out
-    part is not the one scored last: training scores one part at every
-    eval step.  The part is kept as a copy and compared by value, so one
-    changed in place is split again."""
-    global _last_split
-    last = _last_split
-    if last is None or not (np.array_equal(last[0], contexts) and np.array_equal(last[1], targets)):
-        last = _last_split = (contexts.copy(), targets.copy(), distinct_pairs(contexts, targets))
-    return last[2]
-
-
 def _held_out_logits(params: Parameters, C: np.ndarray) -> np.ndarray:
     """The (C, V) logits of the distinct contexts C, forwarded EVAL_ROWS
     rows at a time through one input and one hidden layer of that many
@@ -280,9 +265,15 @@ def evaluate_scores(params: Parameters, contexts: np.ndarray, targets: np.ndarra
     targets = read_ids(targets, "targets", shape=contexts.shape[:1])
     if targets.size == 0:
         raise InvalidInputError("the held-out part has no position to score")
-    C, pair_row, pair_target, position_pair = _held_out_split(contexts, targets)
-    read_ids(C, "contexts", params.embed.shape[0])
-    read_ids(pair_target, "targets", params.embed.shape[0])
+    held = distinct_pairs(contexts, targets)
+    read_ids(held[0], "contexts", params.embed.shape[0])
+    read_ids(held[2], "targets", params.embed.shape[0])
+    return _held_out_scores(params, held)
+
+
+def _held_out_scores(params: Parameters, held):
+    """evaluate_scores of a held-out part split by distinct_pairs, its ids already checked."""
+    C, pair_row, pair_target, position_pair = held
     P = softmax_rows(_held_out_logits(params, C))
     p_obs = P[pair_row, pair_target][:, None]
     P = P.take(pair_row, axis=0)
@@ -328,8 +319,9 @@ class PairLayout:
 def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint_path, symbols):
     V, K = model_cfg.vocab_size, model_cfg.context
     batches, batch_rows, (eval_ctx, eval_tgt) = _split_data(data, K, V)
+    held = distinct_pairs(eval_ctx, eval_tgt)  # split once per call; _split_data has checked its ids against V
     # relative-change reference: the model as it stands at loop entry
-    ref_scores = evaluate_scores(params, eval_ctx, eval_tgt)
+    ref_scores = _held_out_scores(params, held)
 
     state = AdamState.fresh(params)
     rows = min(batch_rows(cfg.batch_size), V ** (K + 1))
@@ -348,7 +340,7 @@ def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint
         loss, grads = _loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing, work, loss=recorded, pairs=pairs)
         params, state = adam_step(params, grads, state, step, cfg)
         if recorded:
-            scores = evaluate_scores(params, eval_ctx, eval_tgt)
+            scores = _held_out_scores(params, held)
             records.append(_make_record(start_step + step, loss, scores, ref_scores))
 
     ckpt = Checkpoint(

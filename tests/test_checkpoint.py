@@ -159,6 +159,18 @@ class TestValidation:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("body, fault", [
+        (b'{"v": 2,\n "model": "\xff"}', "line 2 is not UTF-8 (byte 0xff at byte offset 20)"),
+        (b'{"v": 2,\n  "model": }', "line 2 column 12: malformed JSON (Expecting value)"),
+        (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deep to read"),
+    ], ids=["not-utf8", "malformed", "too-deep"])
+    def test_unreadable_document_is_a_format_error_by_path(self, tmp_path, body, fault):
+        path = tmp_path / "ckpt.json"
+        path.write_bytes(body)
+        with pytest.raises(CheckpointFormatError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: {fault}"
+
     @pytest.mark.parametrize("version", [0, 3, "2"])
     def test_unsupported_version(self, ckpt, tmp_path, version):
         doc = ckpt.to_document()

@@ -244,6 +244,7 @@ class TestSynth:
         ("transition", [[0.5, 0.5], 0.5]),
         ("initial", [0.5, None]),
         ("initial", [0.5, {"p": 0.5}]),
+        *[("transition", functools.reduce(lambda v, _: [v], range(depth), 0.5)) for depth in (3, 65, 500)],
     ])
     def test_non_numeric_or_ragged_arrays_exit_1_by_name(self, tmp_path, capsys, key, value):
         (tmp_path / "spec.json").write_text(json.dumps({**self.SPEC, key: value}))
@@ -884,6 +885,28 @@ class TestNotUtf8Data:
         assert run_command(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {data}: {where}\n" and captured.out == ""
+
+
+class TestUnreadableJsonDocuments:
+    @pytest.mark.parametrize("body, fault", [
+        (b'{"data": "corpus.txt",\r\n "model": {"context": "\xff"}}',
+         "line 2 is not UTF-8 (byte 0xff at byte offset 47)"),
+        (b'{"data": "corpus.txt",\n\n  "model": {,}}',
+         "line 3 column 13: malformed JSON (Expecting property name enclosed in double quotes)"),
+        (b"\n  not json", "line 2 column 3: malformed JSON (Expecting value)"),
+        (b'{"data": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "JSON nested too deep to read"),
+    ], ids=["not-utf8", "malformed", "not-json", "too-deep"])
+    @pytest.mark.parametrize("document", ["config", "spec", "checkpoint"])
+    def test_refused_by_path_and_position(self, tmp_path, capsys, document, body, fault):
+        path = tmp_path / f"{document}.json"
+        path.write_bytes(body)
+        argv = {"config": ["train", "--config", str(path), "--out", str(tmp_path / "c.json")],
+                "spec": ["synth", "--spec", str(path), "--length", "50", "--out", str(tmp_path / "c.txt")],
+                "checkpoint": ["eval", "--ckpt", str(path), "--data", str(tmp_path / "c.txt")]}[document]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {fault}\n" and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
 def as_version_1(doc):

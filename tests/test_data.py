@@ -245,6 +245,12 @@ class TestLoadPairs:
             load_pairs(f)
         assert str(info.value) == f"{f}: line 3001 is not UTF-8 (byte 0xe9 at byte offset {len(head)})"
 
+    def test_line_nested_too_deep_refused_by_line(self, tmp_path):
+        f = tmp_path / "deep.jsonl"
+        f.write_text('{"source": "a", "target": "b"}\n' + "[" * 100_000 + "]" * 100_000 + "\n")
+        with pytest.raises(InvalidInputError, match="^line 2: JSON nested too deep to read$"):
+            load_pairs(f)
+
 
 def reference_load_pairs(path):
     """The per-line reader that load_pairs replaced: text-mode iteration and

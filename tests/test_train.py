@@ -258,12 +258,26 @@ class TestTrain:
         calls = []
         split = train_mod.distinct_pairs
         monkeypatch.setattr(train_mod, "distinct_pairs", lambda c, t: calls.append(t.size) or split(c, t))
-        monkeypatch.setattr(train_mod, "_last_split", None)
-        for _ in range(2):  # the second call scores the same part again
+        for n in (1, 2):  # the second call splits the same part again: nothing is kept between calls
             _, records = train(quick_cfg(steps=250), MODEL_CFG, corpus)
-            assert len(records) == 5 and len(calls) == 1
+            assert len(records) == 5 and len(calls) == n
+        assert calls[0] == calls[1]
         train(quick_cfg(steps=5), MODEL_CFG, corpus[:-1])  # another held-out part
-        assert len(calls) == 2
+        assert len(calls) == 3
+
+    def test_training_leaves_no_array_on_the_module(self, corpus):
+        train_mod = importlib.import_module("scorelm.train")
+        train(quick_cfg(steps=5), MODEL_CFG, corpus)
+        evaluate_scores(init_params(MODEL_CFG), *split_data(corpus, 1)[1])
+
+        def holds_an_array(value):
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, (tuple, list)):
+                return any(map(holds_an_array, value))
+            return isinstance(value, np.ndarray)
+
+        assert [name for name, value in vars(train_mod).items() if holds_an_array(value)] == []
 
     @pytest.mark.parametrize("rule, smoothing", [
         (ScoreRule("logarithmic"), SmoothingConfig()),
@@ -642,12 +656,13 @@ def reference_split(seqs, K, batch_size, seed):
     return batches, held
 
 
-# a record's strategies, built once for each of its 0-7 tokens: building them for every record drawn
-# took most of the time of the split test's 300 examples
+# a record's strategies, built once for each of its 0-7 tokens. A record is three draws, not one per token and
+# flag: its size, its ids as `size` bytes mapped into 0-9, and its mask as one integer of `size` bits, often 0
 RECORD_SIZES = st.integers(0, 7)
-RECORD_TOKENS = [st.lists(st.integers(0, 9), min_size=size, max_size=size) for size in range(8)]
-RECORD_MASKS = [st.one_of(st.just([False] * size), st.lists(st.booleans(), min_size=size, max_size=size))
-                for size in range(8)]
+RECORD_TOKENS = [st.binary(min_size=size, max_size=size).map(lambda raw: [byte % 10 for byte in raw])
+                 for size in range(8)]
+RECORD_MASKS = [st.one_of(st.just(0), st.integers(0, 2**size - 1)).map(
+    lambda bits, size=size: [bool(bits >> i & 1) for i in range(size)]) for size in range(8)]
 
 
 def token_seqs(draw, n):
