@@ -148,8 +148,10 @@ def make_batches(tokens, context: int, batch_size: int, seed: int):
 
     Yields C-contiguous (contexts, targets) index arrays of shapes (B, K) and
     (B,): row j holds the K tokens before a target position t and the token
-    at t.  Every target position K..L-1 appears exactly once.  Token ids are
-    read by dtype only; training checks their range once, at ingest.
+    at t.  Every target position K..L-1 appears exactly once, in an order
+    that depends only on seed and L - K.  At K = 0 a batch is only targets,
+    its contexts a view of no ids.  Token ids are read by dtype only;
+    training checks their range once, at ingest.
     """
     tokens = read_ids(tokens, "tokens", shape=(None,))
     L = tokens.size
@@ -161,7 +163,7 @@ def make_batches(tokens, context: int, batch_size: int, seed: int):
     windows = sliding_window_view(tokens[:-1], context)
     for start in range(0, order.size, batch_size):
         positions = order[start : start + batch_size]
-        yield windows[positions - context], tokens[positions]
+        yield windows[positions - context] if context else windows[: positions.size], tokens[positions]
 
 
 def make_seq_batches(seqs, batch_size: int, seed: int):

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, InvalidInputError
 
 REQUIRED = object()  # the default of a key that must be given
+ECHO_CHARS = 80  # the most characters of a refused value that an error echoes
 _JSON_TYPES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string", list: "an array"}
 _NUMERIC = {int: int, float: (int, float)}  # what an int or float field takes, a bool aside
 
@@ -124,14 +125,22 @@ def _array_shape(value):
     return shape if all(type(v) in (int, float) for v in level) else None
 
 
+def _echo(value) -> str:
+    """repr(value), cut after ECHO_CHARS characters and then marked "...": a
+    refused matrix or nest is named by its head, not printed whole."""
+    text = repr(value)
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
+
+
 def read_fields(section, where: str, error=ConfigurationError, **spec) -> dict:
     """section with defaults filled in; spec maps each key to (type, default).
 
     A key that is not in spec, a missing REQUIRED key, and a value that is
-    not of the key's JSON type raise error, naming the key: float keys take
-    any number, int keys no boolean, list keys only numbers in a vector or
-    in rows of equal length, object keys anything (a value checked by its
-    reader), and null is taken only where the default is None.  NaN and +-Infinity, which
+    not of the key's JSON type raise error, naming the key and echoing at
+    most ECHO_CHARS characters of the value: float keys take any number,
+    int keys no boolean, list keys only numbers in a vector or in rows of
+    equal length, object keys anything (a value checked by its reader), and
+    null is taken only where the default is None.  NaN and +-Infinity, which
     json.load accepts, are refused anywhere in a float or list value.
     """
     if not isinstance(section, dict):
@@ -150,11 +159,11 @@ def read_fields(section, where: str, error=ConfigurationError, **spec) -> dict:
         types = (int, float) if kind is float else (kind,)
         if kind is not object and type(value) not in types and not (value is None and default is None):
             null = " or null" if default is None else ""
-            raise error(f"{where} key {key!r} must be {_JSON_TYPES[kind]}{null}, got {value!r}")
+            raise error(f"{where} key {key!r} must be {_JSON_TYPES[kind]}{null}, got {_echo(value)}")
         shape = _array_shape(value) if kind is list else ()
         if shape is None or len(shape) > 2:
-            raise error(f"{where} key {key!r} must be an array of numbers in rows of equal length, got {value!r}")
+            raise error(f"{where} key {key!r} must be an array of numbers in rows of equal length, got {_echo(value)}")
         if kind in (float, list) and not np.isfinite(np.asarray(value, dtype=np.float64)).all():
-            raise error(f"{where} key {key!r} must be finite, got {value!r}")
+            raise error(f"{where} key {key!r} must be finite, got {_echo(value)}")
         out[key] = value
     return out

@@ -18,8 +18,8 @@ which held-out evaluation reads) instead clamps log arguments at P_MIN so
 losses and gradients stay finite.  It forms what its caller reads: the
 score and its gradient at each row's observed outcome, the scores and
 gradients of every outcome only where smoothing sums them, and the losses
-only when they are asked for.  It keeps narrow probability matrices
-outcome-major, as softmax_rows returns them, and hands back dZ row-major.
+only when they are asked for.  It keeps probability matrices in the layout
+softmax_rows returns them in, and hands back dZ row-major.
 """
 
 from dataclasses import dataclass, replace
@@ -335,7 +335,7 @@ def _token_losses_and_grads(rule, cfg, Z, idx, n, mask_override=None, *, losses=
     if W is None and eps == 0.0:
         # v is k x at idx and 0 elsewhere: the row sum is its one term p_obs k x >= 0 and no
         # (B, m) matrix v is built; 0.0 - inner keeps the sign of a zero as v_k - inner does
-        g = k * x
+        g = x if k == 1.0 else k * x  # x * 1.0 is x
         inner = p_obs * g
         dZ = np.subtract(0.0, inner) * P
         flat, at = entries(dZ)
@@ -345,12 +345,14 @@ def _token_losses_and_grads(rule, cfg, Z, idx, n, mask_override=None, *, losses=
         # as x * 0 - W did (x is finite and >= 0)
         if W is None:
             grads_p = np.zeros_like(P)
-            on = k * x
+            on = x if k == 1.0 else k * x
         else:
             flat, at = entries(W)
-            on = k * (x - flat[at][:, None])
+            on = x - flat[at][:, None]
             grads_p = np.subtract(0.0, W)
-            grads_p *= k
+            if k != 1.0:
+                on *= k
+                grads_p *= k
         flat, at = entries(grads_p)
         flat[at] = on[:, 0]
         if eps > 0.0:

@@ -6,9 +6,10 @@ batched paths share.  The scalar functions take and return 1-D float
 arrays; probability vectors live on the m-simplex with m >= 2.
 
 Layout contract: softmax_rows returns narrow rows (m < PAIRWISE_BLOCK)
-outcome-major, and row_sum and row_max give numpy's bytes in either layout.
-column_sum gives A.sum(axis=0)'s bytes: one einsum on two or more row-major
-columns, np.sum on one column, where einsum pairs the terms otherwise.
+outcome-major when there are FEW_ROWS or more, and row_sum and row_max give
+numpy's bytes in either layout.  column_sum gives A.sum(axis=0)'s bytes: one
+einsum on FEW_ROWS or more row-major rows of two or more columns, numpy's
+own reduction otherwise, where einsum pairs the terms or costs more.
 """
 
 import numpy as np
@@ -23,6 +24,11 @@ ENTMAX_BISECT_ITERS = 200
 # numpy's pairwise sum adds a block of fewer than 8 values one by one, left to
 # right, so a row that narrow sums in column order: numpy's own, not a setting
 PAIRWISE_BLOCK = 8
+
+# below this many rows numpy's row-by-row calls cost less than one einsum, and a row-major softmax
+# less than its outcome-major copy: measured between the benchmark shapes, the Markov chain's 16
+# distinct pairs and the paired data's 288 rows, where einsum gains from 64 rows and the copy from 32
+FEW_ROWS = 32
 
 
 def row_max(A: np.ndarray) -> np.ndarray:
@@ -45,10 +51,11 @@ def row_sum(A: np.ndarray) -> np.ndarray:
 
 def column_sum(A: np.ndarray, out: np.ndarray) -> np.ndarray:
     """A.sum(axis=0, out=out) of a 2-D float array, bit for bit.  numpy adds
-    the rows in order, a call per row; einsum adds a row-major A's rows in
-    that order in one call, except on one column or another layout."""
-    if A.shape[1] < 2 or not A.flags.c_contiguous:
-        return np.sum(A, axis=0, out=out)
+    the rows in order, a call per row, the cheaper below FEW_ROWS rows;
+    einsum adds a row-major A's rows in that order in one call, except on
+    one column or another layout."""
+    if A.shape[0] < FEW_ROWS or A.shape[1] < 2 or not A.flags.c_contiguous:
+        return np.add.reduce(A, axis=0, out=out)
     return np.einsum("ij->j", A, out=out)
 
 
@@ -91,9 +98,9 @@ def softmax(z) -> np.ndarray:
 
 def softmax_rows(Z: np.ndarray) -> np.ndarray:
     """Row-wise softmax for a (B, m) logit matrix, outcome-major (Fortran
-    order) for narrow rows, so each row reduction and (B, 1) broadcast runs as
-    m long loops; wider rows stay row-major."""
-    if Z.shape[-1] < PAIRWISE_BLOCK:
+    order) for FEW_ROWS or more narrow rows, so each row reduction and (B, 1)
+    broadcast runs as m long loops; wider or fewer rows stay row-major."""
+    if Z.shape[-1] < PAIRWISE_BLOCK and Z.shape[0] >= FEW_ROWS:
         Z = np.asfortranarray(Z)
     e = Z - row_max(Z)
     np.exp(e, out=e)

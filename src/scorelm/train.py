@@ -143,20 +143,27 @@ def _records_split(records: PackedSeqs, K: int, V: int | None):
     if held[1].size == 0:
         raise InvalidInputError(f"the {n_held} held-out records have no unmasked position to score")
 
-    def batches(batch_size, seed):
+    def picks(batch_size, seed):  # each batch's window rows, its records drawn by make_seq_batches
         for batch in make_seq_batches(range(n - n_held), batch_size, seed):
             sel = np.asarray(batch, dtype=np.int64)  # record ids
             starts, counts = first[sel], first[sel + 1] - first[sel]
             # batch entry j of record r is rows[starts[r] + j - out[r]], out[r] being r's first batch entry
             out = np.cumsum(counts) - counts
-            yield gather(rows[np.arange(counts.sum()) + np.repeat(starts - out, counts)])
+            yield rows[np.arange(counts.sum()) + np.repeat(starts - out, counts)]
+
+    def batches(batch_size, seed):
+        return map(gather, picks(batch_size, seed))
+
+    def keyed():
+        keys = _digits(contexts, targets, V)  # every window row's pair key
+        return lambda batch_size, seed: ((None, keys[picked]) for picked in picks(batch_size, seed))
 
     sizes = np.sort(np.diff(first[: n - n_held + 1]))[::-1]  # the training records' row counts, largest first
 
     def batch_rows(batch_size):
         return int(sizes[:batch_size].sum())
 
-    return batches, batch_rows, held
+    return batches, batch_rows, keyed, held
 
 
 def split_data(data, K: int, V: int | None = None):
@@ -172,13 +179,15 @@ def split_data(data, K: int, V: int | None = None):
     both parts is checked before anything else.  A held-out part with no
     position to score is refused.
     """
-    batches, _, held = _split_data(data, K, V)
+    batches, _, _, held = _split_data(data, K, V)
     return batches, held
 
 
 def _split_data(data, K: int, V: int | None):
-    """split_data, and between its two parts batch_rows(batch_size): the
-    most rows a training batch of batch_size can have."""
+    """split_data, and between its two parts batch_rows(batch_size), the
+    most rows a training batch of batch_size can have, and keyed(), which
+    keys every training row once (_digits) and returns the draw of
+    batches' rows as (anything, their pair keys), batch for batch."""
     if isinstance(data, TokenSeq):
         if not data.loss_mask.all():
             raise InvalidInputError("a corpus has no loss mask; pass masked (paired) data as a list of TokenSeq "
@@ -199,8 +208,15 @@ def _split_data(data, K: int, V: int | None):
     def batch_rows(batch_size):  # make_batches yields one row per position K..split - 1
         return min(batch_size, max(split - K, 0))
 
+    def keyed():
+        # row t - K of the windows is position t's pair: its shuffle depends only on the row count,
+        # so make_batches draws the keys of batches' positions in batches' order
+        rows = sliding_window_view(tokens[:split], K + 1)
+        keys = _digits(rows[:, :-1], rows[:, -1], V)
+        return lambda batch_size, seed: make_batches(keys, 0, batch_size, seed)
+
     rows = sliding_window_view(tokens[split:], K + 1)
-    return batches, batch_rows, (rows[:, :-1], rows[:, -1])
+    return batches, batch_rows, keyed, (rows[:, :-1], rows[:, -1])
 
 
 SCORE_FIELDS = {  # metrics field -> the rule whose mean held-out score it reports
@@ -231,6 +247,22 @@ def distinct_pairs(contexts: np.ndarray, targets: np.ndarray):
     position_pair = np.empty(N, dtype=np.int64)
     position_pair[order] = np.cumsum(new_pair) - 1
     return contexts[is_first], row[np.cumsum(new_ctx)[new_pair] - 1], tgt[new_pair], position_pair
+
+
+def _keyed_pairs(contexts: np.ndarray, targets: np.ndarray, V: int):
+    """distinct_pairs(contexts, targets), bit for bit, from the positions' pair keys at O(N + V^(K + 1))
+    cost.  The keys are _digits of the context read last id first, the order of lexsort's keys, so one
+    bincount finds the pairs in distinct_pairs' order; each context's first position is the least
+    position of its context key."""
+    N, K = contexts.shape
+    keys = _digits(contexts[:, ::-1], targets, V)
+    pairs = np.flatnonzero(np.bincount(keys, minlength=V ** (K + 1)))
+    first = np.full(V**K, N)
+    np.minimum.at(first, keys // V, np.arange(N))
+    starts = np.sort(first[first < N])  # the distinct contexts' first positions, in order: C's rows
+    pair = np.empty(V ** (K + 1), dtype=np.int64)  # each pair key's place among the pairs
+    pair[pairs] = np.arange(pairs.size)
+    return contexts[starts], np.searchsorted(starts, first[pairs // V]), pairs % V, pair[keys]
 
 
 def _held_out_logits(params: Parameters, C: np.ndarray) -> np.ndarray:
@@ -292,16 +324,15 @@ def _make_record(step, loss, scores, ref):
     return MetricsRecord(step=step, loss=loss, **scores, **rel)
 
 
-def _pair_keys(contexts: np.ndarray, targets: np.ndarray, V: int):
-    """(keys, counts): a batch's distinct (context, target) pairs keyed as base-V digits, in
-    increasing (lexicographic pair) order, and the positions that hold each, counted by one bincount."""
+def _digits(contexts: np.ndarray, targets: np.ndarray, V: int) -> np.ndarray:
+    """Each position's (context, target) pair key: its K + 1 ids as base-V digits, first id first,
+    so that keys order pairs lexicographically."""
     keys = contexts[:, 0] * V
     for column in contexts.T[1:]:
         keys += column
         keys *= V
-    counts = np.bincount(keys + targets, minlength=V ** (contexts.shape[1] + 1))
-    keys = counts.nonzero()[0]
-    return keys, counts[keys]
+    keys += targets
+    return keys
 
 
 class PairLayout:
@@ -318,25 +349,29 @@ class PairLayout:
 
 def _run_loop(params, start_step, cfg, model_cfg, data, metrics_path, checkpoint_path, symbols):
     V, K = model_cfg.vocab_size, model_cfg.context
-    batches, batch_rows, (eval_ctx, eval_tgt) = _split_data(data, K, V)
-    held = distinct_pairs(eval_ctx, eval_tgt)  # split once per call; _split_data has checked its ids against V
+    batches, batch_rows, keyed, (eval_ctx, eval_tgt) = _split_data(data, K, V)
+    n_pairs = V ** (K + 1)
+    # split once per call; _split_data has checked its ids against V, so a small pair space is keyed
+    held = _keyed_pairs(eval_ctx, eval_tgt, V) if n_pairs <= eval_tgt.size else distinct_pairs(eval_ctx, eval_tgt)
     # relative-change reference: the model as it stands at loop entry
     ref_scores = _held_out_scores(params, held)
 
     state = AdamState.fresh(params)
-    rows = min(batch_rows(cfg.batch_size), V ** (K + 1))
-    grouped = rows == V ** (K + 1)  # batches can hold every pair; else pairs rarely repeat and keys could overflow
+    rows = min(batch_rows(cfg.batch_size), n_pairs)
+    grouped = rows == n_pairs  # batches can hold every pair; else pairs rarely repeat and keys could overflow
     work = Workspace(params, rows)  # every step runs here and writes its gradient here
-    stream = chain.from_iterable(batches(cfg.batch_size, cfg.seed + epoch) for epoch in count())
+    draw = keyed() if grouped else batches  # a grouped step reads only its positions' pair keys
+    stream = chain.from_iterable(draw(cfg.batch_size, cfg.seed + epoch) for epoch in count())
     records, layout, pairs = [], None, None
     for step in range(1, cfg.steps + 1):
         contexts, targets = next(stream)
         recorded = step % cfg.eval_every == 0 or step == cfg.steps
-        if grouped:
-            keys, counts = _pair_keys(contexts, targets, V)
+        if grouped:  # targets are the pair keys: the distinct ones, in order, and their counts
+            counts = np.bincount(targets, minlength=n_pairs)
+            keys = counts.nonzero()[0]
             if layout is None or layout.keys != keys.tobytes():
                 layout = PairLayout(keys, V, K, work.table)
-            pairs = layout, counts
+            pairs = layout, counts[keys]
         loss, grads = _loss_and_grads(params, contexts, targets, cfg.rule, cfg.smoothing, work, loss=recorded, pairs=pairs)
         params, state = adam_step(params, grads, state, step, cfg)
         if recorded:

@@ -16,6 +16,7 @@ import scorelm
 from scorelm.checkpoint import load_checkpoint, save_checkpoint
 from scorelm.cli import _build_parser, _load_data, run_command
 from scorelm.data import MarkovSpec, synth_markov
+from scorelm.documents import ECHO_CHARS
 from scorelm.model import ModelConfig, Parameters, param_shapes
 from scorelm.scores import ScoreRule
 from scorelm.train import SCORE_FIELDS, split_data
@@ -202,6 +203,23 @@ class TestSynth:
         assert run_command(["synth", "--spec", str(tmp_path / "spec.json"), "--length", "50",
                             "--out", str(tmp_path / "c.txt")]) == 1
         assert f"spec key {key!r} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "c.txt").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("transition", functools.reduce(lambda v, _: [v], range(500), 0.5),
+         "must be an array of numbers in rows of equal length, got [[[["),
+        ("transition", [[0.5] * 300] * 299 + [[float("nan")] * 300], "must be finite, got [[0.5, 0.5"),
+        ("seed", "7" * 1000, "must be an integer, got '7777"),
+    ], ids=["nested-500", "300x300-nan", "long-string"])
+    def test_refused_value_echoed_by_its_head(self, tmp_path, capsys, key, value, message):
+        # the echo stops after ECHO_CHARS characters of the value's repr, marked "..."
+        (tmp_path / "spec.json").write_text(json.dumps({**self.SPEC, key: value}))
+        assert run_command(["synth", "--spec", str(tmp_path / "spec.json"), "--length", "50",
+                            "--out", str(tmp_path / "c.txt")]) == 1
+        err = capsys.readouterr().err
+        head = f"error: spec key {key!r} {message}"
+        assert err.startswith(head) and err.endswith("...\n")
+        assert len(err) == len(f"error: spec key {key!r} {message.split(', got ')[0]}, got ") + ECHO_CHARS + 4
         assert not (tmp_path / "c.txt").exists()
 
     @pytest.mark.parametrize("states", [0, 1, -3])

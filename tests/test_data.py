@@ -388,9 +388,11 @@ class TestMakeBatches:
         with pytest.raises(InvalidInputError):
             list(make_batches(np.array([2, 3]), context=2, batch_size=1, seed=0))
 
-    @pytest.mark.parametrize("L, K, B", [(2, 1, 1), (30, 1, 512), (200, 1, 64), (200, 4, 7), (57, 9, 10)])
+    @pytest.mark.parametrize("L, K, B", [(2, 1, 1), (30, 1, 512), (200, 1, 64), (200, 4, 7), (57, 9, 10),
+                                         (1, 0, 1), (30, 0, 7)])
     def test_contiguous_arrays_equal_the_window_rows(self, L, K, B):
-        # the rows of the (K + 1)-window view at the shuffled target positions, split into context and target
+        # the rows of the (K + 1)-window view at the shuffled target positions, split into context and
+        # target; at K = 0 the tokens themselves, in the order the shuffle gives every L - K positions
         tokens = np.random.default_rng(L).integers(0, 9, L)
         for seed in range(3):
             order = np.random.default_rng(seed).permutation(np.arange(K, L))

@@ -32,7 +32,7 @@ from scorelm.scores import (
     smoothed_score_matrix,
     token_losses_and_grads,
 )
-from scorelm.simplex import PAIRWISE_BLOCK, softmax_rows
+from scorelm.simplex import FEW_ROWS, PAIRWISE_BLOCK, softmax_rows
 from scorelm.train import EVAL_ROWS, SCORE_FIELDS, distinct_pairs, evaluate_scores
 from scorelm.verify import simplex_grid
 
@@ -809,9 +809,9 @@ def test_evaluate_scores_equal_numpy_reductions_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# Layout guard: narrow rows are kept outcome-major and dZ comes back
-# row-major, and the training step and held-out scores are, byte for byte,
-# a frozen row-major reference's: softmax on numpy's own reductions and the
+# Layout guard: narrow rows are kept outcome-major from FEW_ROWS rows on, dZ
+# comes back row-major, and the training step and held-out scores are, byte
+# for byte, a frozen row-major reference's: softmax on numpy's own reductions and the
 # explicit formulas above.
 # ---------------------------------------------------------------------------
 
@@ -819,8 +819,9 @@ GUARD_WIDTHS = [2, 6, 7, 8, 35]  # both sides of PAIRWISE_BLOCK, the markov and 
 
 
 def guard_batches(m, gaps):
-    """(params, contexts, targets) over a vocabulary of m at 512 and 287
-    positions, a full and a tail batch.  An output bias puts outcome m - 1
+    """(params, contexts, targets) over a vocabulary of m at 512, 287 and 16
+    positions: a full and a tail batch, and the distinct pairs of a grouped
+    step, below FEW_ROWS.  An output bias puts outcome m - 1
     32-45 below the rest, so every row observing it lies inside the P_MIN
     clamp; with gaps another puts outcome 0 800-840 below, so more than 745
     below every other outcome, where its probability underflows to 0.  At
@@ -828,7 +829,7 @@ def guard_batches(m, gaps):
     so there outcome 0 goes 420-440 below: 375-408 below outcome 1, where its
     probability stays a normal number but its square underflows to 0."""
     gen = np.random.default_rng(m)
-    for n in (512, 287):
+    for n in (512, 287, 16):
         params = init_params(ModelConfig(vocab_size=m, context=2, embed_dim=4, hidden_dim=8, seed=n + m))
         params.b_out[-1] -= gen.uniform(32.0, 45.0)
         if gaps:
@@ -854,7 +855,8 @@ def test_step_is_the_row_major_reference_bitwise(rule, cfg, m):
     for params, contexts, targets in guard_batches(m, gaps=rule.alpha >= 2.0):
         Z = ref_forward(params, contexts)
         P = softmax_rows(Z)
-        assert (P.flags.f_contiguous, P.flags.c_contiguous) == ((True, False) if m < PAIRWISE_BLOCK else (False, True))
+        outcome_major = m < PAIRWISE_BLOCK and targets.size >= FEW_ROWS
+        assert (P.flags.f_contiguous, P.flags.c_contiguous) == ((True, False) if outcome_major else (False, True))
         losses, dZ = token_losses_and_grads(rule, cfg, Z, targets)
         with np.errstate(divide="ignore"):
             ref_losses, ref_dZ = ref_token_losses_and_grads(rule, cfg, Z, targets)
@@ -865,6 +867,27 @@ def test_step_is_the_row_major_reference_bitwise(rule, cfg, m):
             ref_loss, ref_grads = loss_and_grads(params, contexts, targets, rule, cfg)
         assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
         assert grads.flat.tobytes() == ref_grads.flat.tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 512])
+@pytest.mark.parametrize("cfg", CONFIGS[:2], ids=["eps0", "eps0.1"])
+@pytest.mark.parametrize("kind", ["logarithmic", "spherical"])
+def test_a_gradient_scale_other_than_one_is_applied(kind, cfg, n):
+    # the rule part skips its k * when k == 1.0, as for these two rules; the same rule with k = 2
+    # (and its grad_sum doubled) has every dZ entry doubled, which is exact in binary floating point
+    record = RULES[kind]
+
+    def doubled(P, p_obs, a):
+        k, x, W = record.grad(P, p_obs, a)
+        return 2.0 * k, x, W
+
+    twice = dataclasses.replace(record, grad=doubled, grad_sum=lambda P, a: 2.0 * record.grad_sum(P, a))
+    gen = np.random.default_rng(n)
+    Z, idx = gen.normal(size=(n, 6)) * 3.0, gen.integers(0, 6, n)
+    _, want = token_losses_and_grads(ScoreRule(kind), cfg, Z, idx, losses=False)
+    with mock.patch.dict(RULES, {kind: twice}):
+        _, got = token_losses_and_grads(ScoreRule(kind), cfg, Z, idx, losses=False)
+    assert got.tobytes() == (2.0 * want).tobytes()
 
 
 @pytest.mark.parametrize("m", GUARD_WIDTHS)

@@ -265,8 +265,8 @@ def column_matrices(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(A=column_matrices())
 def test_column_sum_is_numpy_bit_for_bit(A):
-    # one einsum over row-major rows of two or more columns; np.sum on one column, where einsum's
-    # pairing gives other bytes, and on other layouts
+    # one einsum over FEW_ROWS or more row-major rows of two or more columns; numpy's own reduction
+    # below FEW_ROWS rows, on one column, where einsum's pairing gives other bytes, and on other layouts
     out = np.full(A.shape[1], np.nan)
     with np.errstate(all="ignore"):
         got, want = column_sum(A, out), np.sum(A, axis=0)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from scorelm.checkpoint import load_checkpoint, save_checkpoint
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scorelm.data import MarkovSpec, build_vocab, encode_pair, encode_pairs, make_seq_batches, synth_markov
@@ -38,8 +38,11 @@ from scorelm.train import (
     AdamState,
     PairLayout,
     TrainConfig,
-    _pair_keys,
+    _digits,
+    _keyed_pairs,
+    _split_data,
     adam_step,
+    distinct_pairs,
     evaluate_scores,
     finetune,
     relative_change,
@@ -254,16 +257,22 @@ class TestTrain:
         assert [r.step for r in records] == [50, 100, 150, 200, 250]
 
     def test_held_out_part_split_once_per_training_call(self, corpus, monkeypatch):
+        # a corpus part of more positions than the 6^2 pairs is split by its pair keys, paired records
+        # of 35^9 pairs by distinct_pairs' lexsort
         train_mod = importlib.import_module("scorelm.train")  # the package's `train` is the function
         calls = []
-        split = train_mod.distinct_pairs
-        monkeypatch.setattr(train_mod, "distinct_pairs", lambda c, t: calls.append(t.size) or split(c, t))
+        for name in ("_keyed_pairs", "distinct_pairs"):
+            split = getattr(train_mod, name)
+            monkeypatch.setattr(train_mod, name, lambda c, t, *V, name=name, split=split:
+                                calls.append((name, t.size)) or split(c, t, *V))
         for n in (1, 2):  # the second call splits the same part again: nothing is kept between calls
             _, records = train(quick_cfg(steps=250), MODEL_CFG, corpus)
             assert len(records) == 5 and len(calls) == n
-        assert calls[0] == calls[1]
+        assert calls[0] == calls[1] and calls[0][0] == "_keyed_pairs"
         train(quick_cfg(steps=5), MODEL_CFG, corpus[:-1])  # another held-out part
         assert len(calls) == 3
+        train(TrainConfig(rule=ScoreRule("brier"), steps=2, batch_size=8), PAIRED_MODEL, paired_records(30, seed=1))
+        assert len(calls) == 4 and calls[3][0] == "distinct_pairs"
 
     def test_training_leaves_no_array_on_the_module(self, corpus):
         train_mod = importlib.import_module("scorelm.train")
@@ -425,6 +434,14 @@ def test_paired_training_is_the_reference_loop_bitwise(rule, smoothing):
     assert [r.loss for r in records] == losses
 
 
+def pair_counts(contexts, targets, V):
+    """(keys, counts): the sorted distinct pair keys of a batch and the positions that hold each,
+    as a grouped run finds them."""
+    counts = np.bincount(_digits(contexts, targets, V), minlength=V ** (contexts.shape[1] + 1))
+    keys = counts.nonzero()[0]
+    return keys, counts[keys]
+
+
 def assert_count_weighted_step_is_the_per_position_step(params, contexts, targets, rule, smoothing, keys, counts):
     # keys and counts of the batch's distinct pairs, in their layout; 1e-12 relative, tensor by tensor
     assert counts.sum() == targets.size and counts.size < targets.size
@@ -445,7 +462,7 @@ def test_count_weighted_step_at_the_markov_bench_shape(corpus, rule, smoothing):
     params.flat *= 5.0  # probabilities well away from uniform
     batches, _ = split_data(corpus, 1, 6)
     contexts, targets = next(batches(512, 7))
-    keys, counts = _pair_keys(contexts, targets, 6)
+    keys, counts = pair_counts(contexts, targets, 6)
     assert counts.size <= 16  # 4 states
     assert_count_weighted_step_is_the_per_position_step(params, contexts, targets, rule, smoothing, keys, counts)
 
@@ -471,7 +488,7 @@ def test_grouped_pairs_are_the_sorted_distinct_rows():
     gen = np.random.default_rng(3)
     for V, K in [(6, 1), (3, 3), (2, 5)]:
         rows = gen.integers(0, V, (200, K + 1))
-        keys, counts = _pair_keys(rows[:, :-1], rows[:, -1], V)
+        keys, counts = pair_counts(rows[:, :-1], rows[:, -1], V)
         table = np.arange(V * 2).reshape(V, 2)
         layout = PairLayout(keys, V, K, table)
         unique, want = np.unique(rows, axis=0, return_counts=True)
@@ -480,20 +497,57 @@ def test_grouped_pairs_are_the_sorted_distinct_rows():
         assert np.array_equal(layout.scatter, table[layout.contexts])
 
 
+def drawn_batches(monkeypatch):
+    """Each batch that training draws from here on, as (generator name, its context argument), by
+    rebinding the batch generators in scorelm.train as bench/workloads.py's step_clock does."""
+    train_mod = importlib.import_module("scorelm.train")  # the package's `train` is the function
+    drawn = []
+
+    def spied(name, fn):
+        def gen(items, *args):
+            for batch in fn(items, *args):
+                drawn.append((name, args[0] if name == "make_batches" else None))
+                yield batch
+        return gen
+
+    for name in ("make_batches", "make_seq_batches"):
+        monkeypatch.setattr(train_mod, name, spied(name, getattr(train_mod, name)))
+    return drawn
+
+
 @pytest.mark.parametrize("batch_size, grouped", [(36, True), (35, False)])
 def test_grouping_starts_where_a_batch_must_repeat_a_pair(corpus, monkeypatch, batch_size, grouped):
     # 6^2 = 36 pairs: a batch of 36 rows may hold each once, yet the run groups, since the rule is a
-    # pigeonhole bound decided from shapes; at 35 rows every step is the per-position reference
-    train_mod = importlib.import_module("scorelm.train")  # the package's `train` is the function
-    calls, group = [], train_mod._pair_keys
-    monkeypatch.setattr(train_mod, "_pair_keys", lambda *args: calls.append(1) or group(*args))
+    # pigeonhole bound decided from shapes; at 35 rows every step is the per-position reference.  A
+    # grouped run draws each step's pair keys (context 0), an ungrouped one its windows (context 1)
+    drawn = drawn_batches(monkeypatch)
     cfg = TrainConfig(rule=ScoreRule("spherical"), steps=12, batch_size=batch_size, learning_rate=0.005,
                       eval_every=4, seed=2)
     ckpt, records = train(cfg, MODEL_CFG, corpus)
+    assert drawn == [("make_batches", 0 if grouped else 1)] * cfg.steps
     params, losses, _ = reference_training(cfg, MODEL_CFG, corpus)
-    assert len(calls) == (cfg.steps if grouped else 0)
     assert ckpt.params.flat.tobytes() == params.flat.tobytes()
     assert [r.loss for r in records] == losses
+
+
+@pytest.mark.parametrize("paired", [False, True], ids=["corpus", "paired"])
+@pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "ungrouped"])
+def test_every_step_draws_one_batch_at_call_time(corpus, monkeypatch, paired, grouped):
+    # the benchmark times each step between two draws of scorelm.train's batch generators, looked
+    # up when training runs: a run that drew a batch any other way would leave its steps untimed
+    name = "make_seq_batches" if paired else "make_batches"
+    data, model = corpus, MODEL_CFG
+    if paired:  # 5 ids and context 1: 25 pairs, and records of 5-7 scored positions
+        pairs = [("ab" * (i % 3 + 1), "cab"[: i % 3 + 1] + "abc") for i in range(60)]
+        data, model = encode_pairs(build_vocab("abc"), pairs), dataclasses.replace(MODEL_CFG, vocab_size=5)
+    drawn, built = drawn_batches(monkeypatch), layouts_built(monkeypatch)
+    cfg = TrainConfig(rule=ScoreRule("brier"), steps=40, batch_size=(8 if paired else 36) if grouped else 2,
+                      eval_every=10, seed=4)
+    ckpt, _ = train(cfg, model, data)
+    assert [n for n, _ in drawn] == [name] * cfg.steps
+    assert bool(built) == grouped
+    params, _, _ = reference_training(cfg, model, data)
+    assert ckpt.params.flat.tobytes() == params.flat.tobytes()
 
 
 def pair_sets(data, cfg, K, V):
@@ -681,6 +735,52 @@ def split_cases(draw):
 
 def same_arrays(a, b):
     return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(V=st.integers(2, 5), K=st.integers(1, 3), n=st.integers(40, 400), batch_size=st.integers(4, 80),
+       seed=st.integers(0, 2**32 - 1))
+def test_key_draw_is_the_window_draw_keyed(V, K, n, batch_size, seed):
+    # a grouped corpus run draws its positions' pair keys; batch for batch they are the keys of the
+    # windows the ungrouped draw gives, in the same order, so the counts are the same too
+    tokens = np.random.default_rng(seed).integers(0, V, n)
+    split = int(round(n * 0.9))
+    assume((split - K) % batch_size)  # a partial last batch
+    batches, _, keyed, _ = _split_data(tokens, K, V)
+    place = V ** np.arange(K, -1, -1)
+    want = [np.column_stack(batch) @ place for batch in batches(batch_size, seed)]
+    got = [keys for _, keys in keyed()(batch_size, seed)]
+    assert len(got) == len(want) and got[-1].size == (split - K) % batch_size
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and np.array_equal(g, w)
+        assert np.array_equal(np.bincount(g, minlength=V ** (K + 1)), np.bincount(w, minlength=V ** (K + 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=split_cases())
+def test_record_key_draw_is_the_window_draw_keyed(case):
+    seqs, K, batch_size, seed = case
+    try:
+        batches, _, keyed, _ = _split_data(seqs, K, 10)
+    except InvalidInputError:
+        return
+    place = 10 ** np.arange(K, -1, -1)
+    want = [np.column_stack(batch) @ place for batch in batches(batch_size, seed)]
+    got = [keys for _, keys in keyed()(batch_size, seed)]
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(V=st.integers(2, 6), K=st.integers(1, 2), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_keyed_held_out_split_is_distinct_pairs(V, K, n, seed):
+    # C in first-position order, pair_row, pair_target and position_pair, dtype and bytes, whether or
+    # not the part holds more positions than pairs; a few ids make most contexts repeat
+    gen = np.random.default_rng(seed)
+    tokens = gen.integers(0, gen.integers(1, V + 1), n + K)
+    rows = np.lib.stride_tricks.sliding_window_view(tokens, K + 1)
+    got, want = _keyed_pairs(rows[:, :-1], rows[:, -1], V), distinct_pairs(rows[:, :-1], rows[:, -1])
+    assert same_arrays(got, want) and len(got) == 4
 
 
 class TestPackedSplit:
